@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -89,16 +88,18 @@ def load_series(path: Path, horizon: int, stride: int) -> TimeSeries:
     """Sniff a CSV by header: day prices, simulation output, or raw values."""
     text = _read_text(path)
     header = text.splitlines()[0].strip() if text.strip() else ""
-    if header == serialize.DAY_HEADER:
-        prices = serialize.prices_from_day_csv(text)
-        day = TradingDay(instrument=path.stem, date="", prices=prices, traded_seconds=prices.size)
-        series = compute_returns(day, horizon, stride)
-        return TimeSeries(series.values, step=series.step, label=path.stem)
-    if header == serialize.SIM_HEADER:
-        return TimeSeries(serialize.returns_from_sim_csv(text), step=1.0, label=path.stem)
-    if header == VALUES_HEADER:
-        values = np.array([float(line) for line in text.splitlines()[1:] if line.strip()])
-        return TimeSeries(values, step=1.0, label=path.stem)
+    try:
+        if header == serialize.DAY_HEADER:
+            prices = serialize.prices_from_day_csv(text)
+            day = TradingDay(instrument=path.stem, date="", prices=prices, traded_seconds=prices.size)
+            series = compute_returns(day, horizon, stride)
+            return TimeSeries(series.values, step=series.step, label=path.stem)
+        if header == serialize.SIM_HEADER:
+            return TimeSeries(serialize.returns_from_sim_csv(text), step=1.0, label=path.stem)
+        if header == VALUES_HEADER:
+            return TimeSeries(serialize._read_column(text, VALUES_HEADER, 0), step=1.0, label=path.stem)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     raise DataFormatError(
         f"{path}: unrecognized header {header!r}; expected one of "
         f"{serialize.DAY_HEADER!r}, {serialize.SIM_HEADER!r}, {VALUES_HEADER!r}"
@@ -120,14 +121,8 @@ def _parse_pairs(args) -> list[tuple[float, float]]:
     return list(zip(alphas, betas))
 
 
-def _pair_out_path(out: Path, alpha: float, beta: float, fmt: str) -> Path:
-    return out / f"qcf_a{alpha:g}_b{beta:g}.{fmt}"
-
-
 def _load_all_series(args) -> list[TimeSeries]:
-    files = _expand_inputs(args.input)
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        return list(pool.map(lambda p: load_series(p, args.horizon, args.stride), files))
+    return [load_series(p, args.horizon, args.stride) for p in _expand_inputs(args.input)]
 
 
 def cmd_qcf(args) -> int:
@@ -135,24 +130,18 @@ def cmd_qcf(args) -> int:
     if args.no_average and len(series) > 1:
         raise ValueError("--no-average expects a single input series")
     pairs = _parse_pairs(args)
-    max_lag = args.max_lag
 
     def averaged(alpha: float, beta: float):
-        curves = [qcf_fast(s, alpha, beta, max_lag) for s in series]
-        return curves[0] if len(curves) == 1 else average_curves(curves)
+        return average_curves([qcf_fast(s, alpha, beta, args.max_lag) for s in series])
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        curves = list(pool.map(lambda ab: averaged(*ab), pairs))
+    curves = [averaged(alpha, beta) for alpha, beta in pairs]
     if not args.no_band:
         band = confidence_band(averaged(0.5, 0.5))
         curves = [c.with_ci(band) for c in curves]
     single_file = len(pairs) == 1 and Path(args.out).suffix in (".csv", ".json")
-    outputs: list[tuple[Path, str]] = []
     for (alpha, beta), curve in zip(pairs, curves):
         text = serialize.curve_to_json(curve) if args.format == "json" else serialize.curve_to_csv(curve)
-        path = Path(args.out) if single_file else _pair_out_path(Path(args.out), alpha, beta, args.format)
-        outputs.append((path, text))
-    for path, text in outputs:
+        path = Path(args.out) if single_file else Path(args.out) / f"qcf_a{alpha:g}_b{beta:g}.{args.format}"
         serialize.write_text_atomic(path, text)
     return 0
 
@@ -166,19 +155,19 @@ def _parse_levels(text: str) -> list[float]:
         if step <= 0 or stop < start:
             raise ValueError("--levels range must increase")
         count = int(round((stop - start) / step))
-        levels = [start + i * step for i in range(count + 1)]
+        # rounding keeps 0.05:0.95:0.05 at exactly i/20, not 0.15000000000000002
+        levels = [round(start + i * step, 12) for i in range(count + 1)]
         return [l for l in levels if l <= stop + 1e-12]
     return [float(p) for p in text.split(",") if p.strip()]
 
 
 def cmd_ppgrid(args) -> int:
     files = _expand_inputs(args.input)
-    day_input = _is_day_file(files[0])
-    series = _load_all_series(args)
+    series = [load_series(p, args.horizon, args.stride) for p in files]
     levels = _parse_levels(args.levels) if args.levels else list(DEFAULT_GRID_LEVELS)
     if args.lag:
         lags = list(args.lag)
-    elif day_input:
+    elif _is_day_file(files[0]):
         lags = []
         for seconds in DEFAULT_DAY_GRID_LAG_SECONDS:
             if seconds % args.stride:
@@ -186,13 +175,7 @@ def cmd_ppgrid(args) -> int:
             lags.append(seconds // args.stride)
     else:
         lags = list(DEFAULT_SIM_GRID_LAGS)
-
-    def averaged(lag: int):
-        grids = [pp_grid(s, levels, lag) for s in series]
-        return grids[0] if len(grids) == 1 else average_grids(grids)
-
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        grids = list(pool.map(averaged, lags))
+    grids = [average_grids([pp_grid(s, levels, lag) for s in series]) for lag in lags]
     single_file = len(lags) == 1 and Path(args.out).suffix in (".csv", ".json")
     for lag, grid in zip(lags, grids):
         text = serialize.grid_to_json(grid) if args.format == "json" else serialize.grid_to_csv(grid)
@@ -258,10 +241,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    files = _expand_inputs(args.input)
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        days = list(pool.map(lambda p: load_series(p, args.horizon, args.stride), files))
-    batch = fit_per_day(days)
+    batch = fit_per_day(_load_all_series(args))
     serialize.write_text_atomic(args.out, serialize.batch_to_csv(batch))
     if args.excluded_out:
         serialize.write_text_atomic(args.excluded_out, serialize.excluded_to_csv(batch))
@@ -354,8 +334,8 @@ def _add_common_series(parser):
                         help="return horizon in grid seconds for day-price inputs")
     parser.add_argument("--stride", type=int, default=1,
                         help="spacing of return start points in grid seconds")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for per-input fan-out")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; currently has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,10 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="per-day GJR-GARCH fits")
     _add_input(p)
-    p.add_argument("--horizon", type=int, default=60)
-    p.add_argument("--stride", type=int, default=60,
-                   help="default 60: non-overlapping one-minute returns")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    _add_common_series(p)
+    p.set_defaults(stride=60)  # non-overlapping one-minute returns
     p.add_argument("--out", required=True, help="fit batch CSV")
     p.add_argument("--params-out", help="averaged parameter JSON")
     p.add_argument("--excluded-out", help="CSV log of excluded days")

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .garch import GarchParams, ModelKind, simulate, SimulationResult
 from .series import TimeSeries, as_values
@@ -53,15 +51,17 @@ def gjr_log_likelihood(returns, params: GarchParams) -> float:
     r = as_values(returns)
     if r.size < 10:
         raise ValueError("need at least 10 observations")
+    from scipy.signal import lfilter
+
     eps = r - params.mu
-    sigma2 = _gjr_variance_filter(eps, params.omega, params.alpha1, params.beta1, params.gamma1)
+    sigma2 = _gjr_variance_filter(lfilter, eps, params.omega, params.alpha1, params.beta1, params.gamma1)
     if np.any(sigma2 <= 0) or not np.all(np.isfinite(sigma2)):
         raise ValueError("conditional variance left the positive domain")
     return float(-0.5 * np.sum(LOG_2PI + np.log(sigma2) + eps * eps / sigma2))
 
 
-def _gjr_variance_filter(eps, omega, alpha1, beta1, gamma1):
-    """sigma2 path for demeaned returns; linear recursion solved with lfilter."""
+def _gjr_variance_filter(lfilter, eps, omega, alpha1, beta1, gamma1):
+    """sigma2 path for demeaned returns; linear recursion solved with the lfilter passed in."""
     v0 = float(np.var(eps))
     if v0 <= 0:
         raise ValueError("zero-variance returns")
@@ -143,6 +143,10 @@ def fit_gjr(returns, max_iter: int = 3000) -> FitResult:
     and keeps the best final likelihood.  Never raises on optimizer
     trouble; converged=False reports it instead.
     """
+    # scipy.optimize and scipy.signal take over a second to import; only fits need them.
+    from scipy.optimize import minimize
+    from scipy.signal import lfilter
+
     r = as_values(returns)
     if r.size < MIN_FIT_LENGTH:
         raise ValueError(f"need at least {MIN_FIT_LENGTH} observations to fit, got {r.size}")
@@ -155,7 +159,7 @@ def fit_gjr(returns, max_iter: int = 3000) -> FitResult:
         mu, omega, alpha1, beta1, gamma1 = _unpack(theta)
         eps = r - mu
         try:
-            sigma2 = _gjr_variance_filter(eps, omega, alpha1, beta1, gamma1)
+            sigma2 = _gjr_variance_filter(lfilter, eps, omega, alpha1, beta1, gamma1)
         except ValueError:
             return np.inf
         if np.any(sigma2 <= 0) or not np.all(np.isfinite(sigma2)):

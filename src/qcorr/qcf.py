@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import DegenerateLevelError
-from .series import ProbabilityLevel, TimeSeries, as_level, as_values
+from .series import ProbabilityLevel, as_level, as_values
 
 # Correlations are bounded by 1 in exact arithmetic; allow roundoff.
 VALUE_TOL = 1e-12
@@ -39,12 +39,15 @@ def _order_index(p: float, n: int) -> int:
     return min(max(k, 1), n)
 
 
+def _thresholds(values: np.ndarray, ps) -> np.ndarray:
+    """Order statistics x_(ceil(p*T)) for every level p, from one partition."""
+    ks = [_order_index(p, values.size) - 1 for p in ps]
+    return np.partition(values, ks)[ks]
+
+
 def empirical_quantile(x, level: float | ProbabilityLevel) -> float:
     """Order statistic x_(ceil(p*T)) of the sorted values; the minimum for p = 0."""
-    values = as_values(x)
-    p = as_level(level).p
-    k = _order_index(p, values.size)
-    return float(np.partition(values, k - 1)[k - 1])
+    return float(_thresholds(as_values(x), [as_level(level).p])[0])
 
 
 @dataclass(frozen=True)
@@ -164,16 +167,22 @@ class QcfCurve:
         return dataclasses.replace(self, ci_half_width=float(half_width))
 
 
-def _centered(filtered: BinarySeries) -> tuple[np.ndarray, float]:
-    bits = filtered.bits.astype(float)
-    mean = bits.mean()
-    centered = bits - mean
-    sumsq = float(np.dot(centered, centered))
-    if sumsq == 0.0:
-        raise DegenerateLevelError(
-            f"degenerate quantile level: filtered series at p={filtered.level.p} is constant"
-        )
+def _centered(bits: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray]:
+    """Centered float rows of a (k, T) 0/1 array at levels ps, and each row's sum of squares."""
+    rows = np.asarray(bits, dtype=float)
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    sumsq = np.array([np.dot(row, row) for row in centered])
+    for p, s in zip(ps, sumsq):
+        if s == 0.0:
+            raise DegenerateLevelError(
+                f"degenerate quantile level: filtered series at p={p} is constant"
+            )
     return centered, sumsq
+
+
+def _centered_levels(values: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray]:
+    """Filter values at every level in ps and center the rows (see _centered)."""
+    return _centered(values <= _thresholds(values, ps)[:, None], ps)
 
 
 def _check_max_lag(max_lag: int, length: int) -> int:
@@ -205,12 +214,11 @@ def qcf_from_filtered(a: BinarySeries, b: BinarySeries, max_lag: int) -> QcfCurv
         raise ValueError("filtered series must have equal length")
     T = len(a)
     max_lag = _check_max_lag(max_lag, T)
-    da, sa2 = _centered(a)
-    db, sb2 = _centered(b)
+    (da, db), (sa2, sb2) = _centered(np.vstack([a.bits, b.bits]), [a.level.p, b.level.p])
     same = a is b or np.array_equal(a.bits, b.bits)
-    # T * sigma_a * sigma_b; for identical bits use the lag-0 sum itself so
-    # the autocorrelation is exactly 1 at lag 0.
-    denom = sa2 if same else math.sqrt(sa2 * sb2)
+    # T * sigma_a * sigma_b; sqrt(s * s) == s exactly, so equal bits give
+    # exactly 1 at lag 0.
+    denom = math.sqrt(sa2 * sb2)
     pos = np.empty(max_lag + 1)
     for l in range(max_lag + 1):
         pos[l] = np.dot(da[: T - l], db[l:]) / denom
@@ -241,26 +249,20 @@ def qcf_fast(x, alpha, beta, max_lag: int) -> QcfCurve:
     values = as_values(x)
     a = as_level(alpha)
     b = as_level(beta)
-    fa = filter_series(values, a)
-    fb = fa if b.p == a.p else filter_series(values, b)
-    T = len(fa)
+    same = a.p == b.p
+    rows, sumsq = _centered_levels(values, [a.p] if same else [a.p, b.p])
+    T = values.size
     max_lag = _check_max_lag(max_lag, T)
-    da, sa2 = _centered(fa)
-    db, sb2 = _centered(fb)
-    same = fa is fb
-    denom = sa2 if same else math.sqrt(sa2 * sb2)
+    denom = math.sqrt(sumsq[0] * sumsq[-1])
     n = scipy.fft.next_fast_len(T + max_lag)
-    fa_hat = scipy.fft.rfft(da, n)
-    fb_hat = fa_hat if same else scipy.fft.rfft(db, n)
+    fa_hat = scipy.fft.rfft(rows[0], n)
+    fb_hat = fa_hat if same else scipy.fft.rfft(rows[1], n)
     corr = scipy.fft.irfft(np.conj(fa_hat) * fb_hat, n)
     pos = corr[: max_lag + 1] / denom
-    if same:
-        neg = None
-    else:
-        # corr[n - l] = sum_t db_t * da_{t+l}, the swap-identity value at -l.
-        neg = corr[n - max_lag : n][::-1] / denom if max_lag else None
+    # corr[n - l] = sum_t db_t * da_{t+l}, the swap-identity value at -l.
+    neg = None if same else corr[n - max_lag :][::-1] / denom
     lags, out = _assemble(pos, neg, max_lag)
-    return QcfCurve(alpha=fa.level, beta=fb.level, lags=lags, values=out, series_length=T)
+    return QcfCurve(alpha=a, beta=b, lags=lags, values=out, series_length=T)
 
 
 def average_curves(curves: list[QcfCurve]) -> QcfCurve:
@@ -386,35 +388,27 @@ def pp_grid(x, levels, lag: int) -> PPGrid:
     """Quantile correlation at one fixed lag for every pair of levels.
 
     Negative lags use the swap identity, so grid(l) is the transpose of
-    grid(-l) for a single series.
+    grid(-l) for a single series.  The grid is one product of the centered
+    level rows, C[:, :T-l] @ C[:, l:].T, over the denominators.
     """
     values = as_values(x)
     T = values.size
     lag = int(lag)
-    _check_max_lag(abs(lag), T)
+    m = _check_max_lag(abs(lag), T)
     lvls = [as_level(l) for l in levels]
     if not lvls:
         raise ValueError("empty level grid")
     for lvl in lvls:
         if not 0.0 < lvl.p < 1.0:
             raise ValueError(f"grid levels must be strictly inside (0, 1), got {lvl.p}")
-    filtered = [filter_series(values, lvl) for lvl in lvls]
-    centered = []
-    for f in filtered:
-        centered.append(_centered(f))
-    n = len(lvls)
-    matrix = np.empty((n, n))
-    m = abs(lag)
-    for i in range(n):
-        da, sa2 = centered[i]
-        for j in range(n):
-            db, sb2 = centered[j]
-            denom = sa2 if i == j else math.sqrt(sa2 * sb2)
-            if lag >= 0:
-                matrix[i, j] = np.dot(da[: T - m], db[m:]) / denom
-            else:
-                matrix[i, j] = np.dot(db[: T - m], da[m:]) / denom
-    return PPGrid(lag=lag, levels=tuple(lvls), matrix=matrix)
+    centered, sumsq = _centered_levels(values, [lvl.p for lvl in lvls])
+    products = centered[:, : T - m] @ centered[:, m:].T
+    if m == 0:
+        # The lag-0 diagonal holds each row's sum of squares; take the np.dot
+        # sums the denominators use, so the diagonal is exactly 1.
+        np.fill_diagonal(products, sumsq)
+    matrix = products / np.sqrt(np.outer(sumsq, sumsq))
+    return PPGrid(lag=lag, levels=tuple(lvls), matrix=matrix if lag >= 0 else matrix.T)
 
 
 def average_grids(grids: list[PPGrid]) -> PPGrid:

@@ -51,6 +51,31 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def _read_column(text: str, header: str, column: int) -> np.ndarray:
+    """Floats in one column of a CSV whose first nonblank line is header.
+
+    Blank lines are skipped.  A row with the wrong number of fields, or with
+    a value that is not a number, raises DataFormatError naming its line.
+    """
+    lines = text.splitlines()
+    start = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if start is None or lines[start].strip() != header:
+        raise DataFormatError(f"expected a CSV with header {header!r}")
+    width = header.count(",") + 1
+    values = []
+    for number, line in enumerate(lines[start + 1 :], start + 2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise DataFormatError(f"line {number}: expected {width} field(s), got {len(fields)}")
+        try:
+            values.append(float(fields[column]))
+        except ValueError:
+            raise DataFormatError(f"line {number}: {fields[column]!r} is not a number") from None
+    return np.array(values, dtype=float)
+
+
 # --- quantile-correlation curves -------------------------------------------
 
 
@@ -160,10 +185,7 @@ def simulation_meta_json(sim: SimulationResult, params: GarchParams) -> str:
 
 
 def returns_from_sim_csv(text: str) -> np.ndarray:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != SIM_HEADER:
-        raise DataFormatError(f"expected a simulation CSV with header {SIM_HEADER!r}")
-    return np.array([float(line.split(",")[1]) for line in lines[1:]], dtype=float)
+    return _read_column(text, SIM_HEADER, 1)
 
 
 # --- model parameters ---------------------------------------------------------
@@ -186,6 +208,8 @@ def params_to_json(params: GarchParams) -> str:
 
 def params_from_json(text: str) -> GarchParams:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"params JSON must be an object, got {type(doc).__name__}")
     try:
         return GarchParams(
             kind=doc["kind"],
@@ -197,6 +221,8 @@ def params_from_json(text: str) -> GarchParams:
         )
     except KeyError as exc:
         raise DataFormatError(f"params JSON is missing field {exc}") from None
+    except TypeError as exc:
+        raise DataFormatError(f"params JSON has a field of the wrong type: {exc}") from None
 
 
 # --- fit batches ---------------------------------------------------------------
@@ -231,10 +257,7 @@ def day_to_csv(day: TradingDay) -> str:
 
 
 def prices_from_day_csv(text: str) -> np.ndarray:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != DAY_HEADER:
-        raise DataFormatError(f"expected a day CSV with header {DAY_HEADER!r}")
-    return np.array([float(line.split(",")[1]) for line in lines[1:]], dtype=float)
+    return _read_column(text, DAY_HEADER, 1)
 
 
 def rejections_to_csv(rejections: list[DayRejection]) -> str:

@@ -308,7 +308,16 @@ class TestPpgridCommand:
         assert run(["ppgrid", "-i", sim, "--levels", "0.1:0.9:0.2", "--lag", 3,
                     "--out", out]) == 0
         header = out.read_text().splitlines()[0]
-        assert header.split(",")[1:] == [str(0.1 + i * 0.2) for i in range(5)]
+        assert header.split(",")[1:] == ["0.1", "0.3", "0.5", "0.7", "0.9"]
+
+    def test_default_range_matches_default_levels(self, tmp_path):
+        sim = tmp_path / "sim.csv"
+        run(["simulate", "--model", "garch", "--length", 500, "--seed", 6, "--out", sim])
+        ranged, default = tmp_path / "ranged.csv", tmp_path / "default.csv"
+        assert run(["ppgrid", "-i", sim, "--levels", "0.05:0.95:0.05", "--lag", 2,
+                    "--out", ranged]) == 0
+        assert run(["ppgrid", "-i", sim, "--lag", 2, "--out", default]) == 0
+        assert ranged.read_bytes() == default.read_bytes()
 
     def test_default_day_lags_in_seconds(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -335,6 +344,16 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert (tmp_path / "s.csv").exists()
 
+    def test_import_skips_fit_only_scipy_modules(self):
+        import subprocess
+        import sys
+
+        code = ("import sys, qcorr.cli; "
+                "print([m for m in ('scipy.optimize', 'scipy.signal') if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_help_lists_subcommands(self):
         import subprocess
         import sys
@@ -355,6 +374,34 @@ class TestErrorHandling:
         err = capsys.readouterr().err.strip()
         assert "does not exist" in json.loads(err)["error"]
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, name, text, reason",
+        [
+            ("qcf", "sim.csv", "t,return,variance\n0,0.1,1.0\n1\n", "line 3"),
+            ("ppgrid", "day.csv", "second,price\n0,10.0\n\n2\n", "line 4"),
+            ("resim", "params.json", "[0.0, 1e-05, 0.05, 0.9]", "must be an object"),
+            ("resim", "params.json",
+             '{"kind": "gjr", "mu": null, "omega": 1e-05, "alpha1": 0.05, "beta1": 0.9}',
+             "wrong type"),
+        ],
+        ids=["sim-row-without-comma", "day-row-without-comma", "params-not-object",
+             "params-null-field"],
+    )
+    def test_malformed_input_reports_one_error(self, tmp_path, capsys, command, name, text, reason):
+        src = tmp_path / name
+        src.write_text(text)
+        out = tmp_path / "out"
+        if command == "resim":
+            args = ["resim", "--params", src, "--n-series", 2, "--length", 50, "--out", out]
+        else:
+            args = [command, "-i", src, "--lag" if command == "ppgrid" else "--max-lag", 1,
+                    "--out", out]
+        assert run(args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert reason in json.loads(err[0])["error"]
+        assert not out.exists()
 
     def test_unrecognized_header(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

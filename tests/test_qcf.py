@@ -28,6 +28,14 @@ from qcorr import (
 LEVEL_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
 
 
+def tie_heavy(T, seed):
+    """Gaussian noise with 20% exact zeros, so several levels share one threshold."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(T)
+    x[rng.choice(T, T // 5, replace=False)] = 0.0
+    return x
+
+
 def make_curve(lags, values, alpha=0.05, beta=0.95, series_length=1000, **kw):
     return QcfCurve(
         alpha=ProbabilityLevel(alpha),
@@ -366,28 +374,45 @@ class TestAsymmetry:
 
 
 class TestPPGrid:
-    def test_diagonal_at_lag_zero(self):
-        rng = np.random.default_rng(2)
-        grid = pp_grid(rng.standard_normal(200), [0.1, 0.5, 0.9], 0)
-        assert np.array_equal(np.diagonal(grid.matrix), np.ones(3))
+    # The tie-heavy inputs are long, so the grid's matrix product and the
+    # np.dot sums of squares in the denominators can round differently.
+    @pytest.mark.parametrize(
+        "x, levels",
+        [
+            (np.random.default_rng(2).standard_normal(200), [0.1, 0.5, 0.9]),
+            (tie_heavy(5000, seed=2), LEVEL_GRID),
+        ],
+        ids=["gaussian", "ties"],
+    )
+    def test_diagonal_at_lag_zero(self, x, levels):
+        grid = pp_grid(x, levels, 0)
+        assert np.array_equal(np.diagonal(grid.matrix), np.ones(len(levels)))
 
-    def test_transpose_identity(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(400)
-        levels = [0.05, 0.3, 0.5, 0.95]
+    @pytest.mark.parametrize(
+        "x, levels",
+        [
+            (np.random.default_rng(3).standard_normal(400), [0.05, 0.3, 0.5, 0.95]),
+            (tie_heavy(5000, seed=3), LEVEL_GRID),
+        ],
+        ids=["gaussian", "ties"],
+    )
+    def test_transpose_identity(self, x, levels):
         plus = pp_grid(x, levels, 7)
         minus = pp_grid(x, levels, -7)
         assert np.array_equal(plus.matrix, minus.matrix.T)
 
-    def test_matches_per_pair_oracle(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(60)
+    @pytest.mark.parametrize("lag", [3, -3], ids=["lag3", "lag-3"])
+    @pytest.mark.parametrize(
+        "x",
+        [np.random.default_rng(5).standard_normal(60), tie_heavy(60, seed=5)],
+        ids=["gaussian", "ties"],
+    )
+    def test_matches_per_pair_oracle(self, x, lag):
         levels = [0.2, 0.5, 0.8]
-        lag = 3
         grid = pp_grid(x, levels, lag)
         for i, a in enumerate(levels):
             for j, b in enumerate(levels):
-                expected = oracle_qcf(x.tolist(), a, b, lag)[lag]
+                expected = oracle_qcf(x.tolist(), a, b, abs(lag))[lag]
                 assert grid.matrix[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_boundary_levels(self):
