@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import serialize
 from .errors import DataFormatError, QcorrError
@@ -30,16 +27,13 @@ from .ingest import (
     read_ticks_csv,
     resample_day,
 )
-from .qcf import asymmetry_from_arrays, average_curves, confidence_band, pp_grid, qcf_fast
-from .qcf import average_grids
+from .qcf import asymmetry_from_arrays, average_curves, average_grids, confidence_band, pp_grid, qcf_fast
 from .series import TimeSeries
 
 DEFAULT_PAIRS = [(0.05, 0.05), (0.5, 0.5), (0.95, 0.95), (0.05, 0.5), (0.5, 0.95), (0.05, 0.95)]
 DEFAULT_GRID_LEVELS = [i / 20 for i in range(1, 20)]  # 0.05 .. 0.95
 DEFAULT_SIM_GRID_LAGS = [2, 10]
 DEFAULT_DAY_GRID_LAG_SECONDS = [120, 600, 1200, 3600]
-
-VALUES_HEADER = "value"
 
 
 def resolve_seed(args) -> int:
@@ -78,37 +72,17 @@ def _expand_inputs(paths: list[str]) -> list[Path]:
     return out
 
 
-def values_to_csv(values) -> str:
-    lines = [VALUES_HEADER]
-    lines.extend(serialize.fmt(v) for v in np.asarray(values, dtype=float))
-    return "\n".join(lines) + "\n"
-
-
-def load_series(path: Path, horizon: int, stride: int) -> TimeSeries:
-    """Sniff a CSV by header: day prices, simulation output, or raw values."""
-    text = _read_text(path)
-    header = text.splitlines()[0].strip() if text.strip() else ""
+def load_series(path: Path, horizon: int, stride: int) -> tuple[str, TimeSeries]:
+    """(kind, series) of a CSV by header; day prices become returns."""
     try:
-        if header == serialize.DAY_HEADER:
-            prices = serialize.prices_from_day_csv(text)
-            day = TradingDay(instrument=path.stem, date="", prices=prices, traded_seconds=prices.size)
-            series = compute_returns(day, horizon, stride)
-            return TimeSeries(series.values, step=series.step, label=path.stem)
-        if header == serialize.SIM_HEADER:
-            return TimeSeries(serialize.returns_from_sim_csv(text), step=1.0, label=path.stem)
-        if header == VALUES_HEADER:
-            return TimeSeries(serialize._read_column(text, VALUES_HEADER, 0), step=1.0, label=path.stem)
+        kind, values = serialize.series_from_csv(_read_text(path))
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-    raise DataFormatError(
-        f"{path}: unrecognized header {header!r}; expected one of "
-        f"{serialize.DAY_HEADER!r}, {serialize.SIM_HEADER!r}, {VALUES_HEADER!r}"
-    )
-
-
-def _is_day_file(path: Path) -> bool:
-    with open(path, encoding="utf-8") as handle:
-        return handle.readline().strip() == serialize.DAY_HEADER
+    if kind == "day":
+        day = TradingDay(instrument=path.stem, date="", prices=values, traded_seconds=values.size)
+        series = compute_returns(day, horizon, stride)
+        return kind, TimeSeries(series.values, step=series.step, label=path.stem)
+    return kind, TimeSeries(values, step=1.0, label=path.stem)
 
 
 def _parse_pairs(args) -> list[tuple[float, float]]:
@@ -121,12 +95,14 @@ def _parse_pairs(args) -> list[tuple[float, float]]:
     return list(zip(alphas, betas))
 
 
-def _load_all_series(args) -> list[TimeSeries]:
-    return [load_series(p, args.horizon, args.stride) for p in _expand_inputs(args.input)]
+def _load_all_series(args) -> tuple[list[str], list[TimeSeries]]:
+    """The kind and the series of every input, in input order."""
+    loaded = [load_series(p, args.horizon, args.stride) for p in _expand_inputs(args.input)]
+    return [kind for kind, _ in loaded], [series for _, series in loaded]
 
 
 def cmd_qcf(args) -> int:
-    series = _load_all_series(args)
+    _, series = _load_all_series(args)
     if args.no_average and len(series) > 1:
         raise ValueError("--no-average expects a single input series")
     pairs = _parse_pairs(args)
@@ -136,7 +112,8 @@ def cmd_qcf(args) -> int:
 
     curves = [averaged(alpha, beta) for alpha, beta in pairs]
     if not args.no_band:
-        band = confidence_band(averaged(0.5, 0.5))
+        by_pair = dict(zip(pairs, curves))
+        band = confidence_band(by_pair[(0.5, 0.5)] if (0.5, 0.5) in by_pair else averaged(0.5, 0.5))
         curves = [c.with_ci(band) for c in curves]
     single_file = len(pairs) == 1 and Path(args.out).suffix in (".csv", ".json")
     for (alpha, beta), curve in zip(pairs, curves):
@@ -162,12 +139,11 @@ def _parse_levels(text: str) -> list[float]:
 
 
 def cmd_ppgrid(args) -> int:
-    files = _expand_inputs(args.input)
-    series = [load_series(p, args.horizon, args.stride) for p in files]
+    kinds, series = _load_all_series(args)
     levels = _parse_levels(args.levels) if args.levels else list(DEFAULT_GRID_LEVELS)
     if args.lag:
         lags = list(args.lag)
-    elif _is_day_file(files[0]):
+    elif kinds[0] == "day":
         lags = []
         for seconds in DEFAULT_DAY_GRID_LAG_SECONDS:
             if seconds % args.stride:
@@ -184,14 +160,9 @@ def cmd_ppgrid(args) -> int:
     return 0
 
 
-def _round_percent(delta: float) -> int:
-    return int(math.copysign(math.floor(abs(delta) * 100.0 + 0.5), delta))
-
-
 def cmd_asym(args) -> int:
-    files = _expand_inputs(args.input)
     rows = []
-    for path in files:
+    for path in _expand_inputs(args.input):
         text = _read_text(path)
         if path.suffix == ".json":
             curve = serialize.curve_from_json(text)
@@ -199,18 +170,10 @@ def cmd_asym(args) -> int:
         else:
             lags, values, _ = serialize.curve_arrays_from_csv(text)
         report = asymmetry_from_arrays(lags, values, args.max_lag)
-        dataset = args.dataset if args.dataset else path.stem
-        rows.append((dataset, args.year, report))
-    print("Dataset,Year,dA")
-    for dataset, year, report in rows:
-        print(f"{dataset},{year},{_round_percent(report.delta)}%")
-    lines = ["dataset,year,delta,area_neg,area_pos,max_lag"]
-    for dataset, year, report in rows:
-        lines.append(
-            f"{dataset},{year},{serialize.fmt(report.delta)},"
-            f"{serialize.fmt(report.area_neg)},{serialize.fmt(report.area_pos)},{report.max_lag}"
-        )
-    serialize.write_text_atomic(args.out, "\n".join(lines) + "\n")
+        rows.append((args.dataset or path.stem, args.year, report))
+    summary, full = serialize.asymmetry_to_csv(rows)
+    sys.stdout.write(summary)
+    serialize.write_text_atomic(args.out, full)
     return 0
 
 
@@ -230,10 +193,9 @@ def cmd_simulate(args) -> int:
     sim = simulate(params, args.length, resolve_seed(args), args.burn_in)
     out = Path(args.out)
     if args.format == "json":
-        doc = json.loads(serialize.simulation_meta_json(sim, params))
-        doc["returns"] = [float(v) for v in sim.returns.values]
-        doc["variances"] = [float(v) for v in sim.variances]
-        serialize.write_text_atomic(out, json.dumps(doc, indent=2) + "\n")
+        doc = serialize.simulation_meta(sim, params)
+        doc.update(returns=sim.returns.values.tolist(), variances=sim.variances.tolist())
+        serialize.write_text_atomic(out, serialize._dump(doc))
         return 0
     serialize.write_text_atomic(out, serialize.simulation_to_csv(sim))
     serialize.write_text_atomic(out.with_suffix(".meta.json"), serialize.simulation_meta_json(sim, params))
@@ -241,7 +203,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    batch = fit_per_day(_load_all_series(args))
+    _, series = _load_all_series(args)
+    batch = fit_per_day(series)
     serialize.write_text_atomic(args.out, serialize.batch_to_csv(batch))
     if args.excluded_out:
         serialize.write_text_atomic(args.excluded_out, serialize.excluded_to_csv(batch))
@@ -257,7 +220,7 @@ def cmd_resim(args) -> int:
     sims = resimulate_experiment(params, args.n_series, args.length, seed, args.burn_in)
     out = Path(args.out)
     manifest = {
-        "params": json.loads(serialize.params_to_json(params)),
+        "params": serialize.params_to_dict(params),
         "master_seed": seed,
         "n_series": args.n_series,
         "length": args.length,
@@ -267,7 +230,7 @@ def cmd_resim(args) -> int:
     }
     for i, sim in enumerate(sims):
         serialize.write_text_atomic(out / f"sim_{i:04d}.csv", serialize.simulation_to_csv(sim))
-    serialize.write_text_atomic(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    serialize.write_text_atomic(out / "manifest.json", serialize._dump(manifest))
     return 0
 
 

@@ -258,6 +258,9 @@ def qcf_fast(x, alpha, beta, max_lag: int) -> QcfCurve:
     fa_hat = scipy.fft.rfft(rows[0], n)
     fb_hat = fa_hat if same else scipy.fft.rfft(rows[1], n)
     corr = scipy.fft.irfft(np.conj(fa_hat) * fb_hat, n)
+    if same:
+        # Lag 0 from the np.dot sum the denominator uses, so it is exactly 1.
+        corr[0] = sumsq[0]
     pos = corr[: max_lag + 1] / denom
     # corr[n - l] = sum_t db_t * da_{t+l}, the swap-identity value at -l.
     neg = None if same else corr[n - max_lag :][::-1] / denom

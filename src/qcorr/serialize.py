@@ -1,15 +1,20 @@
-"""CSV/JSON serialization for curves, grids, simulations, fits and days.
+"""Every file format qcorr writes and reads back: CSV tables and JSON documents.
 
 Data values are written with 17 significant digits so every IEEE double
 round-trips exactly.  Writes go through a temp file plus rename so partial
-outputs are never left behind.
+outputs are never left behind.  The external tick format is read by
+ingest.read_ticks_csv.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import tempfile
+from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -18,20 +23,41 @@ from .errors import DataFormatError
 from .fitting import FitBatch
 from .garch import GENERATOR, GarchParams, SimulationResult
 from .ingest import DayRejection, TradingDay
-from .qcf import PPGrid, QcfCurve
+from .qcf import AsymmetryReport, PPGrid, QcfCurve
 from .series import ProbabilityLevel
 
 CURVE_HEADER_CI = "lag,qcf,ci"
 CURVE_HEADER = "lag,qcf"
 SIM_HEADER = "t,return,variance"
 DAY_HEADER = "second,price"
+VALUES_HEADER = "value"
 BATCH_HEADER = "day,mu,omega,alpha1,beta1,gamma1,loglik,converged"
+EXCLUDED_HEADER = "day,reason"
 REJECTION_HEADER = "date,instrument,reason"
+ASYM_HEADER = "dataset,year,delta,area_neg,area_pos,max_lag"
+ASYM_SUMMARY_HEADER = "Dataset,Year,dA"
+
+# Series inputs by header: the kind of series and the column holding it.
+SERIES_HEADERS = {DAY_HEADER: ("day", 1), SIM_HEADER: ("sim", 1), VALUES_HEADER: ("value", 0)}
+_CURVE_COLUMNS = {CURVE_HEADER: ((0, int), (1, float)), CURVE_HEADER_CI: ((0, int), (1, float), (2, float))}
 
 
 def fmt(x: float) -> str:
     """A real with 17 significant digits (lossless for doubles)."""
     return format(float(x), ".17g")
+
+
+def _floats(values) -> list[str]:
+    return [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _table(header: str, *columns) -> str:
+    """CSV text: the header, then one row per position of the string columns."""
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+
+def _dump(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -51,50 +77,85 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def _read_column(text: str, header: str, column: int) -> np.ndarray:
-    """Floats in one column of a CSV whose first nonblank line is header.
+def _read_columns(text: str, columns: dict, what: str) -> tuple:
+    """(header, *arrays) of a CSV whose first nonblank line is a key of columns,
+    which maps it to the (index, type) of every column the caller needs.
 
-    Blank lines are skipped.  A row with the wrong number of fields, or with
-    a value that is not a number, raises DataFormatError naming its line.
+    Blank lines are skipped.  A row with the wrong number of fields, or a
+    value its column's type does not parse, raises DataFormatError naming its line.
     """
     lines = text.splitlines()
-    start = next((i for i, line in enumerate(lines) if line.strip()), None)
-    if start is None or lines[start].strip() != header:
-        raise DataFormatError(f"expected a CSV with header {header!r}")
+    start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    header = lines[start].strip() if start < len(lines) else ""
+    if header not in columns:
+        expected = ", ".join(map(repr, columns))
+        raise DataFormatError(f"unrecognized header {header!r} for a {what}; expected one of {expected}")
     width = header.count(",") + 1
-    values = []
+    wanted = columns[header]
+    pick = itemgetter(*(index for index, _ in wanted))
+    picked = []
     for number, line in enumerate(lines[start + 1 :], start + 2):
         if not line.strip():
             continue
         fields = line.split(",")
         if len(fields) != width:
             raise DataFormatError(f"line {number}: expected {width} field(s), got {len(fields)}")
+        picked.append(pick(fields))
+    # itemgetter gives a bare field for one column and a tuple for several.
+    by_column = [picked] if len(wanted) == 1 else [[row[k] for row in picked] for k in range(len(wanted))]
+    # Each column is converted in bulk; only a failure goes back for its line.
+    arrays = []
+    for (_, kind), strings in zip(wanted, by_column):
         try:
-            values.append(float(fields[column]))
+            arrays.append(np.array(list(map(kind, strings)), dtype=kind))
         except ValueError:
-            raise DataFormatError(f"line {number}: {fields[column]!r} is not a number") from None
-    return np.array(values, dtype=float)
+            numbers = [n for n, line in enumerate(lines[start + 1 :], start + 2) if line.strip()]
+            for number, value in zip(numbers, strings):
+                try:
+                    kind(value)
+                except ValueError:
+                    name = "an integer" if kind is int else "a number"
+                    raise DataFormatError(f"line {number}: {value!r} is not {name}") from None
+    return (header, *arrays)
+
+
+@contextmanager
+def _load_object(text: str, what: str):
+    """The JSON object in text; a missing or malformed field raises DataFormatError."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{what} must be an object, got {type(doc).__name__}")
+    try:
+        yield doc
+    except KeyError as exc:
+        raise DataFormatError(f"{what} is missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{what} has a field of the wrong type or value: {exc}") from None
+
+
+def series_from_csv(text: str) -> tuple[str, np.ndarray]:
+    """(kind, values) of a series CSV, the kind matched from SERIES_HEADERS."""
+    columns = {header: ((column, float),) for header, (_, column) in SERIES_HEADERS.items()}
+    header, values = _read_columns(text, columns, "series CSV")
+    return SERIES_HEADERS[header][0], values
+
+
+def values_to_csv(values) -> str:
+    return _table(VALUES_HEADER, _floats(values))
 
 
 # --- quantile-correlation curves -------------------------------------------
 
 
 def curve_to_csv(curve: QcfCurve) -> str:
-    lines = []
+    columns = [map(str, curve.lags.tolist()), _floats(curve.values)]
     if curve.ci_half_width is None:
-        lines.append(CURVE_HEADER)
-        for lag, value in zip(curve.lags, curve.values):
-            lines.append(f"{int(lag)},{fmt(value)}")
-    else:
-        ci = fmt(curve.ci_half_width)
-        lines.append(CURVE_HEADER_CI)
-        for lag, value in zip(curve.lags, curve.values):
-            lines.append(f"{int(lag)},{fmt(value)},{ci}")
-    return "\n".join(lines) + "\n"
+        return _table(CURVE_HEADER, *columns)
+    return _table(CURVE_HEADER_CI, *columns, [fmt(curve.ci_half_width)] * curve.lags.size)
 
 
 def curve_to_json(curve: QcfCurve) -> str:
-    doc = {
+    return _dump({
         "alpha": curve.alpha.p,
         "beta": curve.beta.p,
         "lags": [int(l) for l in curve.lags],
@@ -102,13 +163,11 @@ def curve_to_json(curve: QcfCurve) -> str:
         "ci_half_width": curve.ci_half_width,
         "series_length": curve.series_length,
         "n_averaged": curve.n_averaged,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    })
 
 
 def curve_from_json(text: str) -> QcfCurve:
-    doc = json.loads(text)
-    try:
+    with _load_object(text, "curve JSON") as doc:
         return QcfCurve(
             alpha=ProbabilityLevel(doc["alpha"]),
             beta=ProbabilityLevel(doc["beta"]),
@@ -118,26 +177,24 @@ def curve_from_json(text: str) -> QcfCurve:
             ci_half_width=doc.get("ci_half_width"),
             n_averaged=int(doc.get("n_averaged", 1)),
         )
-    except KeyError as exc:
-        raise DataFormatError(f"curve JSON is missing field {exc}") from None
 
 
 def curve_arrays_from_csv(text: str) -> tuple[np.ndarray, np.ndarray, float | None]:
     """(lags, values, ci) from a curve CSV; quantile metadata lives in JSON only."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] not in (CURVE_HEADER, CURVE_HEADER_CI):
-        raise DataFormatError("expected a curve CSV with header 'lag,qcf[,ci]'")
-    has_ci = lines[0] == CURVE_HEADER_CI
-    lags, values, ci = [], [], None
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != (3 if has_ci else 2):
-            raise DataFormatError(f"malformed curve row: {line!r}")
-        lags.append(int(parts[0]))
-        values.append(float(parts[1]))
-        if has_ci:
-            ci = float(parts[2])
-    return np.array(lags, dtype=int), np.array(values, dtype=float), ci
+    _, lags, values, *ci = _read_columns(text, _CURVE_COLUMNS, "curve CSV")
+    return lags, values, float(ci[0][-1]) if ci and ci[0].size else None
+
+
+def asymmetry_to_csv(rows: list[tuple[str, str, AsymmetryReport]]) -> tuple[str, str]:
+    """(summary, full) tables: the paper's delta in whole percent, rounded half
+    away from zero, and every field at full precision; one row per input."""
+    datasets, years, reports = zip(*rows)
+    percents = [f"{int(math.copysign(math.floor(abs(r.delta) * 100.0 + 0.5), r.delta))}%" for r in reports]
+    areas = [_floats([getattr(r, name) for r in reports]) for name in ("delta", "area_neg", "area_pos")]
+    return (
+        _table(ASYM_SUMMARY_HEADER, datasets, years, percents),
+        _table(ASYM_HEADER, datasets, years, *areas, [str(r.max_lag) for r in reports]),
+    )
 
 
 # --- probability-probability grids ------------------------------------------
@@ -145,72 +202,59 @@ def curve_arrays_from_csv(text: str) -> tuple[np.ndarray, np.ndarray, float | No
 
 def grid_to_csv(grid: PPGrid) -> str:
     levels = [str(l.p) for l in grid.levels]
-    lines = ["alpha\\beta," + ",".join(levels)]
-    for label, row in zip(levels, grid.matrix):
-        lines.append(label + "," + ",".join(fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _table("alpha\\beta," + ",".join(levels), levels, *map(_floats, grid.matrix.T))
 
 
 def grid_to_json(grid: PPGrid) -> str:
-    doc = {
+    return _dump({
         "lag": grid.lag,
         "levels": [l.p for l in grid.levels],
         "matrix": [[float(v) for v in row] for row in grid.matrix],
         "n_averaged": grid.n_averaged,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    })
 
 
 # --- simulations -------------------------------------------------------------
 
 
 def simulation_to_csv(sim: SimulationResult) -> str:
-    lines = [SIM_HEADER]
-    for t, (r, v) in enumerate(zip(sim.returns.values, sim.variances)):
-        lines.append(f"{t},{fmt(r)},{fmt(v)}")
-    return "\n".join(lines) + "\n"
+    return _table(
+        SIM_HEADER, map(str, range(len(sim.returns))), _floats(sim.returns.values), _floats(sim.variances)
+    )
+
+
+def simulation_meta(sim: SimulationResult, params: GarchParams) -> dict:
+    return {
+        **params_to_dict(params),
+        "seed": sim.innovations_seed,
+        "burn_in": sim.burn_in,
+        "length": len(sim.returns),
+        "generator": GENERATOR,
+    }
 
 
 def simulation_meta_json(sim: SimulationResult, params: GarchParams) -> str:
-    doc = params_to_dict(params)
-    doc.update(
-        {
-            "seed": sim.innovations_seed,
-            "burn_in": sim.burn_in,
-            "length": len(sim.returns),
-            "generator": GENERATOR,
-        }
-    )
-    return json.dumps(doc, indent=2) + "\n"
+    return _dump(simulation_meta(sim, params))
 
 
 def returns_from_sim_csv(text: str) -> np.ndarray:
-    return _read_column(text, SIM_HEADER, 1)
+    return _read_columns(text, {SIM_HEADER: ((1, float),)}, "simulation CSV")[1]
 
 
 # --- model parameters ---------------------------------------------------------
 
 
 def params_to_dict(params: GarchParams) -> dict:
-    return {
-        "kind": params.kind.value,
-        "mu": params.mu,
-        "omega": params.omega,
-        "alpha1": params.alpha1,
-        "beta1": params.beta1,
-        "gamma1": params.gamma1,
-    }
+    """Every GarchParams field in declaration order (kind, mu, omega, alpha1, beta1, gamma1)."""
+    return {**dataclasses.asdict(params), "kind": params.kind.value}
 
 
 def params_to_json(params: GarchParams) -> str:
-    return json.dumps(params_to_dict(params), indent=2) + "\n"
+    return _dump(params_to_dict(params))
 
 
 def params_from_json(text: str) -> GarchParams:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"params JSON must be an object, got {type(doc).__name__}")
-    try:
+    with _load_object(text, "params JSON") as doc:
         return GarchParams(
             kind=doc["kind"],
             mu=float(doc["mu"]),
@@ -219,49 +263,38 @@ def params_from_json(text: str) -> GarchParams:
             beta1=float(doc["beta1"]),
             gamma1=float(doc.get("gamma1", 0.0)),
         )
-    except KeyError as exc:
-        raise DataFormatError(f"params JSON is missing field {exc}") from None
-    except TypeError as exc:
-        raise DataFormatError(f"params JSON has a field of the wrong type: {exc}") from None
 
 
 # --- fit batches ---------------------------------------------------------------
 
 
 def batch_to_csv(batch: FitBatch) -> str:
-    lines = [BATCH_HEADER]
-    for day, fit in batch.fits.items():
-        p = fit.params
-        lines.append(
-            f"{day},{fmt(p.mu)},{fmt(p.omega)},{fmt(p.alpha1)},{fmt(p.beta1)},"
-            f"{fmt(p.gamma1)},{fmt(fit.log_likelihood)},{'true' if fit.converged else 'false'}"
-        )
-    return "\n".join(lines) + "\n"
+    fits = list(batch.fits.values())
+    params = [[getattr(f.params, name) for f in fits] for name in ("mu", "omega", "alpha1", "beta1", "gamma1")]
+    return _table(
+        BATCH_HEADER,
+        batch.fits.keys(),
+        *map(_floats, params),
+        _floats([f.log_likelihood for f in fits]),
+        ["true" if f.converged else "false" for f in fits],
+    )
 
 
 def excluded_to_csv(batch: FitBatch) -> str:
-    lines = ["day,reason"]
-    for day, reason in batch.excluded.items():
-        lines.append(f"{day},{reason}")
-    return "\n".join(lines) + "\n"
+    return _table(EXCLUDED_HEADER, batch.excluded.keys(), batch.excluded.values())
 
 
 # --- trading days ---------------------------------------------------------------
 
 
 def day_to_csv(day: TradingDay) -> str:
-    lines = [DAY_HEADER]
-    for second, price in enumerate(day.prices):
-        lines.append(f"{second},{fmt(price)}")
-    return "\n".join(lines) + "\n"
+    return _table(DAY_HEADER, map(str, range(day.prices.size)), _floats(day.prices))
 
 
 def prices_from_day_csv(text: str) -> np.ndarray:
-    return _read_column(text, DAY_HEADER, 1)
+    return _read_columns(text, {DAY_HEADER: ((1, float),)}, "day CSV")[1]
 
 
 def rejections_to_csv(rejections: list[DayRejection]) -> str:
-    lines = [REJECTION_HEADER]
-    for r in rejections:
-        lines.append(f"{r.date},{r.instrument},{r.reason}")
-    return "\n".join(lines) + "\n"
+    fields = ("date", "instrument", "reason")
+    return _table(REJECTION_HEADER, *([getattr(r, name) for r in rejections] for name in fields))

@@ -6,8 +6,9 @@ import pytest
 
 from helpers import EXAMPLE_SERIES, oracle_qcf
 from qcorr import GarchParams, asymmetry, confidence_band, qcf_fast, simulate
-from qcorr.cli import main, values_to_csv
+from qcorr.cli import main
 from qcorr import serialize
+from qcorr.serialize import values_to_csv
 
 
 def run(args, capsys=None):
@@ -56,6 +57,24 @@ class TestQcfCommand:
             "qcf_a0.5_b0.95.csv",
             "qcf_a0.95_b0.95.csv",
         ]
+
+    def test_default_pairs_compute_each_curve_once(self, tmp_path, monkeypatch):
+        import qcorr.cli
+
+        inputs = []
+        for seed in (1, 2):
+            path = tmp_path / f"s{seed}.csv"
+            run(["simulate", "--model", "garch", "--length", 300, "--seed", seed, "--out", path])
+            inputs += ["-i", path]
+        calls = []
+
+        def counting(x, alpha, beta, max_lag):
+            calls.append((alpha, beta))
+            return qcf_fast(x, alpha, beta, max_lag)
+
+        monkeypatch.setattr(qcorr.cli, "qcf_fast", counting)
+        assert run(["qcf", *inputs, "--max-lag", 10, "--out", tmp_path / "curves"]) == 0
+        assert sorted(calls) == sorted(qcorr.cli.DEFAULT_PAIRS * 2)
 
     def test_multi_input_averages(self, tmp_path):
         params = GarchParams(kind="garch", mu=0.0, omega=1e-5, alpha1=0.05, beta1=0.9)
@@ -384,9 +403,11 @@ class TestErrorHandling:
             ("resim", "params.json",
              '{"kind": "gjr", "mu": null, "omega": 1e-05, "alpha1": 0.05, "beta1": 0.9}',
              "wrong type"),
+            ("asym", "curve.json", "[1, 2]", "must be an object"),
+            ("asym", "curve.csv", "lag,qcf\n1.5,0.1\n", "line 2"),
         ],
         ids=["sim-row-without-comma", "day-row-without-comma", "params-not-object",
-             "params-null-field"],
+             "params-null-field", "curve-json-not-object", "curve-csv-fractional-lag"],
     )
     def test_malformed_input_reports_one_error(self, tmp_path, capsys, command, name, text, reason):
         src = tmp_path / name
@@ -394,6 +415,8 @@ class TestErrorHandling:
         out = tmp_path / "out"
         if command == "resim":
             args = ["resim", "--params", src, "--n-series", 2, "--length", 50, "--out", out]
+        elif command == "asym":
+            args = ["asym", "-i", src, "--out", out]
         else:
             args = [command, "-i", src, "--lag" if command == "ppgrid" else "--max-lag", 1,
                     "--out", out]

@@ -203,10 +203,12 @@ class TestQcfFast:
         fast = qcf_fast(list(EXAMPLE_SERIES), 0.5, 0.5, 4)
         assert np.max(np.abs(direct.values - fast.values)) <= 1e-10
 
-    def test_symmetric_for_equal_levels(self):
-        rng = np.random.default_rng(3)
-        c = qcf_fast(rng.standard_normal(500), 0.25, 0.25, 40)
+    @pytest.mark.parametrize("seed, length, level", [(3, 500, 0.25)] + [(s, 2000, 0.5) for s in range(5)])
+    def test_symmetric_for_equal_levels(self, seed, length, level):
+        rng = np.random.default_rng(seed)
+        c = qcf_fast(rng.standard_normal(length), level, level, 40)
         assert np.array_equal(c.values, c.values[::-1])
+        assert c.value_at(0) == 1.0
 
 
 class TestInvariances:

@@ -7,6 +7,7 @@ import pytest
 from qcorr import (
     FitBatch,
     GarchParams,
+    PPGrid,
     ProbabilityLevel,
     QcfCurve,
     TradingDay,
@@ -16,8 +17,12 @@ from qcorr import (
     qcf_fast,
     simulate,
 )
+from qcorr.cli import main
 from qcorr.fitting import FitResult
+from qcorr.garch import SimulationResult
+from qcorr.series import TimeSeries
 from qcorr import serialize
+from qcorr.serialize import values_to_csv
 
 
 @pytest.fixture
@@ -147,3 +152,112 @@ class TestAtomicWrite:
         serialize.write_text_atomic(target, "one\n")
         serialize.write_text_atomic(target, "two\n")
         assert target.read_text() == "two\n"
+
+
+# Tiny fixed inputs whose writer output is pinned byte for byte below: a value
+# with a 17-digit tail (0.1 + 0.2), negatives, integer-valued floats and a fit
+# that did not converge.
+TAIL = 0.1 + 0.2
+PINNED_PARAMS = GarchParams(kind="gjr", mu=-0.5, omega=TAIL, alpha1=0.05, beta1=0.9, gamma1=0.0)
+PINNED_SIM = SimulationResult(
+    TimeSeries(np.array([TAIL, -1.5, 2.0])), np.array([1.0, 0.25, TAIL]),
+    innovations_seed=7, burn_in=10,
+)
+PINNED_CURVE = QcfCurve(ProbabilityLevel(0.05), ProbabilityLevel(0.95), np.array([-1, 0, 1]),
+                        np.array([-0.5, 1.0, TAIL]), series_length=10)
+PINNED_GRID = PPGrid(lag=2, levels=(0.05, 0.5), matrix=np.array([[1.0, -0.25], [TAIL, 0.5]]))
+PINNED_BATCH = FitBatch(
+    fits={"d1": FitResult(PINNED_PARAMS, -123.0, True, 5, 10),
+          "d2": FitResult(PINNED_PARAMS, TAIL, False, 5, 10)},
+    excluded={"d3": "zero-variance returns", "d4": "too short"},
+)
+
+
+def _asym_report_via_cli(tmp_path):
+    src = tmp_path / "curve.csv"
+    src.write_text(serialize.curve_to_csv(PINNED_CURVE))
+    out = tmp_path / "asym.csv"
+    assert main(["asym", "-i", str(src), "--dataset", "X", "--year", "2007", "--out", str(out)]) == 0
+    return out.read_text()
+
+
+PINNED_WRITERS = {
+    "day": (
+        lambda _: serialize.day_to_csv(
+            TradingDay("AAA", "2007-01-03", np.array([TAIL, 2.0, 10.5]), traded_seconds=3)),
+        "second,price\n0,0.30000000000000004\n1,2\n2,10.5\n",
+    ),
+    "sim": (
+        lambda _: serialize.simulation_to_csv(PINNED_SIM),
+        "t,return,variance\n0,0.30000000000000004,1\n1,-1.5,0.25\n2,2,0.30000000000000004\n",
+    ),
+    "curve": (
+        lambda _: serialize.curve_to_csv(PINNED_CURVE),
+        "lag,qcf\n-1,-0.5\n0,1\n1,0.30000000000000004\n",
+    ),
+    "curve-ci": (
+        lambda _: serialize.curve_to_csv(PINNED_CURVE.with_ci(TAIL)),
+        "lag,qcf,ci\n-1,-0.5,0.30000000000000004\n0,1,0.30000000000000004\n"
+        "1,0.30000000000000004,0.30000000000000004\n",
+    ),
+    "grid": (
+        lambda _: serialize.grid_to_csv(PINNED_GRID),
+        "alpha\\beta,0.05,0.5\n0.05,1,-0.25\n0.5,0.30000000000000004,0.5\n",
+    ),
+    "batch": (
+        lambda _: serialize.batch_to_csv(PINNED_BATCH),
+        "day,mu,omega,alpha1,beta1,gamma1,loglik,converged\n"
+        "d1,-0.5,0.30000000000000004,0.050000000000000003,0.90000000000000002,0,-123,true\n"
+        "d2,-0.5,0.30000000000000004,0.050000000000000003,0.90000000000000002,0,"
+        "0.30000000000000004,false\n",
+    ),
+    "excluded": (
+        lambda _: serialize.excluded_to_csv(PINNED_BATCH),
+        "day,reason\nd3,zero-variance returns\nd4,too short\n",
+    ),
+    "rejections": (
+        lambda _: serialize.rejections_to_csv([
+            DayRejection("AAA", "2007-01-03", "insufficient liquidity"),
+            DayRejection("B-B", "2007-01-04", "too short"),
+        ]),
+        "date,instrument,reason\n2007-01-03,AAA,insufficient liquidity\n2007-01-04,B-B,too short\n",
+    ),
+    "values": (
+        lambda _: values_to_csv([TAIL, -1.0, 2.0]),
+        "value\n0.30000000000000004\n-1\n2\n",
+    ),
+    "asym-report": (
+        _asym_report_via_cli,
+        "dataset,year,delta,area_neg,area_pos,max_lag\n"
+        "X,2007,0.24999999999999994,0.5,0.30000000000000004,1\n",
+    ),
+    "params-json": (
+        lambda _: serialize.params_to_json(PINNED_PARAMS),
+        '{\n  "kind": "gjr",\n  "mu": -0.5,\n  "omega": 0.30000000000000004,\n'
+        '  "alpha1": 0.05,\n  "beta1": 0.9,\n  "gamma1": 0.0\n}\n',
+    ),
+    "curve-json": (
+        lambda _: serialize.curve_to_json(PINNED_CURVE.with_ci(TAIL)),
+        '{\n  "alpha": 0.05,\n  "beta": 0.95,\n  "lags": [\n    -1,\n    0,\n    1\n  ],\n'
+        '  "values": [\n    -0.5,\n    1.0,\n    0.30000000000000004\n  ],\n'
+        '  "ci_half_width": 0.30000000000000004,\n  "series_length": 10,\n  "n_averaged": 1\n}\n',
+    ),
+    "grid-json": (
+        lambda _: serialize.grid_to_json(PINNED_GRID),
+        '{\n  "lag": 2,\n  "levels": [\n    0.05,\n    0.5\n  ],\n  "matrix": [\n'
+        '    [\n      1.0,\n      -0.25\n    ],\n    [\n      0.30000000000000004,\n      0.5\n    ]\n'
+        '  ],\n  "n_averaged": 1\n}\n',
+    ),
+    "sim-meta-json": (
+        lambda _: serialize.simulation_meta_json(PINNED_SIM, PINNED_PARAMS),
+        '{\n  "kind": "gjr",\n  "mu": -0.5,\n  "omega": 0.30000000000000004,\n'
+        '  "alpha1": 0.05,\n  "beta1": 0.9,\n  "gamma1": 0.0,\n  "seed": 7,\n  "burn_in": 10,\n'
+        '  "length": 3,\n  "generator": "numpy.random.default_rng (PCG64)"\n}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(PINNED_WRITERS))
+def test_writer_bytes_pinned(tmp_path, writer):
+    write, expected = PINNED_WRITERS[writer]
+    assert write(tmp_path) == expected
