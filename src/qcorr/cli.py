@@ -54,16 +54,16 @@ def _read_text(path: str | Path) -> str:
 _NON_DATA_NAMES = {"rejections.csv", "manifest.json"}
 
 
-def _expand_inputs(paths: list[str]) -> list[Path]:
+def _expand_inputs(paths: list[str], suffixes: tuple[str, ...] = (".csv",)) -> list[Path]:
     out: list[Path] = []
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
             found = sorted(
-                q for q in p.iterdir() if q.suffix == ".csv" and q.name not in _NON_DATA_NAMES
+                q for q in p.iterdir() if q.suffix in suffixes and q.name not in _NON_DATA_NAMES
             )
             if not found:
-                raise ValueError(f"no .csv files inside directory {p}")
+                raise ValueError(f"no {' or '.join(suffixes)} files inside directory {p}")
             out.extend(found)
         elif p.exists():
             out.append(p)
@@ -160,15 +160,23 @@ def cmd_ppgrid(args) -> int:
     return 0
 
 
-def cmd_asym(args) -> int:
-    rows = []
-    for path in _expand_inputs(args.input):
-        text = _read_text(path)
+def load_curve(path: Path):
+    """(lags, values) of a stored curve, JSON or CSV by suffix."""
+    text = _read_text(path)
+    try:
         if path.suffix == ".json":
             curve = serialize.curve_from_json(text)
-            lags, values = curve.lags, curve.values
-        else:
-            lags, values, _ = serialize.curve_arrays_from_csv(text)
+            return curve.lags, curve.values
+        lags, values, _ = serialize.curve_arrays_from_csv(text)
+        return lags, values
+    except (DataFormatError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def cmd_asym(args) -> int:
+    rows = []
+    for path in _expand_inputs(args.input, (".csv", ".json")):
+        lags, values = load_curve(path)
         report = asymmetry_from_arrays(lags, values, args.max_lag)
         rows.append((args.dataset or path.stem, args.year, report))
     summary, full = serialize.asymmetry_to_csv(rows)
@@ -288,7 +296,7 @@ def cmd_index(args) -> int:
 def _add_input(parser, required=True):
     parser.add_argument(
         "--input", "-i", action="append", required=required,
-        help="input file or directory of .csv files; repeatable",
+        help="input file or directory of .csv files (asym: .csv and .json); repeatable",
     )
 
 

@@ -169,8 +169,10 @@ class QcfCurve:
 
 def _centered(bits: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray]:
     """Centered float rows of a (k, T) 0/1 array at levels ps, and each row's sum of squares."""
-    rows = np.asarray(bits, dtype=float)
-    centered = rows - rows.mean(axis=1, keepdims=True)
+    # Centered in place: a second (k, T) temporary per call made the heap
+    # shrink and regrow, so every call paid page faults for fresh pages.
+    centered = np.array(bits, dtype=float)
+    centered -= centered.mean(axis=1, keepdims=True)
     sumsq = np.array([np.dot(row, row) for row in centered])
     for p, s in zip(ps, sumsq):
         if s == 0.0:

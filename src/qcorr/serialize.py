@@ -14,6 +14,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -94,22 +95,25 @@ def _read_columns(text: str, columns: dict, what: str) -> tuple:
     wanted = columns[header]
     pick = itemgetter(*(index for index, _ in wanted))
     picked = []
-    for number, line in enumerate(lines[start + 1 :], start + 2):
+    for number, line in enumerate(islice(lines, start + 1, None), start + 2):
         if not line.strip():
             continue
         fields = line.split(",")
         if len(fields) != width:
             raise DataFormatError(f"line {number}: expected {width} field(s), got {len(fields)}")
         picked.append(pick(fields))
+    del lines  # the picked fields are all the conversion needs
     # itemgetter gives a bare field for one column and a tuple for several.
     by_column = [picked] if len(wanted) == 1 else [[row[k] for row in picked] for k in range(len(wanted))]
-    # Each column is converted in bulk; only a failure goes back for its line.
+    del picked
+    # Each column is converted in bulk; only a failure rescans text for its line.
     arrays = []
     for (_, kind), strings in zip(wanted, by_column):
         try:
             arrays.append(np.array(list(map(kind, strings)), dtype=kind))
         except ValueError:
-            numbers = [n for n, line in enumerate(lines[start + 1 :], start + 2) if line.strip()]
+            rows = text.splitlines()[start + 1 :]
+            numbers = [n for n, line in enumerate(rows, start + 2) if line.strip()]
             for number, value in zip(numbers, strings):
                 try:
                     kind(value)

@@ -195,6 +195,20 @@ class TestAsymCommand:
         capsys.readouterr()
         assert float(out.read_text().splitlines()[1].split(",")[2]) == asymmetry(curve).delta
 
+    def test_json_curve_directory_matches_csv_run(self, tmp_path, capsys):
+        sim = tmp_path / "sim.csv"
+        run(["simulate", "--model", "gjr", "--gamma1", 0.06, "--length", 800,
+             "--seed", 21, "--out", sim])
+        reports = {}
+        for fmt in ("csv", "json"):
+            curves = tmp_path / fmt
+            assert run(["qcf", "-i", sim, "--max-lag", 40, "--format", fmt, "--out", curves]) == 0
+            out = tmp_path / f"report_{fmt}.csv"
+            assert run(["asym", "-i", curves, "--out", out]) == 0
+            reports[fmt] = (capsys.readouterr().out, out.read_text())
+        assert len(reports["csv"][1].splitlines()) == 7  # header + the six default pairs
+        assert reports["json"] == reports["csv"]
+
 
 class TestSimulateCommand:
     def test_env_seed_overrides_flag(self, tmp_path):
@@ -423,7 +437,10 @@ class TestErrorHandling:
         assert run(args) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert reason in json.loads(err[0])["error"]
+        error = json.loads(err[0])["error"]
+        assert reason in error
+        if command == "asym":
+            assert str(src) in error
         assert not out.exists()
 
     def test_unrecognized_header(self, tmp_path, capsys):

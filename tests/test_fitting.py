@@ -17,9 +17,23 @@ from qcorr import (
     resimulate_experiment,
     simulate,
 )
-from qcorr.fitting import START_POINTS, derived_seeds
+from qcorr.fitting import START_POINTS, _negative_ll_and_score, _pack, _unpack, derived_seeds
 
 GJR_UNIT = GarchParams(kind="gjr", mu=0.0, omega=1.0, alpha1=0.0, beta1=0.0, gamma1=0.0)
+
+
+@pytest.fixture(scope="module")
+def optimality_fits():
+    """(day, fit) for 50 fixed T=369 days: gamma1 from -0.08 to 0.08, unconditional variance 1."""
+    days = [
+        simulate(
+            GarchParams(kind="gjr", mu=0.0, omega=1.0 - 0.12 - 0.8 - g / 2.0,
+                        alpha1=0.12, beta1=0.8, gamma1=float(g)),
+            length=369, seed=4000 + i,
+        ).returns.values
+        for i, g in enumerate(np.linspace(-0.08, 0.08, 50))
+    ]
+    return [(day, fit_gjr(day)) for day in days]
 
 
 class TestLogLikelihood:
@@ -131,6 +145,53 @@ class TestFitGjr:
         p = fit.params
         assert p.omega > 0 and p.alpha1 >= 0 and p.beta1 >= 0
         assert p.alpha1 + p.beta1 + p.gamma1 / 2.0 < 1.0
+
+
+class TestScoreAndOptimality:
+    @pytest.mark.parametrize("length", [369, 5000])
+    def test_score_matches_central_differences(self, length):
+        from scipy.signal import lfilter
+
+        r = simulate(RECOVERY_TRUE, length=length, seed=length).returns.values
+        rng = np.random.default_rng(length)
+        thetas = [rng.normal(size=5) * [0.1, 1.0, 2.0, 2.0, 1.5] for _ in range(6)]
+        thetas.append(np.array([0.05, -2.0, 12.0, -1.0, -0.8]))  # persistence at the cap, gamma1 < 0
+        thetas.append(np.array([-0.02, -3.0, 3.0, -0.5, -2.0]))  # alpha1 + gamma1 close to 0
+        for theta in thetas:
+            _, score = _negative_ll_and_score(theta, lfilter, r)
+            numeric = np.empty(5)
+            for k in range(5):
+                step = np.zeros(5)
+                step[k] = 1e-5 * max(1.0, abs(theta[k]))
+                up = _negative_ll_and_score(theta + step, lfilter, r)[0]
+                down = _negative_ll_and_score(theta - step, lfilter, r)[0]
+                numeric[k] = (up - down) / (2.0 * step[k])
+            scale = np.max(np.abs(numeric))
+            assert np.max(np.abs(score - numeric)) <= 1e-6 * scale, _unpack(theta)
+
+    def test_every_fixed_day_converges(self, optimality_fits):
+        assert len(optimality_fits) >= 50
+        assert all(fit.converged for _, fit in optimality_fits)
+
+    def test_nelder_mead_polish_cannot_improve(self, optimality_fits):
+        from scipy.optimize import minimize
+
+        for day, fit in optimality_fits:
+            def negative_ll(theta):
+                mu, omega, alpha1, beta1, gamma1 = _unpack(theta)
+                params = GarchParams(kind="gjr", mu=mu, omega=omega,
+                                     alpha1=alpha1, beta1=beta1, gamma1=gamma1)
+                return -gjr_log_likelihood(day, params)
+
+            p = fit.params
+            theta = _pack(p.mu, p.omega, p.alpha1, p.beta1, p.gamma1)
+            polish = minimize(negative_ll, theta, method="Nelder-Mead",
+                              options={"xatol": 1e-8, "fatol": 1e-10, "maxfev": 4000})
+            assert -polish.fun <= fit.log_likelihood + 1e-6
+
+    def test_iteration_limit_is_not_convergence(self):
+        fit = fit_gjr(simulate(RECOVERY_TRUE, length=369, seed=1).returns, max_iter=2)
+        assert not fit.converged and fit.iterations <= 2
 
 
 class TestFitResultBatch:
