@@ -1,8 +1,9 @@
 """Command-line front end: ingest, qcf, ppgrid, asym, simulate, fit, resim, index.
 
-Reads the documented CSV formats, writes plot-ready CSV/JSON atomically,
-and is deterministic given its inputs and flags.  QCORR_SEED in the
-environment overrides --seed everywhere.
+Every file format, provenance documents included, is defined in serialize;
+_write_outputs is the one rule mapping --out and --format to files.  Outputs
+are written atomically and are deterministic given the inputs and flags.
+QCORR_SEED in the environment overrides --seed everywhere.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from . import serialize
 from .errors import DataFormatError, QcorrError
-from .fitting import average_params, derived_seeds, fit_per_day, resimulate_experiment
+from .fitting import average_params, fit_per_day, resimulate_experiment
 from .garch import GarchParams, simulate
 from .ingest import (
     MIN_TRADED_SECONDS,
@@ -46,8 +47,36 @@ def resolve_seed(args) -> int:
     return int(args.seed)
 
 
-def _read_text(path: str | Path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _parse_file(path: str | Path, parse):
+    """parse applied to the text of path; a malformed file's error names the path."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return parse(text)
+    except (DataFormatError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _write_outputs(args, outputs: dict, to_csv, to_json, csv_sidecar=None) -> None:
+    """Write outputs keyed by file stem: to one file if --out ends in .csv or .json,
+    in that format, else into the --out directory as <stem>.<--format, default csv>.
+    csv_sidecar gives the text of a .meta.json written next to each CSV.
+    """
+    out = Path(args.out)
+    if out.suffix in (".csv", ".json"):
+        fmt = out.suffix[1:]
+        if args.format not in (None, fmt):
+            raise ValueError(f"--format {args.format} contradicts the suffix of --out {out}")
+        if len(outputs) > 1:
+            raise ValueError(f"--out {out} is one file but {len(outputs)} outputs are due; name a directory")
+        paths = [out]
+    else:
+        fmt = args.format or "csv"
+        paths = [out / f"{stem}.{fmt}" for stem in outputs]
+    to_text = to_json if fmt == "json" else to_csv
+    for path, value in zip(paths, outputs.values()):
+        serialize.write_text_atomic(path, to_text(value))
+        if csv_sidecar and fmt == "csv":
+            serialize.write_text_atomic(path.with_suffix(".meta.json"), csv_sidecar(value))
 
 
 # Log artifacts our own commands drop next to their data outputs.
@@ -74,10 +103,7 @@ def _expand_inputs(paths: list[str], suffixes: tuple[str, ...] = (".csv",)) -> l
 
 def load_series(path: Path, horizon: int, stride: int) -> tuple[str, TimeSeries]:
     """(kind, series) of a CSV by header; day prices become returns."""
-    try:
-        kind, values = serialize.series_from_csv(_read_text(path))
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    kind, values = _parse_file(path, serialize.series_from_csv)
     if kind == "day":
         day = TradingDay(instrument=path.stem, date="", prices=values, traded_seconds=values.size)
         series = compute_returns(day, horizon, stride)
@@ -115,11 +141,8 @@ def cmd_qcf(args) -> int:
         by_pair = dict(zip(pairs, curves))
         band = confidence_band(by_pair[(0.5, 0.5)] if (0.5, 0.5) in by_pair else averaged(0.5, 0.5))
         curves = [c.with_ci(band) for c in curves]
-    single_file = len(pairs) == 1 and Path(args.out).suffix in (".csv", ".json")
-    for (alpha, beta), curve in zip(pairs, curves):
-        text = serialize.curve_to_json(curve) if args.format == "json" else serialize.curve_to_csv(curve)
-        path = Path(args.out) if single_file else Path(args.out) / f"qcf_a{alpha:g}_b{beta:g}.{args.format}"
-        serialize.write_text_atomic(path, text)
+    stems = [f"qcf_a{alpha:g}_b{beta:g}" for alpha, beta in pairs]
+    _write_outputs(args, dict(zip(stems, curves)), serialize.curve_to_csv, serialize.curve_to_json)
     return 0
 
 
@@ -151,26 +174,18 @@ def cmd_ppgrid(args) -> int:
             lags.append(seconds // args.stride)
     else:
         lags = list(DEFAULT_SIM_GRID_LAGS)
-    grids = [average_grids([pp_grid(s, levels, lag) for s in series]) for lag in lags]
-    single_file = len(lags) == 1 and Path(args.out).suffix in (".csv", ".json")
-    for lag, grid in zip(lags, grids):
-        text = serialize.grid_to_json(grid) if args.format == "json" else serialize.grid_to_csv(grid)
-        path = Path(args.out) if single_file else Path(args.out) / f"ppgrid_lag{lag}.{args.format}"
-        serialize.write_text_atomic(path, text)
+    grids = {f"ppgrid_lag{lag}": average_grids([pp_grid(s, levels, lag) for s in series]) for lag in lags}
+    _write_outputs(args, grids, serialize.grid_to_csv, serialize.grid_to_json)
     return 0
 
 
 def load_curve(path: Path):
     """(lags, values) of a stored curve, JSON or CSV by suffix."""
-    text = _read_text(path)
-    try:
-        if path.suffix == ".json":
-            curve = serialize.curve_from_json(text)
-            return curve.lags, curve.values
-        lags, values, _ = serialize.curve_arrays_from_csv(text)
-        return lags, values
-    except (DataFormatError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    if path.suffix == ".json":
+        curve = _parse_file(path, serialize.curve_from_json)
+        return curve.lags, curve.values
+    lags, values, _ = _parse_file(path, serialize.curve_arrays_from_csv)
+    return lags, values
 
 
 def cmd_asym(args) -> int:
@@ -199,14 +214,13 @@ def _params_from_args(args) -> GarchParams:
 def cmd_simulate(args) -> int:
     params = _params_from_args(args)
     sim = simulate(params, args.length, resolve_seed(args), args.burn_in)
-    out = Path(args.out)
-    if args.format == "json":
-        doc = serialize.simulation_meta(sim, params)
-        doc.update(returns=sim.returns.values.tolist(), variances=sim.variances.tolist())
-        serialize.write_text_atomic(out, serialize._dump(doc))
-        return 0
-    serialize.write_text_atomic(out, serialize.simulation_to_csv(sim))
-    serialize.write_text_atomic(out.with_suffix(".meta.json"), serialize.simulation_meta_json(sim, params))
+    _write_outputs(
+        args,
+        {"sim": sim},
+        serialize.simulation_to_csv,
+        lambda s: serialize.simulation_to_json(s, params),
+        csv_sidecar=lambda s: serialize.simulation_meta_json(s, params),
+    )
     return 0
 
 
@@ -223,27 +237,19 @@ def cmd_fit(args) -> int:
 
 
 def cmd_resim(args) -> int:
-    params = serialize.params_from_json(_read_text(args.params))
+    params = _parse_file(args.params, serialize.params_from_json)
     seed = resolve_seed(args)
     sims = resimulate_experiment(params, args.n_series, args.length, seed, args.burn_in)
+    files = {f"sim_{i:04d}.csv": sim for i, sim in enumerate(sims)}
     out = Path(args.out)
-    manifest = {
-        "params": serialize.params_to_dict(params),
-        "master_seed": seed,
-        "n_series": args.n_series,
-        "length": args.length,
-        "burn_in": args.burn_in,
-        "seeds": derived_seeds(seed, args.n_series),
-        "files": [f"sim_{i:04d}.csv" for i in range(args.n_series)],
-    }
-    for i, sim in enumerate(sims):
-        serialize.write_text_atomic(out / f"sim_{i:04d}.csv", serialize.simulation_to_csv(sim))
-    serialize.write_text_atomic(out / "manifest.json", serialize._dump(manifest))
+    for name, sim in files.items():
+        serialize.write_text_atomic(out / name, serialize.simulation_to_csv(sim))
+    serialize.write_text_atomic(out / "manifest.json", serialize.resim_manifest_json(params, seed, files))
     return 0
 
 
 def _resample_groups(args):
-    groups = read_ticks_csv(_read_text(args.input))
+    groups = _parse_file(args.input, read_ticks_csv)
     accepted: list[TradingDay] = []
     rejections: list[DayRejection] = []
     for (date, _instrument), ticks in groups.items():
@@ -305,8 +311,7 @@ def _add_common_series(parser):
                         help="return horizon in grid seconds for day-price inputs")
     parser.add_argument("--stride", type=int, default=1,
                         help="spacing of return start points in grid seconds")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; currently has no effect")
+
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, action="append")
     p.add_argument("--max-lag", type=int, required=True)
     _add_common_series(p)
-    p.add_argument("--no-average", action="store_true", help="single-series analysis; refuse multiple inputs")
+    p.add_argument("--no-average", action="store_true", help="refuse more than one input")
     p.add_argument("--no-band", action="store_true", help="skip the (0.5,0.5) confidence band")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", required=True, help="a .csv or .json file, else a directory")
+    p.add_argument("--format", choices=("csv", "json"), help="default: the --out suffix, else csv")
     p.set_defaults(func=cmd_qcf)
 
     p = sub.add_parser("ppgrid", help="probability-probability grid at fixed lags")
@@ -334,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lag", type=int, action="append",
                    help="lag in observation steps; repeatable; defaults depend on input kind")
     _add_common_series(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", required=True, help="a .csv or .json file, else a directory")
+    p.add_argument("--format", choices=("csv", "json"), help="default: the --out suffix, else csv")
     p.set_defaults(func=cmd_ppgrid)
 
     p = sub.add_parser("asym", help="area asymmetry of stored curves")
@@ -356,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", required=True, help="a .csv or .json file, else a directory")
+    p.add_argument("--format", choices=("csv", "json"), help="default: the --out suffix, else csv")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="per-day GJR-GARCH fits")

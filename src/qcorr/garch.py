@@ -96,12 +96,9 @@ class GarchParams:
 
 def unconditional_variance(params: GarchParams) -> float:
     """Stationary variance; for EGARCH, exp of the stationary mean log variance."""
-    if params.kind is ModelKind.GARCH:
-        persistence = params.alpha1 + params.beta1
-    elif params.kind is ModelKind.GJR:
-        persistence = params.alpha1 + params.beta1 + params.gamma1 / 2.0
-    else:
+    if params.kind is ModelKind.EGARCH:
         return math.exp(params.omega / (1.0 - params.beta1))
+    persistence = params.alpha1 + params.beta1 + params.gamma1 / 2.0  # gamma1 is 0 for GARCH
     if persistence >= 1.0:  # unreachable for validated params; guarded anyway
         raise ValueError("non-stationary parameters have no unconditional variance")
     return params.omega / (1.0 - persistence)
@@ -161,12 +158,11 @@ def variance_path(
     v = initial_variance if initial_variance is not None else unconditional_variance(params)
     if not v > 0:
         raise ValueError("initial variance must be positive")
-    gjr = params.kind is ModelKind.GJR
-    for t in range(n):
+    for t in range(n):  # GARCH runs as GJR with gamma1 = 0; adding 0.0 is exact
         sigma2[t] = v
         eps[t] = math.sqrt(v) * z[t]
         arch = params.alpha1
-        if gjr and eps[t] < 0.0:
+        if eps[t] < 0.0:
             arch += params.gamma1
         v = params.omega + arch * eps[t] * eps[t] + params.beta1 * v
     return eps, sigma2

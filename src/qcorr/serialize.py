@@ -12,7 +12,7 @@ import dataclasses
 import json
 import math
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager
 from itertools import islice
 from operator import itemgetter
@@ -65,7 +65,10 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     """Write via temp file + rename in the target directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    # Mode 0o666 less the umask, like any file the user creates (mkstemp's
+    # 0o600 would survive the rename); O_EXCL never opens an existing file.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -239,6 +242,29 @@ def simulation_meta(sim: SimulationResult, params: GarchParams) -> dict:
 
 def simulation_meta_json(sim: SimulationResult, params: GarchParams) -> str:
     return _dump(simulation_meta(sim, params))
+
+
+def simulation_to_json(sim: SimulationResult, params: GarchParams) -> str:
+    """One document: the sidecar's metadata, then the returns and variances."""
+    return _dump({
+        **simulation_meta(sim, params),
+        "returns": sim.returns.values.tolist(),
+        "variances": sim.variances.tolist(),
+    })
+
+
+def resim_manifest_json(params: GarchParams, master_seed: int, files: dict[str, SimulationResult]) -> str:
+    """Provenance of simulations sharing params, length and burn-in, keyed by file name."""
+    sims = list(files.values())
+    return _dump({
+        "params": params_to_dict(params),
+        "master_seed": master_seed,
+        "n_series": len(sims),
+        "length": len(sims[0].returns),
+        "burn_in": sims[0].burn_in,
+        "seeds": [sim.innovations_seed for sim in sims],
+        "files": list(files),
+    })
 
 
 def returns_from_sim_csv(text: str) -> np.ndarray:

@@ -1,12 +1,14 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import EXAMPLE_SERIES, oracle_qcf
 from qcorr import GarchParams, asymmetry, confidence_band, qcf_fast, simulate
-from qcorr.cli import main
+from qcorr.cli import build_parser, main
 from qcorr import serialize
 from qcorr.serialize import values_to_csv
 
@@ -111,23 +113,6 @@ class TestQcfCommand:
                  "--max-lag", 30, "--out", out])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
-
-    def test_jobs_flag_does_not_change_output(self, tmp_path):
-        params = GarchParams(kind="garch", mu=0.0, omega=1e-5, alpha1=0.05, beta1=0.9)
-        inputs = []
-        for seed in range(4):
-            p = tmp_path / f"s{seed}.csv"
-            p.write_text(serialize.simulation_to_csv(simulate(params, length=400, seed=seed)))
-            inputs.append(p)
-        results = []
-        for jobs, name in ((1, "j1"), (3, "j3")):
-            out = tmp_path / name
-            args = ["qcf", "--max-lag", 15, "--jobs", jobs, "--out", out]
-            for p in inputs:
-                args += ["-i", p]
-            assert run(args) == 0
-            results.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-        assert results[0] == results[1]
 
     def test_day_price_input_with_horizon_and_stride(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -364,6 +349,61 @@ class TestPpgridCommand:
         assert names == [f"ppgrid_lag{l}.csv" for l in (120, 1200, 3600, 600)]
 
 
+class TestOutputResolution:
+    @pytest.fixture
+    def sim(self, tmp_path):
+        path = tmp_path / "s.csv"
+        assert run(["simulate", "--model", "gjr", "--gamma1", 0.06, "--length", 300,
+                    "--seed", 8, "--out", path]) == 0
+        return path
+
+    @staticmethod
+    def command_line(args, sim, out):
+        """args with the input series after the subcommand and --out's value replaced by out."""
+        command, *rest = args
+        return [command, *([] if command == "simulate" else ["-i", sim]), *rest[:-1], out]
+
+    @pytest.mark.parametrize(
+        "args, written, read",
+        [
+            (["qcf", "--alpha", 0.05, "--beta", 0.95, "--max-lag", 5, "--out", "c.json"],
+             "c.json", serialize.curve_from_json),
+            (["ppgrid", "--lag", 2, "--out", "g1.json"], "g1.json", json.loads),
+            (["ppgrid", "--lag", 2, "--format", "json", "--out", "g"], "g/ppgrid_lag2.json", json.loads),
+            (["simulate", "--model", "garch", "--length", 50, "--out", "sim.json"],
+             "sim.json", json.loads),
+            (["simulate", "--model", "garch", "--length", 50, "--format", "json", "--out", "sims"],
+             "sims/sim.json", json.loads),
+        ],
+        ids=["qcf-json-suffix", "ppgrid-json-suffix", "ppgrid-json-directory",
+             "simulate-json-suffix", "simulate-json-directory"],
+    )
+    def test_suffix_or_format_decides(self, tmp_path, sim, args, written, read):
+        assert run(self.command_line(args, sim, tmp_path / args[-1])) == 0
+        read((tmp_path / written).read_text())
+        assert not (tmp_path / written).with_suffix(".meta.json").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["qcf", "--alpha", 0.05, "--beta", 0.95, "--max-lag", 5, "--format", "json", "--out", "c.csv"],
+            ["qcf", "--max-lag", 5, "--out", "c.csv"],
+            ["ppgrid", "--out", "g.json"],
+            ["ppgrid", "--lag", 2, "--format", "json", "--out", "g1.csv"],
+            ["simulate", "--model", "garch", "--length", 50, "--format", "csv", "--out", "sim.json"],
+        ],
+        ids=["qcf-format-contradicts-suffix", "qcf-six-pairs-one-file", "ppgrid-two-lags-one-file",
+             "ppgrid-format-contradicts-suffix", "simulate-format-contradicts-suffix"],
+    )
+    def test_mismatched_out_is_refused(self, tmp_path, sim, capsys, args):
+        out = tmp_path / args[-1]
+        assert run(self.command_line(args, sim, out)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--out" in json.loads(err[0])["error"]
+        assert not out.exists()
+        assert not out.with_suffix(".meta.json").exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         import subprocess
@@ -397,6 +437,37 @@ class TestEntryPoint:
         assert result.returncode == 0
         for name in ("ingest", "qcf", "ppgrid", "asym", "simulate", "fit", "resim", "index"):
             assert name in result.stdout
+
+
+def _readme_command_line_section() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _accepted_flags(capsys, command: str) -> set[str]:
+    """The long options a subcommand defines, read from its --help option list."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args([command, "--help"])
+    assert exit_info.value.code == 0, f"README names unknown subcommand {command!r}"
+    # Option lines start with two spaces and a dash; help text is indented further.
+    invocations = re.findall(r"^  (-\S.*?)(?:  |$)", capsys.readouterr().out, re.M)
+    return set(re.findall(r"--[a-z][a-z0-9-]*", " ".join(invocations)))
+
+
+def test_readme_command_line_matches_parser(capsys):
+    section = _readme_command_line_section()
+    usage = [line.split() for line in section.splitlines() if line.startswith("qcorr ")]
+    commands = sorted({words[1] for words in usage})
+    flags = {command: _accepted_flags(capsys, command) for command in commands}
+    for words in usage:
+        unknown = {w for w in words if w.startswith("--")} - flags[words[1]]
+        assert not unknown, f"README usage of {words[1]} names {unknown}"
+    # An inline span that starts with a subcommand names flags of that subcommand.
+    for span in re.findall(r"`([^`\n]+)`", section):
+        words = span.split()
+        owner = flags.get(words[0], set().union(*flags.values()))
+        unknown = {w for w in re.findall(r"--[a-z][a-z0-9-]*", span)} - owner
+        assert not unknown, f"README names {unknown} in `{span}`"
 
 
 class TestErrorHandling:

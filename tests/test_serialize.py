@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -153,6 +154,15 @@ class TestAtomicWrite:
         serialize.write_text_atomic(target, "two\n")
         assert target.read_text() == "two\n"
 
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_mode_follows_umask(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            serialize.write_text_atomic(tmp_path / "f.csv", "x\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "f.csv").stat().st_mode) == 0o666 & ~umask
+
 
 # Tiny fixed inputs whose writer output is pinned byte for byte below: a value
 # with a 17-digit tail (0.1 + 0.2), negatives, integer-valued floats and a fit
@@ -253,6 +263,21 @@ PINNED_WRITERS = {
         '{\n  "kind": "gjr",\n  "mu": -0.5,\n  "omega": 0.30000000000000004,\n'
         '  "alpha1": 0.05,\n  "beta1": 0.9,\n  "gamma1": 0.0,\n  "seed": 7,\n  "burn_in": 10,\n'
         '  "length": 3,\n  "generator": "numpy.random.default_rng (PCG64)"\n}\n',
+    ),
+    "sim-json": (
+        lambda _: serialize.simulation_to_json(PINNED_SIM, PINNED_PARAMS),
+        '{\n  "kind": "gjr",\n  "mu": -0.5,\n  "omega": 0.30000000000000004,\n'
+        '  "alpha1": 0.05,\n  "beta1": 0.9,\n  "gamma1": 0.0,\n  "seed": 7,\n  "burn_in": 10,\n'
+        '  "length": 3,\n  "generator": "numpy.random.default_rng (PCG64)",\n'
+        '  "returns": [\n    0.30000000000000004,\n    -1.5,\n    2.0\n  ],\n'
+        '  "variances": [\n    1.0,\n    0.25,\n    0.30000000000000004\n  ]\n}\n',
+    ),
+    "resim-manifest": (
+        lambda _: serialize.resim_manifest_json(PINNED_PARAMS, 3, {"sim_0000.csv": PINNED_SIM}),
+        '{\n  "params": {\n    "kind": "gjr",\n    "mu": -0.5,\n    "omega": 0.30000000000000004,\n'
+        '    "alpha1": 0.05,\n    "beta1": 0.9,\n    "gamma1": 0.0\n  },\n  "master_seed": 3,\n'
+        '  "n_series": 1,\n  "length": 3,\n  "burn_in": 10,\n  "seeds": [\n    7\n  ],\n'
+        '  "files": [\n    "sim_0000.csv"\n  ]\n}\n',
     ),
 }
 
