@@ -21,11 +21,11 @@ from .garch import (
 )
 from .ingest import (
     DayRejection,
+    TickGroup,
     TickRecord,
     TradingDay,
     build_index,
     compute_returns,
-    read_ticks_csv,
     resample_day,
 )
 from .qcf import (
@@ -44,6 +44,7 @@ from .qcf import (
     qcf_fast,
     qcf_from_filtered,
 )
+from .serialize import read_ticks_csv
 from .series import ProbabilityLevel, TimeSeries
 
 __version__ = "0.1.0"
@@ -63,6 +64,7 @@ __all__ = [
     "QcfCurve",
     "QcorrError",
     "SimulationResult",
+    "TickGroup",
     "TickRecord",
     "TimeSeries",
     "TradingDay",

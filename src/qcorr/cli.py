@@ -25,7 +25,6 @@ from .ingest import (
     DayRejection,
     build_index,
     compute_returns,
-    read_ticks_csv,
     resample_day,
 )
 from .qcf import asymmetry_from_arrays, average_curves, average_grids, confidence_band, pp_grid, qcf_fast
@@ -129,8 +128,6 @@ def _load_all_series(args) -> tuple[list[str], list[TimeSeries]]:
 
 def cmd_qcf(args) -> int:
     _, series = _load_all_series(args)
-    if args.no_average and len(series) > 1:
-        raise ValueError("--no-average expects a single input series")
     pairs = _parse_pairs(args)
 
     def averaged(alpha: float, beta: float):
@@ -141,7 +138,8 @@ def cmd_qcf(args) -> int:
         by_pair = dict(zip(pairs, curves))
         band = confidence_band(by_pair[(0.5, 0.5)] if (0.5, 0.5) in by_pair else averaged(0.5, 0.5))
         curves = [c.with_ci(band) for c in curves]
-    stems = [f"qcf_a{alpha:g}_b{beta:g}" for alpha, beta in pairs]
+    # repr is the shortest text that round-trips, so distinct pairs get distinct names.
+    stems = [f"qcf_a{alpha!r}_b{beta!r}" for alpha, beta in pairs]
     _write_outputs(args, dict(zip(stems, curves)), serialize.curve_to_csv, serialize.curve_to_json)
     return 0
 
@@ -249,7 +247,7 @@ def cmd_resim(args) -> int:
 
 
 def _resample_groups(args):
-    groups = _parse_file(args.input, read_ticks_csv)
+    groups = _parse_file(args.input, serialize.read_ticks_csv)
     accepted: list[TradingDay] = []
     rejections: list[DayRejection] = []
     for (date, _instrument), ticks in groups.items():
@@ -327,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, action="append")
     p.add_argument("--max-lag", type=int, required=True)
     _add_common_series(p)
-    p.add_argument("--no-average", action="store_true", help="refuse more than one input")
     p.add_argument("--no-band", action="store_true", help="skip the (0.5,0.5) confidence band")
     p.add_argument("--out", required=True, help="a .csv or .json file, else a directory")
     p.add_argument("--format", choices=("csv", "json"), help="default: the --out suffix, else csv")

@@ -4,13 +4,13 @@ One instrument-day of trades becomes a gap-free per-second price grid via
 previous-tick fill.  The first and last `trim_seconds` of the session are
 discarded (auction effects); with the default 6.5 h session and 600 s trim
 the grid has exactly 22200 seconds.  Days with trades in fewer than 800
-distinct seconds are rejected, not errored.
+distinct seconds are rejected, not errored.  The tick CSV format is read by
+serialize.read_ticks_csv into one TickGroup per instrument-day.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,15 +22,10 @@ SESSION_TRIM_SECONDS = 600
 MIN_TRADED_SECONDS = 800
 STANDARD_GRID_SECONDS = 22200
 
-TICKS_HEADER = ("date", "time_seconds", "instrument", "price")
-
-# Values of the optional `regular` column that keep a row.
-_REGULAR_TRUE = {"1", "true", "t", "yes", "y"}
-
 
 @dataclass(frozen=True)
 class TickRecord:
-    """A single trade: second-resolution timestamp within the session."""
+    """A single hand-built trade: second-resolution timestamp within the session."""
 
     timestamp: int
     price: float
@@ -41,6 +36,26 @@ class TickRecord:
             raise DataFormatError(f"negative timestamp {self.timestamp}")
         if not self.price > 0:
             raise DataFormatError(f"nonpositive price {self.price!r}")
+
+
+@dataclass(frozen=True)
+class TickGroup:
+    """One instrument-day of trades in file order: int64 seconds and their prices."""
+
+    instrument: str
+    times: np.ndarray
+    prices: np.ndarray
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=np.int64)
+        prices = np.asarray(self.prices, dtype=float)
+        if times.ndim != 1 or times.shape != prices.shape:
+            raise ValueError("times and prices must be one-dimensional and of equal length")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "prices", prices)
+
+    def __len__(self) -> int:
+        return int(self.times.size)
 
 
 @dataclass(frozen=True)
@@ -81,8 +96,19 @@ class DayRejection:
     reason: str
 
 
+def _as_group(ticks: TickGroup | Sequence[TickRecord]) -> TickGroup:
+    """ticks as one TickGroup; hand-built TickRecords must share an instrument."""
+    if isinstance(ticks, TickGroup):
+        return ticks
+    instrument = ticks[0].instrument if ticks else ""
+    for t in ticks:
+        if t.instrument != instrument:
+            raise DataFormatError(f"mixed instruments in one day: {instrument} vs {t.instrument}")
+    return TickGroup(instrument, [t.timestamp for t in ticks], [t.price for t in ticks])
+
+
 def resample_day(
-    ticks: list[TickRecord],
+    ticks: TickGroup | Sequence[TickRecord],
     session_open: int,
     session_close: int,
     date: str = "",
@@ -96,24 +122,22 @@ def resample_day(
     the trimmed opening minutes seed the first grid second.  Returns a
     DayRejection for illiquid days (distinct traded seconds below the
     threshold) or when no price precedes the grid.  Malformed input
-    (unsorted ticks, out-of-session timestamps) raises DataFormatError.
+    (unsorted ticks, out-of-session timestamps, hand-built TickRecords of
+    several instruments) raises DataFormatError.
     """
-    if not ticks:
-        return DayRejection("", date, "no ticks")
-    instrument = ticks[0].instrument
+    group = _as_group(ticks)
+    if not len(group):
+        return DayRejection(group.instrument, date, "no ticks")
+    instrument, times, prices = group.instrument, group.times, group.prices
     grid_length = int(session_close) - int(session_open) - 2 * int(trim_seconds)
     if grid_length <= 0:
         raise ValueError("session is shorter than twice the trim")
-    times = np.array([t.timestamp for t in ticks], dtype=np.int64)
-    prices = np.array([t.price for t in ticks], dtype=float)
-    if np.any(np.diff(times) < 0):
+    steps = np.diff(times)
+    if np.any(steps < 0):
         raise DataFormatError(f"{instrument} {date}: ticks are not sorted by timestamp")
     if times[0] < session_open or times[-1] > session_close:
         raise DataFormatError(f"{instrument} {date}: tick outside the session window")
-    for t in ticks:
-        if t.instrument != instrument:
-            raise DataFormatError(f"mixed instruments in one day: {instrument} vs {t.instrument}")
-    traded = int(np.unique(times).size)
+    traded = 1 + int(np.count_nonzero(steps))
     if traded < min_traded_seconds:
         return DayRejection(instrument, date, "insufficient liquidity")
     grid = np.arange(session_open + trim_seconds, session_open + trim_seconds + grid_length)
@@ -167,41 +191,3 @@ def build_index(days: list[TradingDay]) -> TradingDay:
         prices=normalized.mean(axis=0),
         traded_seconds=length,
     )
-
-
-def read_ticks_csv(text: str) -> dict[tuple[str, str], list[TickRecord]]:
-    """Parse tick CSV "date,time_seconds,instrument,price[,regular]".
-
-    Rows whose optional `regular` flag is not truthy are dropped here.
-    Returns ticks grouped by (date, instrument) in file order; groups keep
-    the file's row order so unsorted data is still detected downstream.
-    """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("empty ticks file; header row required") from None
-    header = [h.strip().lower() for h in header]
-    if tuple(header[:4]) != TICKS_HEADER or len(header) > 5:
-        raise DataFormatError(
-            "ticks header must be 'date,time_seconds,instrument,price[,regular]', "
-            f"got {','.join(header)!r}"
-        )
-    has_regular = len(header) == 5
-    if has_regular and header[4] != "regular":
-        raise DataFormatError(f"fifth ticks column must be 'regular', got {header[4]!r}")
-    groups: dict[tuple[str, str], list[TickRecord]] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataFormatError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-        if has_regular and row[4].strip().lower() not in _REGULAR_TRUE:
-            continue
-        date, time_s, instrument, price = (field.strip() for field in row[:4])
-        try:
-            record = TickRecord(int(time_s), float(price), instrument)
-        except ValueError as exc:
-            raise DataFormatError(f"line {line_no}: {exc}") from None
-        groups.setdefault((date, instrument), []).append(record)
-    return groups

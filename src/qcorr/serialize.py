@@ -2,19 +2,27 @@
 
 Data values are written with 17 significant digits so every IEEE double
 round-trips exactly.  Writes go through a temp file plus rename so partial
-outputs are never left behind.  The external tick format is read by
-ingest.read_ticks_csv.
+outputs are never left behind.  The tick input format is read here too.
+
+Every CSV reader first tries one bulk splitter, which converts whole columns
+of ~256 KiB runs of lines at a time.  Input it does not take as plain (quotes,
+stray whitespace, CR, blank lines, a wrong field count, a value that does
+not convert) goes through the format's row loop, which gives the same
+result or names the first bad line.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import secrets
 from contextlib import contextmanager
-from itertools import islice
+from functools import partial
+from itertools import compress, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -23,7 +31,7 @@ import numpy as np
 from .errors import DataFormatError
 from .fitting import FitBatch
 from .garch import GENERATOR, GarchParams, SimulationResult
-from .ingest import DayRejection, TradingDay
+from .ingest import DayRejection, TickGroup, TradingDay
 from .qcf import AsymmetryReport, PPGrid, QcfCurve
 from .series import ProbabilityLevel
 
@@ -41,6 +49,17 @@ ASYM_SUMMARY_HEADER = "Dataset,Year,dA"
 # Series inputs by header: the kind of series and the column holding it.
 SERIES_HEADERS = {DAY_HEADER: ("day", 1), SIM_HEADER: ("sim", 1), VALUES_HEADER: ("value", 0)}
 _CURVE_COLUMNS = {CURVE_HEADER: ((0, int), (1, float)), CURVE_HEADER_CI: ((0, int), (1, float), (2, float))}
+TICKS_HEADER = ("date", "time_seconds", "instrument", "price")
+# Values of the optional `regular` tick column that keep a row.
+_REGULAR_TRUE = {"1", "true", "t", "yes", "y"}
+
+# The bulk splitter's unit of work: this many characters, extended to the
+# next newline.  It bounds the field strings alive at once.
+_CHUNK_CHARS = 1 << 18
+# What the bulk splitter leaves to the row loops: csv quoting, NUL (an error
+# to the csv module before Python 3.11), and every ASCII character other than
+# "\n" that str.strip() or str.splitlines() acts on.
+_NOT_PLAIN = ('"', "\x00", "\r", " ", "\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def fmt(x: float) -> str:
@@ -81,6 +100,50 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def _first_line(text: str) -> tuple[str, int]:
+    """The first line of text and the offset just past its newline."""
+    end = text.find("\n")
+    return (text, len(text)) if end < 0 else (text[:end], end + 1)
+
+
+def _bulk_split(text: str, start: int, width: int, convert) -> list[np.ndarray] | None:
+    """The columns convert() returns, concatenated over every run of whole lines
+    of text[start:], where it gets a run's fields with column k at fields[k::width].
+
+    None, for the row loop to take over, as soon as a run is not plain ASCII
+    lines of exactly `width` fields or convert raises ValueError or OverflowError.
+    """
+    pattern = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
+    parts = [convert([])]  # gives each column its dtype, even for no lines
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
+        chunk = text[start:end]
+        start = end
+        if not chunk.endswith("\n"):
+            chunk += "\n"  # the last line of a file without a final newline
+        if not chunk.isascii() or any(map(chunk.__contains__, _NOT_PLAIN)):
+            return None
+        chars = np.frombuffer(chunk.encode(), dtype=np.uint8)
+        seps = chars[(chars == ord(",")) | (chars == ord("\n"))]
+        if seps.size % width or not (seps.reshape(-1, width) == pattern).all():
+            return None
+        chunk = chunk.replace("\n", ",")
+        fields = chunk.split(",")
+        del chars, seps, chunk  # only the fields stay alive during conversion
+        fields.pop()  # the empty string after the last newline
+        try:
+            parts.append(convert(fields))
+        except (ValueError, OverflowError):
+            return None
+        del fields
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _convert_columns(wanted, width: int, fields: list[str]) -> list[np.ndarray]:
+    rows = len(fields) // width
+    return [np.fromiter(map(kind, fields[index::width]), kind, rows) for index, kind in wanted]
+
+
 def _read_columns(text: str, columns: dict, what: str) -> tuple:
     """(header, *arrays) of a CSV whose first nonblank line is a key of columns,
     which maps it to the (index, type) of every column the caller needs.
@@ -88,6 +151,17 @@ def _read_columns(text: str, columns: dict, what: str) -> tuple:
     Blank lines are skipped.  A row with the wrong number of fields, or a
     value its column's type does not parse, raises DataFormatError naming its line.
     """
+    header, start = _first_line(text)
+    if header in columns:
+        width = header.count(",") + 1
+        arrays = _bulk_split(text, start, width, partial(_convert_columns, columns[header], width))
+        if arrays is not None:
+            return (header, *arrays)
+    return _read_columns_by_row(text, columns, what)
+
+
+def _read_columns_by_row(text: str, columns: dict, what: str) -> tuple:
+    """_read_columns one line at a time: any input, the first bad line named."""
     lines = text.splitlines()
     start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
     header = lines[start].strip() if start < len(lines) else ""
@@ -328,3 +402,105 @@ def prices_from_day_csv(text: str) -> np.ndarray:
 def rejections_to_csv(rejections: list[DayRejection]) -> str:
     fields = ("date", "instrument", "reason")
     return _table(REJECTION_HEADER, *([getattr(r, name) for r in rejections] for name in fields))
+
+
+# --- tick input -------------------------------------------------------------------
+
+
+def _ticks_width(header: list[str]) -> int:
+    """The field count a tick CSV's header row declares; a bad header raises."""
+    header = [h.strip().lower() for h in header]
+    if tuple(header[:4]) != TICKS_HEADER or len(header) > 5:
+        raise DataFormatError(
+            "ticks header must be 'date,time_seconds,instrument,price[,regular]', "
+            f"got {','.join(header)!r}"
+        )
+    if len(header) == 5 and header[4] != "regular":
+        raise DataFormatError(f"fifth ticks column must be 'regular', got {header[4]!r}")
+    return len(header)
+
+
+def _tick_columns(width: int, keys: dict, fields: list[str]) -> tuple[np.ndarray, ...]:
+    """(group code, time, price) of the kept rows among the tick fields; keys
+    numbers each new (date, instrument) in order of first appearance."""
+    if width == 5:
+        flags = fields[4::5]
+        truth = {flag: flag.lower() in _REGULAR_TRUE for flag in set(flags)}
+        keep = list(map(truth.__getitem__, flags))
+    else:
+        keep = [True] * (len(fields) // 4)
+    rows = sum(keep)
+    pairs = list(compress(zip(fields[0::width], fields[2::width]), keep))
+    for key in dict.fromkeys(pairs):
+        keys.setdefault(key, len(keys))
+    codes = np.fromiter(map(keys.__getitem__, pairs), np.intp, rows)
+    times = np.fromiter(map(int, compress(fields[1::width], keep)), np.int64, rows)
+    prices = np.fromiter(map(float, compress(fields[3::width], keep)), float, rows)
+    if rows and (times.min() < 0 or not np.all(prices > 0)):
+        raise ValueError("a tick the row loop must name")
+    return codes, times, prices
+
+
+def _tick_rows(text: str, keys: dict) -> tuple[np.ndarray, ...]:
+    """_tick_columns over the csv module's rows of the whole text, one at a
+    time: any input, the first bad line named."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError("empty ticks file; header row required")
+        width = _ticks_width(header)
+        codes, times, prices = [], [], []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise DataFormatError(f"line {line_no}: expected {width} fields, got {len(row)}")
+            if width == 5 and row[4].strip().lower() not in _REGULAR_TRUE:
+                continue
+            date, time_s, instrument, price_s = (field.strip() for field in row[:4])
+            try:
+                time, price = int(time_s), float(price_s)
+            except ValueError as exc:
+                raise DataFormatError(f"line {line_no}: {exc}") from None
+            if time < 0:
+                raise DataFormatError(f"line {line_no}: negative timestamp {time}")
+            if time >= 2**63:
+                raise DataFormatError(f"line {line_no}: timestamp {time} is out of range")
+            if not price > 0:
+                raise DataFormatError(f"line {line_no}: nonpositive price {price!r}")
+            codes.append(keys.setdefault((date, instrument), len(keys)))
+            times.append(time)
+            prices.append(price)
+    except csv.Error as exc:  # e.g. a bare CR inside a line
+        raise DataFormatError(f"line {reader.line_num}: {exc}") from None
+    return np.array(codes, np.intp), np.array(times, np.int64), np.array(prices, float)
+
+
+def read_ticks_csv(text: str) -> dict[tuple[str, str], TickGroup]:
+    """Parse tick CSV "date,time_seconds,instrument,price[,regular]".
+
+    Rows whose optional `regular` flag is not truthy are dropped here.
+    Returns one TickGroup per (date, instrument), in order of first
+    appearance; each keeps the file's row order, so unsorted data is still
+    detected downstream.
+    """
+    head, start = _first_line(text)
+    keys: dict[tuple[str, str], int] = {}
+    columns = None
+    if text and not any(map(head.__contains__, _NOT_PLAIN)):
+        # Then the csv module's first row is the first line split at commas.
+        width = _ticks_width(next(csv.reader([head])))
+        columns = _bulk_split(text, start, width, partial(_tick_columns, width, keys))
+    if columns is None:
+        keys.clear()
+        columns = _tick_rows(text, keys)
+    return _group_ticks(keys, *columns)
+
+
+def _group_ticks(keys: dict, codes, times, prices) -> dict[tuple[str, str], TickGroup]:
+    """One TickGroup per key, in the keys' order, each in row order."""
+    order = np.argsort(codes, kind="stable")
+    ends = np.cumsum(np.bincount(codes, minlength=len(keys)))[:-1]
+    groups = zip(keys, np.split(times[order], ends), np.split(prices[order], ends))
+    return {key: TickGroup(key[1], t, p) for key, t, p in groups}

@@ -73,3 +73,16 @@ def oracle_gjr_loglik(returns, mu, omega, alpha1, beta1, gamma1):
 # The ten-point worked example used throughout.
 EXAMPLE_SERIES = (1.0, -5.0, 10.0, 0.0, -6.0, -2.0, -2.0, 2.0, 0.0, 2.0)
 EXAMPLE_BITS = (0, 1, 0, 1, 1, 1, 1, 0, 1, 0)
+
+
+# Characters a perturbed CSV gains: each sends the bulk CSV splitter to a row loop
+# (or, for "," and "\n", changes a field count); "" deletes one instead.
+CSV_EDITS = ["", ",", "\n", "\r", " ", '"', "x", "\t", "\x0b", "\x00", "ü"]
+
+
+def perturb(text, edits):
+    """text with each (position in [0, 1], insert) of edits applied in turn."""
+    for at, insert in edits:
+        k = int(at * len(text))
+        text = text[:k] + insert + text[k + (insert == ""):]
+    return text

@@ -94,13 +94,14 @@ class TestQcfCommand:
         b = qcf_fast(simulate(params, length=500, seed=2).returns, 0.05, 0.05, 10)
         assert np.array_equal(curve.values, (np.vstack([a.values, b.values])).mean(axis=0))
 
-    def test_no_average_refuses_multiple_inputs(self, tmp_path):
-        for name in ("a", "b"):
-            write_example_series(tmp_path / f"{name}.csv")
-        code = run(["qcf", "-i", tmp_path / "a.csv", "-i", tmp_path / "b.csv",
-                    "--alpha", 0.5, "--beta", 0.5, "--max-lag", 2,
-                    "--no-average", "--out", tmp_path / "o.csv"])
-        assert code == 2
+    def test_close_pairs_get_distinct_files(self, tmp_path):
+        write_example_series(tmp_path / "s.csv")
+        code = run(["qcf", "-i", tmp_path / "s.csv", "--alpha", 0.5, "--beta", 0.5,
+                    "--alpha", 0.5000001, "--beta", 0.5, "--max-lag", 2, "--no-band",
+                    "--out", tmp_path / "c"])
+        assert code == 0
+        files = sorted(p.name for p in (tmp_path / "c").iterdir())
+        assert files == ["qcf_a0.5000001_b0.5.csv", "qcf_a0.5_b0.5.csv"]
 
     def test_determinism_byte_identical(self, tmp_path):
         sim = tmp_path / "sim.csv"

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from helpers import CSV_EDITS, perturb
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import (
     DataFormatError,
     DayRejection,
+    TickGroup,
     TickRecord,
     TradingDay,
     build_index,
     compute_returns,
     read_ticks_csv,
     resample_day,
+    serialize,
 )
 
 SESSION_OPEN = 0
@@ -95,6 +100,15 @@ class TestResampleDay:
         again = [TickRecord(600 + i, float(p), "XYZ") for i, p in enumerate(day.prices)]
         day2 = resample_day(again, 600, 600 + 22200, date="d", trim_seconds=0)
         assert np.array_equal(day.prices, day2.prices)
+
+    def test_tick_group_and_records_agree(self):
+        ticks = [TickRecord(30, 42.0, "XYZ")] + ticks_every(25, price=43.0, start=700)
+        group = TickGroup("XYZ", [t.timestamp for t in ticks], [t.price for t in ticks])
+        assert len(group) == len(ticks) and group.times.dtype == np.int64
+        day = resample_day(group, SESSION_OPEN, SESSION_CLOSE, date="d")
+        assert np.array_equal(day.prices, resample_day(ticks, SESSION_OPEN, SESSION_CLOSE, date="d").prices)
+        with pytest.raises(ValueError, match="equal length"):
+            TickGroup("XYZ", [1, 2], [10.0])
 
     def test_last_trade_in_second_wins(self):
         ticks = [TickRecord(0, 10.0, "T"), TickRecord(2, 11.0, "T"), TickRecord(2, 12.0, "T")]
@@ -202,7 +216,7 @@ class TestReadTicksCsv:
         )
         groups = read_ticks_csv(text)
         assert set(groups) == {("2007-01-03", "AAA"), ("2007-01-04", "AAA"), ("2007-01-03", "BBB")}
-        assert [t.timestamp for t in groups[("2007-01-03", "AAA")]] == [1, 3]
+        assert groups[("2007-01-03", "AAA")].times.tolist() == [1, 3]
 
     def test_header_required(self):
         with pytest.raises(DataFormatError, match="header"):
@@ -213,13 +227,137 @@ class TestReadTicksCsv:
     def test_without_regular_column(self):
         text = "date,time_seconds,instrument,price\n2007-01-03,1,AAA,10.0\n"
         groups = read_ticks_csv(text)
-        assert groups[("2007-01-03", "AAA")][0].price == 10.0
+        assert groups[("2007-01-03", "AAA")].prices[0] == 10.0
 
     def test_malformed_rows(self):
         with pytest.raises(DataFormatError, match="line 2"):
             read_ticks_csv("date,time_seconds,instrument,price\n2007-01-03,xx,AAA,10.0\n")
         with pytest.raises(DataFormatError, match="fields"):
             read_ticks_csv("date,time_seconds,instrument,price\n2007-01-03,1,AAA\n")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2007-01-03,-1,AAA,10.0", "line 3: negative timestamp -1"),
+            ("2007-01-03,4,AAA,0", "line 3: nonpositive price 0.0"),
+        ],
+    )
+    def test_value_errors_name_their_line(self, row, message):
+        text = f"date,time_seconds,instrument,price\n2007-01-03,1,AAA,10.0\n{row}\n"
+        with pytest.raises(DataFormatError) as error:
+            read_ticks_csv(text)
+        assert str(error.value) == message
+
+
+TICKS_HEAD = "date,time_seconds,instrument,price,regular"
+TICK_ROWS = ["2007-01-03,1,AAA,10.0,1", "2007-01-03,2,BBB,20.0,1", "2007-01-03,3,AAA,11.0,1"]
+TWO_GROUPS = {("2007-01-03", "AAA"): [1, 3], ("2007-01-03", "BBB"): [2]}
+
+
+def with_rows(*rows, head=TICKS_HEAD, end="\n"):
+    return end.join([head, *rows]) + end
+
+
+def read_by_row(text):
+    keys = {}
+    columns = serialize._tick_rows(text, keys)
+    return serialize._group_ticks(keys, *columns)
+
+
+def outcome(read, text):
+    """Each group's instrument, times, prices and dtypes, or the error text."""
+    try:
+        groups = read(text)
+    except Exception as exc:  # the type counts too: only DataFormatError is expected
+        return str(exc) if isinstance(exc, DataFormatError) else repr(exc)
+    return [
+        (key, g.instrument, g.times.tolist(), g.prices.tolist(), g.times.dtype, g.prices.dtype)
+        for key, g in groups.items()
+    ]
+
+
+class TestTickReaderPaths:
+    """The bulk path and the row loop give equal groups or the same error."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (with_rows(*TICK_ROWS), TWO_GROUPS),
+            (with_rows(*TICK_ROWS, end="\r\n"), TWO_GROUPS),
+            (with_rows(TICK_ROWS[0], '2007-01-03,2,"BBB",20.0,1', TICK_ROWS[2]), TWO_GROUPS),
+            (with_rows(TICK_ROWS[0], "2007-01-03, 2 , BBB,20.0 ,1 ", TICK_ROWS[2]), TWO_GROUPS),
+            (with_rows(TICK_ROWS[0], "", *TICK_ROWS[1:]), TWO_GROUPS),
+            (with_rows(*TICK_ROWS)[:-1], TWO_GROUPS),
+            (with_rows(), {}),
+            (TICKS_HEAD, {}),
+            (with_rows(*TICK_ROWS, head=TICKS_HEAD.upper()), TWO_GROUPS),
+            (with_rows(*TICK_ROWS, head=" date, time_seconds,instrument,price ,regular"), TWO_GROUPS),
+            (with_rows(TICK_ROWS[0], "2007-01-03,xx,AAA,1.0,0", *TICK_ROWS[1:]), TWO_GROUPS),
+            (with_rows(TICK_ROWS[0], "2007-01-03,-5,AAA,0,no", *TICK_ROWS[1:]), TWO_GROUPS),
+            (with_rows(TICK_ROWS[0], "2007-01-03,xx,AAA,1.0,1"),
+             "line 3: invalid literal for int() with base 10: 'xx'"),
+            (with_rows(TICK_ROWS[0], "2007-01-03,-1,AAA,1.0,1"), "line 3: negative timestamp -1"),
+            (with_rows(TICK_ROWS[0], "2007-01-03,4,AAA,nan,1"), "line 3: nonpositive price nan"),
+            (with_rows(TICK_ROWS[0], "2007-01-03,4,AAA,0,1"), "line 3: nonpositive price 0.0"),
+            (with_rows(TICK_ROWS[0], "2007-01-03,2,BBB,20.0"), "line 3: expected 5 fields, got 4"),
+            (with_rows(TICK_ROWS[0], "2007-01-03,1_0,AAA,1_1.5,1", *TICK_ROWS[1:]),
+             {("2007-01-03", "AAA"): [1, 10, 3], ("2007-01-03", "BBB"): [2]}),
+            (with_rows(TICK_ROWS[0], "2007-01-03,2,BÖRSE,20.0,1", TICK_ROWS[2]),
+             {("2007-01-03", "AAA"): [1, 3], ("2007-01-03", "BÖRSE"): [2]}),
+            ("", "empty ticks file; header row required"),
+        ],
+        ids=[
+            "plain", "crlf", "quoted-field", "padded-fields", "blank-line", "no-final-newline",
+            "header-only", "header-without-newline", "upper-case-header", "padded-header", "nonregular-xx",
+            "nonregular-negative", "bad-int", "negative-time", "nan-price", "zero-price",
+            "field-count", "underscore-digits", "non-ascii-instrument", "empty",
+        ],
+    )
+    def test_paths_agree(self, text, expected):
+        bulk = outcome(read_ticks_csv, text)
+        assert bulk == outcome(read_by_row, text)
+        if isinstance(expected, str):
+            assert bulk == expected
+        else:
+            assert {key: times for key, _, times, *_ in bulk} == expected
+
+    def test_plain_input_never_reaches_the_row_loop(self, monkeypatch):
+        monkeypatch.setattr(serialize, "_tick_rows", None)
+        monkeypatch.setattr(serialize, "_CHUNK_CHARS", 40)
+        assert outcome(read_ticks_csv, with_rows(*TICK_ROWS * 20))[0][2] == [1, 3] * 20
+        plain = with_rows(*(row[: row.rindex(",")] for row in TICK_ROWS), head=TICKS_HEAD[:-8])
+        assert {key: times for key, _, times, *_ in outcome(read_ticks_csv, plain)} == TWO_GROUPS
+
+    def test_bad_row_in_a_later_chunk_is_named(self, monkeypatch):
+        monkeypatch.setattr(serialize, "_CHUNK_CHARS", 64)
+        rows = [f"2007-01-03,{t},AAA,10.0,1" for t in range(100)]
+        rows[70] = "2007-01-03,70,AAA,-1,1"
+        assert outcome(read_ticks_csv, with_rows(*rows)) == "line 72: nonpositive price -1.0"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["2007-01-03", "2007-01-04"]),
+                st.integers(-1, 300).map(str),
+                # rare faults, so that many inputs stay plain enough for the bulk path
+                st.sampled_from(["AAA", "BBB"] * 30 + ["É"]),
+                st.sampled_from(["10.0", "7", "1e3", "2.25"] * 30 + ["0", "-2.5", "nan", "1_0"]),
+                st.sampled_from(["1", "0", "true", "T", "no", "Yes"]),
+            ),
+            max_size=25,
+        ),
+        regular=st.booleans(),
+        edits=st.lists(st.tuples(st.floats(0, 1), st.sampled_from(CSV_EDITS)), max_size=3),
+        chunk=st.sampled_from([1, 32, 1 << 18]),
+    )
+    def test_perturbed_inputs_agree(self, rows, regular, edits, chunk):
+        width = 5 if regular else 4
+        head = ",".join(TICKS_HEAD.split(",")[:width])
+        text = perturb(with_rows(*(",".join(row[:width]) for row in rows), head=head), edits)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "_CHUNK_CHARS", chunk)
+            assert outcome(read_ticks_csv, text) == outcome(read_by_row, text)
 
 
 class TestTradingDayValidation:

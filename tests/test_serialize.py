@@ -4,8 +4,12 @@ import stat
 
 import numpy as np
 import pytest
+from helpers import CSV_EDITS, perturb
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import (
+    DataFormatError,
     FitBatch,
     GarchParams,
     PPGrid,
@@ -138,6 +142,86 @@ class TestDaySerialization:
             [DayRejection("AAA", "2007-01-03", "insufficient liquidity")]
         )
         assert text == "date,instrument,reason\n2007-01-03,AAA,insufficient liquidity\n"
+
+
+DAY_COLUMNS = {serialize.DAY_HEADER: ((1, float),)}
+SIM_COLUMNS = {serialize.SIM_HEADER: ((1, float),)}
+CURVE_COLUMNS = serialize._CURVE_COLUMNS
+
+
+def columns_outcome(read, text, columns):
+    """The header and each array's dtype and bytes, or the error text."""
+    try:
+        header, *arrays = read(text, columns, "test CSV")
+    except Exception as exc:  # the type counts too: only DataFormatError is expected
+        return str(exc) if isinstance(exc, DataFormatError) else repr(exc)
+    return header, [(a.dtype, a.tobytes()) for a in arrays]
+
+
+class TestColumnReaderPaths:
+    """_read_columns in bulk and one row at a time give the same arrays or error."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("second,price\n0,10.5\n1,11.0\n", [10.5, 11.0]),
+            ("second,price\r\n0,10.5\r\n1,11.0\r\n", [10.5, 11.0]),
+            ("second,price\n0, 10.5\n1,11.0 \n", [10.5, 11.0]),
+            ("second,price\n0,10.5\n\n1,11.0\n", [10.5, 11.0]),
+            ("second,price\n0,10.5\n1,11.0", [10.5, 11.0]),
+            ("\nsecond,price\n0,10.5\n1,11.0\n", [10.5, 11.0]),
+            ("second,price\n", []),
+            ("second,price", []),
+            ("second,price\n0,1_0.5\n1,nan\n", [10.5, float("nan")]),
+            ("second,price\n0,10.5\n1,1é\n", "line 3: '1é' is not a number"),
+            ("second,price\n0,10.5\n1,\n", "line 3: '' is not a number"),
+            ("second,price\n0,10.5\n1,11.0,3\n", "line 3: expected 2 field(s), got 3"),
+            ("second,prices\n0,10.5\n", "unrecognized header"),
+        ],
+        ids=[
+            "plain", "crlf", "padded", "blank-line", "no-final-newline", "leading-blank-line",
+            "header-only", "header-without-newline", "underscore-and-nan", "non-ascii-value",
+            "empty-value", "field-count", "unknown-header",
+        ],
+    )
+    def test_day_paths_agree(self, text, expected):
+        bulk = columns_outcome(serialize._read_columns, text, DAY_COLUMNS)
+        assert bulk == columns_outcome(serialize._read_columns_by_row, text, DAY_COLUMNS)
+        if isinstance(expected, str):
+            assert expected in bulk
+        else:
+            assert bulk == ("second,price", [(np.dtype(float), np.array(expected, float).tobytes())])
+
+    def test_plain_input_never_reaches_the_row_loop(self, monkeypatch):
+        monkeypatch.setattr(serialize, "_read_columns_by_row", None)
+        monkeypatch.setattr(serialize, "_CHUNK_CHARS", 16)
+        params = GarchParams(kind="gjr", mu=0.0, omega=1e-5, alpha1=0.05, beta1=0.9, gamma1=0.06)
+        sim = simulate(params, 200, seed=4)
+        returns = serialize.returns_from_sim_csv(serialize.simulation_to_csv(sim))
+        assert np.array_equal(returns, sim.returns.values)
+        lags, values, ci = serialize.curve_arrays_from_csv("lag,qcf,ci\n0,1,0.1\n1,-0.25,0.1\n2,0.5,0.1\n")
+        assert lags.dtype == int and lags.tolist() == [0, 1, 2] and values.tolist() == [1, -0.25, 0.5]
+        assert ci == 0.1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["day", "sim", "curve"]),
+        values=st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), max_size=30),
+        edits=st.lists(st.tuples(st.floats(0, 1), st.sampled_from(CSV_EDITS)), max_size=3),
+        chunk=st.sampled_from([1, 32, 1 << 18]),
+    )
+    def test_perturbed_inputs_agree(self, kind, values, edits, chunk):
+        columns, rows = {
+            "day": (DAY_COLUMNS, [f"{i},{serialize.fmt(v)}" for i, v in enumerate(values)]),
+            "sim": (SIM_COLUMNS, [f"{i},{serialize.fmt(v)},{abs(v)!r}" for i, v in enumerate(values)]),
+            "curve": (CURVE_COLUMNS, [f"{i},{v!r}" for i, v in enumerate(values)]),
+        }[kind]
+        text = perturb("\n".join([next(iter(columns)), *rows]) + "\n", edits)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "_CHUNK_CHARS", chunk)
+            assert columns_outcome(serialize._read_columns, text, columns) == columns_outcome(
+                serialize._read_columns_by_row, text, columns
+            )
 
 
 class TestAtomicWrite:
