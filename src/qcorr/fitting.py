@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .garch import GarchParams, ModelKind, simulate, SimulationResult
+from .garch import GarchParams, ModelKind, SimulationResult, _simulate_seeds
 from .series import TimeSeries, as_values
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -310,7 +310,12 @@ def derived_seeds(seed: int, n_series: int) -> list[int]:
 def resimulate_experiment(
     params: GarchParams, n_series: int, length: int, seed: int, burn_in: int = 1000
 ) -> list[SimulationResult]:
-    """n_series independent simulations with seeds derived from one master seed."""
+    """n_series independent simulations with seeds derived from one master seed.
+
+    Series i is bit-identical to simulate(params, length,
+    derived_seeds(seed, n_series)[i], burn_in), but the series run
+    together in one variance recursion over rows of up to 256 values.
+    """
     if n_series < 1:
         raise ValueError("n_series must be positive")
-    return [simulate(params, length, s, burn_in) for s in derived_seeds(seed, n_series)]
+    return _simulate_seeds(params, length, derived_seeds(seed, n_series), burn_in)

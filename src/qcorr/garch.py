@@ -12,6 +12,13 @@ normal innovations z_t.  The variance recursions:
 
 The recursion is seeded at the unconditional variance (the log-variance
 fixed point for EGARCH) and a burn-in prefix is discarded.
+
+`simulate` runs one series through the scalar loop in `variance_path`.
+`fitting.resimulate_experiment` runs many series through `_simulate_seeds`,
+one recursion over rows that hold one value per series.  It uses the
+same operations in the same order, and `math.exp` for EGARCH as the
+scalar loop does, so each of its series is bit-identical to `simulate`
+at that seed.
 """
 
 from __future__ import annotations
@@ -29,6 +36,12 @@ E_ABS_NORMAL = math.sqrt(2.0 / math.pi)
 
 # Identity of the deterministic generator behind `seed`, recorded in metadata.
 GENERATOR = "numpy.random.default_rng (PCG64)"
+
+# Series per block of the many-series recursion.  A step costs a few numpy
+# calls of any width, so wide blocks are cheaper per series: 1370 steps took
+# 343 us per series at width 32, 70 at 256 and 30 at 1024 (2-core Xeon).
+# 256 bounds the innovation buffer at about 2.7 MiB for 1370 steps.
+_BLOCK_SERIES = 256
 
 
 class ModelKind(str, enum.Enum):
@@ -168,6 +181,25 @@ def variance_path(
     return eps, sigma2
 
 
+def _check_lengths(length: int, burn_in: int) -> None:
+    if length < 2:
+        raise ValueError("length must be at least 2")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
+
+
+def _result(params: GarchParams, seed: int, burn_in: int, eps, sigma2) -> SimulationResult:
+    """The SimulationResult of simulate() from its kept eps and sigma2."""
+    label = f"{params.kind.value}-sim-seed{seed}"
+    returns = TimeSeries(params.mu + eps, step=1.0, label=label)
+    return SimulationResult(
+        returns=returns,
+        variances=sigma2,
+        innovations_seed=int(seed),
+        burn_in=int(burn_in),
+    )
+
+
 def simulate(
     params: GarchParams, length: int, seed: int, burn_in: int = 1000
 ) -> SimulationResult:
@@ -176,18 +208,63 @@ def simulate(
     Deterministic given (params, length, seed, burn_in): innovations come
     from numpy's default generator seeded with `seed`.
     """
-    if length < 2:
-        raise ValueError("length must be at least 2")
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
+    _check_lengths(length, burn_in)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(burn_in + length)
     eps, sigma2 = variance_path(params, z)
-    label = f"{params.kind.value}-sim-seed{seed}"
-    returns = TimeSeries(params.mu + eps[burn_in:], step=1.0, label=label)
-    return SimulationResult(
-        returns=returns,
-        variances=sigma2[burn_in:],
-        innovations_seed=int(seed),
-        burn_in=int(burn_in),
-    )
+    return _result(params, seed, burn_in, eps[burn_in:], sigma2[burn_in:])
+
+
+def _variance_rows(
+    params: GarchParams, z: np.ndarray, burn_in: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """variance_path on every column of z at once, from its default start,
+    keeping only rows t >= burn_in: (eps, sigma2), each of shape
+    (len(z) - burn_in, columns).
+
+    Each step runs variance_path's operations in its order on a whole row,
+    so every column is bit-identical to variance_path on that column.
+    """
+    steps, width = z.shape
+    sigma2 = np.empty((steps - burn_in, width))
+    omega, alpha1, beta1, gamma1 = params.omega, params.alpha1, params.beta1, params.gamma1
+    if params.kind is ModelKind.EGARCH:
+        logv = np.full(width, omega / (1.0 - beta1))
+        for t, row in enumerate(z):
+            if t >= burn_in:
+                # math.exp as in variance_path: np.exp differs from it in the
+                # last bit on about 1 value in 20.
+                sigma2[t - burn_in] = np.fromiter(map(math.exp, logv.tolist()), float, width)
+            logv = omega + alpha1 * (np.abs(row) - E_ABS_NORMAL) + gamma1 * row + beta1 * logv
+    else:
+        v = np.full(width, unconditional_variance(params))
+        arch_negative = alpha1 + gamma1
+        for t, row in enumerate(z):
+            if t >= burn_in:
+                sigma2[t - burn_in] = v
+            eps = np.sqrt(v) * row
+            v = omega + np.where(eps < 0.0, arch_negative, alpha1) * eps * eps + beta1 * v
+    return np.sqrt(sigma2) * z[burn_in:], sigma2
+
+
+def _simulate_seeds(
+    params: GarchParams, length: int, seeds: list[int], burn_in: int
+) -> list[SimulationResult]:
+    """[simulate(params, length, s, burn_in) for s in seeds], bit for bit, with
+    the variance recursion run over all series at once, in blocks of
+    _BLOCK_SERIES."""
+    _check_lengths(length, burn_in)
+    steps = burn_in + length
+    results = []
+    for first in range(0, len(seeds), _BLOCK_SERIES):
+        block = seeds[first : first + _BLOCK_SERIES]
+        z = np.empty((steps, len(block)))  # one column of innovations per series
+        for column, seed in enumerate(block):
+            z[:, column] = np.random.default_rng(seed).standard_normal(steps)
+        eps, sigma2 = _variance_rows(params, z, burn_in)
+        del z  # freed before the per-series copies below
+        results += [
+            _result(params, seed, burn_in, eps[:, column], sigma2[:, column])
+            for column, seed in enumerate(block)
+        ]
+    return results

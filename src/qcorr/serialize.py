@@ -188,15 +188,17 @@ def _read_columns_by_row(text: str, columns: dict, what: str) -> tuple:
     for (_, kind), strings in zip(wanted, by_column):
         try:
             arrays.append(np.array(list(map(kind, strings)), dtype=kind))
-        except ValueError:
+        except (ValueError, OverflowError):
             rows = text.splitlines()[start + 1 :]
             numbers = [n for n, line in enumerate(rows, start + 2) if line.strip()]
             for number, value in zip(numbers, strings):
-                try:
-                    kind(value)
+                try:  # as the bulk conversion: int() takes any size, the int64 array does not
+                    np.array([kind(value)], dtype=kind)
                 except ValueError:
                     name = "an integer" if kind is int else "a number"
                     raise DataFormatError(f"line {number}: {value!r} is not {name}") from None
+                except OverflowError:
+                    raise DataFormatError(f"line {number}: {value!r} is out of range") from None
     return (header, *arrays)
 
 

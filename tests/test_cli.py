@@ -309,6 +309,26 @@ class TestFitResimCommands:
         returns = serialize.returns_from_sim_csv((resim_dir / "sim_0000.csv").read_text())
         assert returns.size == 370
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--length", 1, "length must be at least 2"),
+            ("--burn-in", -1, "burn_in must be nonnegative"),
+            ("--n-series", 0, "n_series must be positive"),
+        ],
+    )
+    def test_resim_rejects_bad_sizes_without_output(self, tmp_path, capsys, flag, value, message):
+        params = tmp_path / "params.json"
+        params.write_text(serialize.params_to_json(
+            GarchParams(kind="gjr", mu=0.0, omega=0.05, alpha1=0.05, beta1=0.9, gamma1=0.06)))
+        sizes = {"--n-series": 2, "--length": 50, "--burn-in": 10, flag: value}
+        out = tmp_path / "resim"
+        args = ["resim", "--params", params, *(x for item in sizes.items() for x in item), "--out", out]
+        assert run(args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == message
+        assert not out.exists()
+
 
 class TestPpgridCommand:
     def test_default_sim_lags(self, tmp_path):
@@ -491,9 +511,11 @@ class TestErrorHandling:
              "wrong type"),
             ("asym", "curve.json", "[1, 2]", "must be an object"),
             ("asym", "curve.csv", "lag,qcf\n1.5,0.1\n", "line 2"),
+            ("asym", "curve.csv", "lag,qcf\n0,1\n99999999999999999999999,0.5\n", "line 3"),
         ],
         ids=["sim-row-without-comma", "day-row-without-comma", "params-not-object",
-             "params-null-field", "curve-json-not-object", "curve-csv-fractional-lag"],
+             "params-null-field", "curve-json-not-object", "curve-csv-fractional-lag",
+             "curve-csv-lag-beyond-int64"],
     )
     def test_malformed_input_reports_one_error(self, tmp_path, capsys, command, name, text, reason):
         src = tmp_path / name

@@ -17,6 +17,7 @@ from qcorr import (
     resimulate_experiment,
     simulate,
 )
+from qcorr.garch import _BLOCK_SERIES
 from qcorr.fitting import START_POINTS, _negative_ll_and_score, _pack, _unpack, derived_seeds
 
 GJR_UNIT = GarchParams(kind="gjr", mu=0.0, omega=1.0, alpha1=0.0, beta1=0.0, gamma1=0.0)
@@ -282,7 +283,29 @@ class TestResimulate:
         sims = resimulate_experiment(RECOVERY_TRUE, n_series=1, length=500, seed=42)
         expected = simulate(RECOVERY_TRUE, length=500, seed=derived_seeds(42, 1)[0])
         assert np.array_equal(sims[0].returns.values, expected.returns.values)
+        assert np.array_equal(sims[0].variances, expected.variances)
         assert sims[0].innovations_seed == expected.innovations_seed
+
+    @pytest.mark.parametrize("n_series", [1, 5, _BLOCK_SERIES + 3])
+    @pytest.mark.parametrize("burn_in", [0, 1000])
+    @pytest.mark.parametrize("kind", ["garch", "gjr", "egarch"])
+    def test_every_series_is_simulate_bit_for_bit(self, kind, burn_in, n_series):
+        # The many-series recursion against the scalar loop.  The egarch
+        # parameters put exp on values where np.exp and math.exp disagree.
+        params = {
+            "garch": GarchParams(kind="garch", mu=-0.002, omega=0.1, alpha1=0.1, beta1=0.85),
+            "gjr": GarchParams(kind="gjr", mu=0.001, omega=0.05, alpha1=0.04, beta1=0.88, gamma1=0.1),
+            "egarch": GarchParams(kind="egarch", mu=0.0, omega=-0.1, alpha1=0.15, beta1=0.95, gamma1=-0.08),
+        }[kind]
+        sims = resimulate_experiment(params, n_series, length=200, seed=9, burn_in=burn_in)
+        seeds = derived_seeds(9, n_series)
+        assert len(sims) == n_series
+        for sim, seed in zip(sims, seeds):
+            expected = simulate(params, 200, seed, burn_in)
+            assert np.array_equal(sim.returns.values, expected.returns.values)
+            assert np.array_equal(sim.variances, expected.variances)
+            assert (sim.returns.label, sim.innovations_seed, sim.burn_in) == (
+                expected.returns.label, expected.innovations_seed, expected.burn_in)
 
     def test_deterministic_batch(self):
         a = resimulate_experiment(RECOVERY_TRUE, n_series=5, length=370, seed=7)
@@ -300,3 +323,17 @@ class TestResimulate:
     def test_n_series_positive(self):
         with pytest.raises(ValueError, match="n_series"):
             resimulate_experiment(RECOVERY_TRUE, n_series=0, length=100, seed=0)
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            (dict(length=1), "length must be at least 2"),
+            (dict(burn_in=-1), "burn_in must be nonnegative"),
+            (dict(n_series=0, length=1), "n_series must be positive"),
+        ],
+        ids=["length", "burn-in", "n-series-first"],
+    )
+    def test_invalid_sizes_keep_their_messages(self, sizes, message):
+        args = dict(n_series=2, length=100, seed=0, burn_in=10) | sizes
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            resimulate_experiment(RECOVERY_TRUE, **args)

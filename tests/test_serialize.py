@@ -192,6 +192,16 @@ class TestColumnReaderPaths:
         else:
             assert bulk == ("second,price", [(np.dtype(float), np.array(expected, float).tobytes())])
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["bulk", "row-loop"])
+    @pytest.mark.parametrize("lag", ["99999999999999999999999", "-9223372036854775809"])
+    def test_lag_beyond_int64_is_named(self, newline, lag):
+        text = newline.join(["lag,qcf", "0,1", f"{lag},0.5", ""])
+        outcome = columns_outcome(serialize._read_columns, text, CURVE_COLUMNS)
+        assert outcome == columns_outcome(serialize._read_columns_by_row, text, CURVE_COLUMNS)
+        assert outcome == f"line 3: {lag!r} is out of range"
+        with pytest.raises(DataFormatError, match="line 3"):
+            serialize.curve_arrays_from_csv(text)
+
     def test_plain_input_never_reaches_the_row_loop(self, monkeypatch):
         monkeypatch.setattr(serialize, "_read_columns_by_row", None)
         monkeypatch.setattr(serialize, "_CHUNK_CHARS", 16)
