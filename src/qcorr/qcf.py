@@ -11,6 +11,7 @@ qcf(-l; alpha, beta) = qcf(l; beta, alpha).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,11 +28,14 @@ VALUE_TOL = 1e-12
 Z_95 = 1.96
 
 
+@functools.lru_cache(maxsize=1024)
 def _order_index(p: float, n: int) -> int:
     """1-based order-statistic index ceil(p*n), tolerant of float noise.
 
     p*n that is an integer up to ~1e-9 (e.g. 0.05 * 5000) counts as exact,
-    so it is not bumped up a rank by binary representation error.
+    so it is not bumped up a rank by binary representation error.  Cached:
+    a grid asks for the same few levels at the same length call after call,
+    and the lookup costs a fifth of the arithmetic.
     """
     target = p * n
     nearest = round(target)
@@ -39,15 +43,19 @@ def _order_index(p: float, n: int) -> int:
     return min(max(k, 1), n)
 
 
-def _thresholds(values: np.ndarray, ps) -> np.ndarray:
-    """Order statistics x_(ceil(p*T)) for every level p, from one partition."""
-    ks = [_order_index(p, values.size) - 1 for p in ps]
-    return np.partition(values, ks)[ks]
+def _thresholds(ordered: np.ndarray, ps) -> np.ndarray:
+    """Order statistics x_(ceil(p*T)) for every level p, read from the sorted values.
+
+    Callers sort once with np.sort: the order statistics are the same as
+    np.partition's bit for bit, and at T=22140 the sort takes about a
+    sixth of the time of a 19-index partition.
+    """
+    return ordered[[_order_index(p, ordered.size) - 1 for p in ps]]
 
 
 def empirical_quantile(x, level: float | ProbabilityLevel) -> float:
     """Order statistic x_(ceil(p*T)) of the sorted values; the minimum for p = 0."""
-    return float(_thresholds(as_values(x), [as_level(level).p])[0])
+    return float(_thresholds(np.sort(as_values(x)), [as_level(level).p])[0])
 
 
 @dataclass(frozen=True)
@@ -169,22 +177,29 @@ class QcfCurve:
 
 def _centered(bits: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray]:
     """Centered float rows of a (k, T) 0/1 array at levels ps, and each row's sum of squares."""
-    # Centered in place: a second (k, T) temporary per call made the heap
-    # shrink and regrow, so every call paid page faults for fresh pages.
+    # Centered in place: a second float temporary per call made the heap
+    # shrink and regrow on long series, so every call paid page faults for
+    # fresh pages.  Only the curve estimators use these rows, one or two
+    # per call.
     centered = np.array(bits, dtype=float)
     centered -= centered.mean(axis=1, keepdims=True)
     sumsq = np.array([np.dot(row, row) for row in centered])
+    _refuse_degenerate(ps, sumsq)
+    return centered, sumsq
+
+
+def _refuse_degenerate(ps, sumsq) -> None:
+    """Raise for the first level, in the order of ps, whose filtered series is constant."""
     for p, s in zip(ps, sumsq):
         if s == 0.0:
             raise DegenerateLevelError(
                 f"degenerate quantile level: filtered series at p={p} is constant"
             )
-    return centered, sumsq
 
 
 def _centered_levels(values: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray]:
     """Filter values at every level in ps and center the rows (see _centered)."""
-    return _centered(values <= _thresholds(values, ps)[:, None], ps)
+    return _centered(values <= _thresholds(np.sort(values), ps)[:, None], ps)
 
 
 def _check_max_lag(max_lag: int, length: int) -> int:
@@ -393,8 +408,19 @@ def pp_grid(x, levels, lag: int) -> PPGrid:
     """Quantile correlation at one fixed lag for every pair of levels.
 
     Negative lags use the swap identity, so grid(l) is the transpose of
-    grid(-l) for a single series.  The grid is one product of the centered
-    level rows, C[:, :T-l] @ C[:, l:].T, over the denominators.
+    grid(-l) for a single series.
+
+    The filters 1[x <= q_i] are nested, so every lagged pair sum is read
+    from integer counts.  A value's bucket is the number of distinct
+    thresholds below it; one bincount of the bucket pairs (t, t + m) is a
+    histogram whose 2-D cumulative sum N_ij counts the t < T - m with
+    x_t <= q_i and x_{t+m} <= q_j.  With the level counts c_i, f_i = c_i / T
+    and the marginals of N, h_i = #{t < T - m : x_t <= q_i} and
+    g_j = #{t < T - m : x_{t+m} <= q_j}, the centered lagged sum is
+    N - (h f' + f g') + (T - m) f f', and the denominators are
+    s_i = c_i (1 - f_i).  The grid is built on the distinct thresholds and
+    expanded to the requested levels, so levels that share a threshold
+    share a row and read exactly 1 against each other at lag 0.
     """
     values = as_values(x)
     T = values.size
@@ -406,13 +432,35 @@ def pp_grid(x, levels, lag: int) -> PPGrid:
     for lvl in lvls:
         if not 0.0 < lvl.p < 1.0:
             raise ValueError(f"grid levels must be strictly inside (0, 1), got {lvl.p}")
-    centered, sumsq = _centered_levels(values, [lvl.p for lvl in lvls])
-    products = centered[:, : T - m] @ centered[:, m:].T
+    ps = [lvl.p for lvl in lvls]
+    ordered = np.sort(values)
+    per_level = _thresholds(ordered, ps)
+    thresholds = np.array(sorted(set(per_level.tolist())))
+    expand = np.searchsorted(thresholds, per_level)
+    counts = np.searchsorted(ordered, thresholds, side="right")
+    f = counts / T
+    sumsq = counts * (1.0 - f)
+    _refuse_degenerate(ps, sumsq[expand])
+    # x_t <= thresholds[i] iff bucket_t <= i.  The comparisons are summed
+    # through a uint8 view, which needs no cast, into the smallest dtype that
+    # holds every bucket; K * K fits no dtype that small, so pairs are intp.
+    bucket = (values > thresholds[:, None]).view(np.uint8).sum(
+        axis=0, dtype=np.min_scalar_type(thresholds.size)
+    )
+    K = thresholds.size + 1
+    pair = np.multiply(bucket[: T - m], K, dtype=np.intp)
+    pair += bucket[m:]
+    joint = np.bincount(pair, minlength=K * K).reshape(K, K).cumsum(axis=0).cumsum(axis=1)
+    head, tail = joint[:-1, -1], joint[-1, :-1]
+    # One sum for both cross terms: at lag 0, head == tail and the sum
+    # stays exactly symmetric, which subtracting them in turn does not.
+    fc = f[:, None]
+    products = joint[:-1, :-1] - (head[:, None] * f + fc * tail) + (T - m) * (fc * f)
     if m == 0:
-        # The lag-0 diagonal holds each row's sum of squares; take the np.dot
-        # sums the denominators use, so the diagonal is exactly 1.
+        # The lag-0 diagonal is each level's own sum of squares; s / sqrt(s * s)
+        # is exactly 1.
         np.fill_diagonal(products, sumsq)
-    matrix = products / np.sqrt(np.outer(sumsq, sumsq))
+    matrix = (products / np.sqrt(np.outer(sumsq, sumsq)))[expand[:, None], expand]
     return PPGrid(lag=lag, levels=tuple(lvls), matrix=matrix if lag >= 0 else matrix.T)
 
 

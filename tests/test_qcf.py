@@ -376,8 +376,8 @@ class TestAsymmetry:
 
 
 class TestPPGrid:
-    # The tie-heavy inputs are long, so the grid's matrix product and the
-    # np.dot sums of squares in the denominators can round differently.
+    # In the tie-heavy inputs several levels share one threshold, so the
+    # grid is built on fewer distinct thresholds and expanded by rank.
     @pytest.mark.parametrize(
         "x, levels",
         [
@@ -417,6 +417,61 @@ class TestPPGrid:
                 expected = oracle_qcf(x.tolist(), a, b, abs(lag))[lag]
                 assert grid.matrix[i, j] == pytest.approx(expected, abs=1e-12)
 
+    # At T=22140 subtracting the two cross terms one at a time breaks the
+    # symmetry; at T=5000 it happens to survive.
+    @pytest.mark.parametrize("T", [5000, 22140])
+    def test_lag_zero_is_exactly_symmetric(self, T):
+        for x in (np.random.default_rng(4).standard_normal(T), tie_heavy(T, seed=4)):
+            grid = pp_grid(x, LEVEL_GRID, 0).matrix
+            assert np.array_equal(grid, grid.T)
+
+    def test_shared_threshold_pairs_read_one_at_lag_zero(self):
+        x = tie_heavy(5000, seed=2)
+        grid = pp_grid(x, LEVEL_GRID, 0).matrix
+        thresholds = [empirical_quantile(x, p) for p in LEVEL_GRID]
+        shared = [
+            (i, j)
+            for i in range(len(LEVEL_GRID))
+            for j in range(len(LEVEL_GRID))
+            if i != j and thresholds[i] == thresholds[j]
+        ]
+        assert len(shared) == 12
+        assert all(grid[i, j] == 1.0 for i, j in shared)
+        assert np.array_equal(grid, grid.T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_on_short_tie_heavy_series(self, data):
+        T = data.draw(st.integers(8, 200), label="T")
+        support = data.draw(st.lists(st.integers(-3, 3), min_size=2, max_size=4, unique=True))
+        xs = data.draw(st.lists(st.sampled_from(support), min_size=T, max_size=T))
+        levels = data.draw(st.lists(st.sampled_from(LEVEL_GRID), min_size=1, max_size=5))
+        # Unsorted levels with at least one duplicate.
+        levels = levels + [levels[0]]
+        m = data.draw(st.integers(0, (T - 1) // 2), label="m")
+        x = np.array(xs, dtype=float)
+        if any(oracle_quantile(xs, p) == max(xs) for p in levels):
+            with pytest.raises(DegenerateLevelError):
+                pp_grid(x, levels, m)
+            return
+        oracle = {(a, b): oracle_qcf(xs, a, b, m) for a in set(levels) for b in set(levels)}
+        for lag in range(-m, m + 1):
+            grid = pp_grid(x, levels, lag).matrix
+            for i, a in enumerate(levels):
+                for j, b in enumerate(levels):
+                    assert grid[i, j] == pytest.approx(oracle[(a, b)][lag], abs=1e-12)
+            if lag > 0:
+                assert np.array_equal(grid, pp_grid(x, levels, -lag).matrix.T)
+
+    def test_more_than_255_distinct_thresholds(self):
+        # Buckets then run past 255, so they cannot be held in uint8.
+        x = np.random.default_rng(6).standard_normal(1000)
+        levels = [i / 400 for i in range(1, 400)]
+        grid = pp_grid(x, levels, 3).matrix
+        for i, j in [(0, 398), (300, 10), (255, 256), (398, 398), (397, 1)]:
+            expected = qcf(x, levels[i], levels[j], 3).value_at(3)
+            assert grid[i, j] == pytest.approx(expected, abs=1e-12)
+
     def test_rejects_boundary_levels(self):
         with pytest.raises(ValueError, match="strictly inside"):
             pp_grid(np.arange(20.0), [0.0, 0.5], 1)
@@ -424,6 +479,13 @@ class TestPPGrid:
     def test_degenerate_from_ties(self):
         with pytest.raises(DegenerateLevelError):
             pp_grid(np.ones(40), [0.5], 1)
+
+    def test_degenerate_message_names_first_level_in_input_order(self):
+        # Levels 0.5 and above threshold at the repeated maximum; 0.9 comes
+        # first in the input although 0.5 is the lowest of them.
+        x = np.concatenate([np.arange(10.0), np.full(30, 10.0)])
+        with pytest.raises(DegenerateLevelError, match=r"at p=0\.9 is constant"):
+            pp_grid(x, [0.1, 0.9, 0.2, 0.5, 0.8], 1)
 
 
 class TestQcfCurveValidation:
