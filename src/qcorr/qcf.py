@@ -43,6 +43,19 @@ def _order_index(p: float, n: int) -> int:
     return min(max(k, 1), n)
 
 
+@functools.lru_cache(maxsize=256)
+def _grid_levels(ps: tuple[float, ...]) -> tuple[ProbabilityLevel, ...]:
+    """The levels of a p-p grid, each strictly inside (0, 1).  Cached like
+    _order_index: a Monte Carlo run asks for the same levels call after call."""
+    if not ps:
+        raise ValueError("empty level grid")
+    levels = tuple(map(ProbabilityLevel, ps))
+    for level in levels:
+        if not 0.0 < level.p < 1.0:
+            raise ValueError(f"grid levels must be strictly inside (0, 1), got {level.p}")
+    return levels
+
+
 def _thresholds(ordered: np.ndarray, ps) -> np.ndarray:
     """Order statistics x_(ceil(p*T)) for every level p, read from the sorted values.
 
@@ -393,7 +406,7 @@ class PPGrid:
         n = len(self.levels)
         if n == 0 or matrix.shape != (n, n):
             raise ValueError("matrix must be square with one row/column per level")
-        if np.any(np.abs(matrix) > 1.0 + VALUE_TOL):
+        if np.abs(matrix).max() > 1.0 + VALUE_TOL:
             raise ValueError("grid entries must lie in [-1, 1] up to 1e-12")
         if self.n_averaged < 1:
             raise ValueError("n_averaged must be positive")
@@ -401,7 +414,11 @@ class PPGrid:
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "lag", int(self.lag))
-        object.__setattr__(self, "levels", tuple(as_level(l) for l in self.levels))
+        # A ProbabilityLevel is in range by construction, so a tuple of them,
+        # as pp_grid passes, is kept as it is.
+        levels = self.levels
+        if type(levels) is not tuple or not all(type(l) is ProbabilityLevel for l in levels):
+            object.__setattr__(self, "levels", tuple(map(as_level, levels)))
 
 
 def pp_grid(x, levels, lag: int) -> PPGrid:
@@ -426,13 +443,8 @@ def pp_grid(x, levels, lag: int) -> PPGrid:
     T = values.size
     lag = int(lag)
     m = _check_max_lag(abs(lag), T)
-    lvls = [as_level(l) for l in levels]
-    if not lvls:
-        raise ValueError("empty level grid")
-    for lvl in lvls:
-        if not 0.0 < lvl.p < 1.0:
-            raise ValueError(f"grid levels must be strictly inside (0, 1), got {lvl.p}")
-    ps = [lvl.p for lvl in lvls]
+    ps = tuple(map(float, levels))
+    lvls = _grid_levels(ps)
     ordered = np.sort(values)
     per_level = _thresholds(ordered, ps)
     thresholds = np.array(sorted(set(per_level.tolist())))
@@ -461,7 +473,7 @@ def pp_grid(x, levels, lag: int) -> PPGrid:
         # is exactly 1.
         np.fill_diagonal(products, sumsq)
     matrix = (products / np.sqrt(np.outer(sumsq, sumsq)))[expand[:, None], expand]
-    return PPGrid(lag=lag, levels=tuple(lvls), matrix=matrix if lag >= 0 else matrix.T)
+    return PPGrid(lag=lag, levels=lvls, matrix=matrix if lag >= 0 else matrix.T)
 
 
 def average_grids(grids: list[PPGrid]) -> PPGrid:

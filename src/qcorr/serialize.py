@@ -1,8 +1,14 @@
 """Every file format qcorr writes and reads back: CSV tables and JSON documents.
 
 Data values are written with 17 significant digits so every IEEE double
-round-trips exactly.  Writes go through a temp file plus rename so partial
-outputs are never left behind.  The tick input format is read here too.
+round-trips exactly: the bytes of format(v, ".17g"), laid out for whole
+blocks of rows by one vectorized pass that falls back to format() for each
+value whose rounding it cannot certify.  Writes go through a temp file plus
+rename so partial outputs are never left behind.  The tick input format is
+read here too.
+
+The index column of a day or simulation CSV must read 0, 1, ..., n - 1; a
+simulation's variance column is never parsed.
 
 Every CSV reader first tries one bulk splitter, which converts whole columns
 of ~256 KiB runs of lines at a time.  Input it does not take as plain (quotes,
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -46,6 +53,9 @@ REJECTION_HEADER = "date,instrument,reason"
 ASYM_HEADER = "dataset,year,delta,area_neg,area_pos,max_lag"
 ASYM_SUMMARY_HEADER = "Dataset,Year,dA"
 
+# Headers whose first column is the row index 0, 1, ..., n - 1, which the
+# readers require.
+_INDEXED_HEADERS = (DAY_HEADER, SIM_HEADER)
 # Series inputs by header: the kind of series and the column holding it.
 SERIES_HEADERS = {DAY_HEADER: ("day", 1), SIM_HEADER: ("sim", 1), VALUES_HEADER: ("value", 0)}
 _CURVE_COLUMNS = {CURVE_HEADER: ((0, int), (1, float)), CURVE_HEADER_CI: ((0, int), (1, float), (2, float))}
@@ -67,13 +77,216 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _floats(values) -> list[str]:
-    return [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
+# --- CSV tables ------------------------------------------------------------
+#
+# A table is laid out in blocks of rows as a uint8 matrix: each field in a
+# fixed-width slot padded with _PAD, then its separator.  One bytes.translate
+# drops the padding; _PAD never occurs in UTF-8 text.
+#
+# Floats are written by one vectorized pass with the bytes of %.17g.  A value
+# v on the fast path is scaled to y = |v| * 10**(16 - k), k = floor(log10 |v|),
+# as a double-double hi + lo (Dekker 1971): the exact Veltkamp product of |v|
+# with 10**s stored as hi + lo, plus |v| times that lo.  Its error is below
+# 2**-43, so when y lies in [1e16, 1e17) and its fraction is not within
+# 2**-30 of 1/2, D = round(y) are the 17 correctly rounded digits.  Every
+# other value (NaN, inf, 0, subnormal, beyond 1e+-280, exact and near ties,
+# which format() rounds half to even) is written by fmt().  The text is then
+# picked byte by byte from a 32-byte source row per value, "-0." and the 17
+# digits, 4 pad bytes, and the exponent text "e+XX" or "e-XXX", by a template
+# chosen by the value's sign, notation, exponent and digit count.
+
+_PAD = b"\xff"
+# The widest %.17g text of a double, "-1.2345678901234567e-308".
+_WIDTH = 24
+# Scale exponents s = 16 - k for |v| in (1e-280, 1e280); k may be off by one.
+_S_MIN, _S_MAX = -265, 298
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for doubles
+# Byte offsets in the source row.
+_SRC_POINT, _SRC_DIGITS, _SRC_PAD, _SRC_EXP, _SRC_WIDTH = 2, 3, 20, 24, 32
+# Exponent texts in the lookup table, for k in [-_EXP_BIAS, _EXP_BIAS).
+_EXP_BIAS = 300
+
+
+@functools.cache
+def _powers_of_ten() -> np.ndarray:
+    """Rows (hi, hi_hi, hi_lo, lo) for s in [_S_MIN, _S_MAX]: 10**s = hi + lo,
+    both correctly rounded, and hi = hi_hi + hi_lo split for the product."""
+    rows = []
+    for s in range(_S_MIN, _S_MAX + 1):
+        if s >= 0:
+            hi = float(10**s)
+            lo = float(10**s - int(hi))
+        else:  # int / int is correctly rounded, and hi = num / den exactly
+            hi = 1 / 10**-s
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * 10**-s) / (den * 10**-s)
+        c = _SPLIT * hi
+        rows.append((hi, c - (c - hi), hi - (c - (c - hi)), lo))
+    return np.array(rows)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**(16 - k) as a double-double (hi, lo) with |lo| <= ulp(hi) / 2:
+    the exact product of a and the power's hi, plus a times its lo."""
+    b, b_hi, b_lo, b_tail = _powers_of_ten().take(16 - _S_MIN - k, axis=0).T
+    product = a * b
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    err = ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    err += a * b_tail
+    hi = product + err
+    return hi, err - (hi - product)
+
+
+def _decade_shift(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """-1 where hi + lo < 1e16, +1 where hi + lo >= 1e17, else 0.
+
+    hi - edge is exact near each edge and, unless 0, larger than |lo|, so
+    the sign of (hi - edge) + lo is the sign of hi + lo - edge.
+    """
+    return ((hi - 1e17) + lo >= 0).astype(np.intp) - ((hi - 1e16) + lo < 0)
+
+
+@functools.cache
+def _layout_tables() -> tuple[np.ndarray, ...]:
+    """Lookup tables of the text layout.
+
+    ascii4 and zeros4: the four ASCII digits of each group 0..9999 as one
+    uint32, and the group's trailing zero count.  head: the source row's
+    first word, "-0." and the leading digit, for each leading digit.
+    exponents and forms, indexed by k + _EXP_BIAS: the exponent text as one
+    uint64, and 17 times the form, k + 4 for fixed notation (k in [-4, 16]),
+    21 and 22 for exponent notation with 2 and 3 exponent digits.
+    templates, indexed by (sign * 23 + form) * 17 + trailing zeros: the
+    source bytes of the text, padded to _WIDTH with the source's pad byte;
+    a negative value's text is its positive text after "-".
+    """
+    group = np.arange(10000)
+    ascii4 = (np.stack([group // 10**p % 10 for p in (3, 2, 1, 0)], axis=1) + ord("0")).astype(np.uint8)
+    zeros4 = sum((group % 10**p == 0) for p in range(1, 5))
+    head = np.frombuffer(b"".join(b"-0.%d" % d for d in range(10)), dtype=np.uint32)
+    k = np.arange(-_EXP_BIAS, _EXP_BIAS)
+    exponents = np.array([b"e%+03d" % e for e in k.tolist()], dtype="S8")
+    forms = np.where((k >= -4) & (k < 17), k + 4, np.where(np.abs(k) < 100, 21, 22)) * 17
+    positive = []
+    for form in range(23):
+        for trailing in range(17):
+            d = list(range(_SRC_DIGITS, _SRC_DIGITS + 17 - trailing))
+            if 4 <= form <= 20:  # k >= 0: the point after digit k
+                whole = list(range(_SRC_DIGITS, _SRC_DIGITS + form - 3))
+                part = d[form - 3 :]
+                text = whole + ([_SRC_POINT] + part if part else [])
+            elif form < 4:  # k < 0: "0.", then -k - 1 zeros, then the digits
+                text = [1, _SRC_POINT] + [1] * (3 - form) + d
+            else:
+                mantissa = d[:1] + ([_SRC_POINT] + d[1:] if len(d) > 1 else [])
+                text = mantissa + list(range(_SRC_EXP, _SRC_EXP + form - 17))
+            positive.append(text + [_SRC_PAD] * (_WIDTH - len(text)))
+    positive = np.array(positive)
+    negative = np.concatenate([np.zeros_like(positive[:, :1]), positive[:, :-1]], axis=1)  # "-" first
+    tables = ascii4.view(np.uint32).ravel(), zeros4, head, exponents.view(np.uint64), forms
+    return (*tables, np.concatenate([positive, negative]))
+
+
+def _format_g17(values: np.ndarray) -> np.ndarray:
+    """Row i holds the bytes of format(values[i], ".17g"), padded with _PAD."""
+    a = np.abs(values)
+    fast = (a > 1e-280) & (a < 1e280)
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scaled(a, k)
+    shift = _decade_shift(hi, lo)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        k[moved] += shift[moved]
+        hi[moved], lo[moved] = _scaled(a[moved], k[moved])
+        fast[moved] &= _decade_shift(hi[moved], lo[moved]) == 0
+    floor = np.floor(lo)
+    frac = lo - floor
+    fast &= np.abs(frac - 0.5) > 2.0**-30
+    digits = hi.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    carry = digits == 10**17  # y within 1/2 below 1e17 rounds up a decade
+    digits[carry] = 10**16
+    k += carry
+
+    ascii4, zeros4, head, exponents, forms, templates = _layout_tables()
+    upper, lower = np.divmod(digits, 10**8)
+    lead, upper = np.divmod(upper.astype(np.uint32), 10**8)
+    groups = [*np.divmod(upper, 10**4), *np.divmod(lower.astype(np.uint32), 10**4)]
+    k += _EXP_BIAS
+    src = np.empty((values.size, _SRC_WIDTH), dtype=np.uint8)
+    words = src.view(np.uint32)
+    words[:, 0] = head.take(lead)
+    for column, group in enumerate(groups, 1):
+        words[:, column] = ascii4.take(group)
+    words[:, _SRC_PAD // 4] = np.frombuffer(_PAD * 4, dtype=np.uint32)
+    src.view(np.uint64)[:, _SRC_EXP // 8] = exponents.take(k)
+    trailing = zeros4.take(groups[0])
+    for group in groups[1:]:
+        trailing = np.where(group == 0, trailing + 4, zeros4.take(group))
+    key = forms.take(k) + trailing
+    key[np.signbit(values)] += 23 * 17
+    picks = templates.take(key, axis=0)
+    picks += np.arange(0, src.size, _SRC_WIDTH)[:, None]
+    cells = src.ravel().take(picks)
+    for i in np.flatnonzero(~fast):
+        cells[i] = np.frombuffer(fmt(values[i]).encode().ljust(_WIDTH, _PAD), dtype=np.uint8)
+    return cells
+
+
+def _string_cells(strings: list[str]) -> np.ndarray:
+    """Row i holds the UTF-8 bytes of strings[i], padded with _PAD."""
+    encoded = [s.encode() for s in strings]
+    width = max([1, *map(len, encoded)])
+    padded = b"".join(e.ljust(width, _PAD) for e in encoded)
+    return np.frombuffer(padded, dtype=np.uint8).reshape(len(encoded), width)
+
+
+@functools.lru_cache(maxsize=2)
+def _row_index(n: int) -> tuple[list[str], np.ndarray]:
+    """The index column 0, 1, ..., n - 1 of a day or sim CSV, as strings and as
+    cells.  Cached for the writer and the reader alike: a run writes and
+    reads table after table of one length.  A million rows hold about 70 MB,
+    so only the last two lengths are kept."""
+    strings = list(map(str, range(n)))
+    return strings, _string_cells(strings)
 
 
 def _table(header: str, *columns) -> str:
-    """CSV text: the header, then one row per position of the string columns."""
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+    """CSV text: the header, then one row per position of the columns.
+
+    A column is a float array, each value written as format(v, ".17g"), the
+    row index range(n), a sequence of str, or one str for every row.  Rows
+    are laid out in blocks of about _CHUNK_CHARS bytes, every float of a
+    block in one _format_g17 call.
+    """
+    columns = [c if isinstance(c, (np.ndarray, range, str)) else list(c) for c in columns]
+    floats = [j for j, c in enumerate(columns) if isinstance(c, np.ndarray)]
+    n = len(columns[0])
+    step = max(1, _CHUNK_CHARS // ((_WIDTH + 1) * len(columns)))
+    pieces = [header, "\n"]
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        cells = {}
+        if floats:
+            block = np.stack([np.asarray(columns[j][start:stop], dtype=float) for j in floats], axis=1)
+            text = _format_g17(block.ravel()).reshape(stop - start, len(floats), _WIDTH)
+            cells = {j: text[:, i] for i, j in enumerate(floats)}
+        for j, column in enumerate(columns):
+            if isinstance(column, range):
+                cells[j] = _row_index(len(column))[1][start:stop]
+            elif isinstance(column, str):
+                cell = _string_cells([column])
+                cells[j] = np.broadcast_to(cell, (stop - start, cell.shape[1]))
+            elif j not in cells:
+                cells[j] = _string_cells(column[start:stop])
+        comma, newline = (np.full((stop - start, 1), ord(c), dtype=np.uint8) for c in ",\n")
+        fields = [part for j in range(len(columns)) for part in (cells[j], comma)]
+        fields[-1] = newline
+        line = np.concatenate(fields, axis=1)
+        pieces.append(line.tobytes().translate(None, _PAD).decode())
+    return "".join(pieces)
 
 
 def _dump(doc: dict) -> str:
@@ -154,10 +367,31 @@ def _read_columns(text: str, columns: dict, what: str) -> tuple:
     header, start = _first_line(text)
     if header in columns:
         width = header.count(",") + 1
-        arrays = _bulk_split(text, start, width, partial(_convert_columns, columns[header], width))
+        convert = partial(_convert_columns, columns[header], width)
+        if header in _INDEXED_HEADERS:
+            # On the bulk path every line after the header is a row.
+            rows = text.count("\n", start) + (not text.endswith("\n"))
+            convert = _checking_index(convert, width, _row_index(rows)[0])
+        arrays = _bulk_split(text, start, width, convert)
         if arrays is not None:
             return (header, *arrays)
     return _read_columns_by_row(text, columns, what)
+
+
+def _checking_index(convert, width: int, index: list[str]):
+    """convert, after requiring that the first column of each run of fields
+    continues the row index; a mismatch is left to the row loop to name."""
+    done = 0
+
+    def check(fields: list[str]):
+        nonlocal done
+        rows = len(fields) // width
+        if fields[0::width] != index[done : done + rows]:
+            raise ValueError("a row index the row loop must name")
+        done += rows
+        return convert(fields)
+
+    return check
 
 
 def _read_columns_by_row(text: str, columns: dict, what: str) -> tuple:
@@ -171,6 +405,7 @@ def _read_columns_by_row(text: str, columns: dict, what: str) -> tuple:
     width = header.count(",") + 1
     wanted = columns[header]
     pick = itemgetter(*(index for index, _ in wanted))
+    index_name = header.split(",")[0] if header in _INDEXED_HEADERS else None
     picked = []
     for number, line in enumerate(islice(lines, start + 1, None), start + 2):
         if not line.strip():
@@ -178,6 +413,8 @@ def _read_columns_by_row(text: str, columns: dict, what: str) -> tuple:
         fields = line.split(",")
         if len(fields) != width:
             raise DataFormatError(f"line {number}: expected {width} field(s), got {len(fields)}")
+        if index_name and fields[0].strip() != str(len(picked)):
+            raise DataFormatError(f"line {number}: {index_name} must be {len(picked)}, got {fields[0]!r}")
         picked.append(pick(fields))
     del lines  # the picked fields are all the conversion needs
     # itemgetter gives a bare field for one column and a tuple for several.
@@ -224,17 +461,19 @@ def series_from_csv(text: str) -> tuple[str, np.ndarray]:
 
 
 def values_to_csv(values) -> str:
-    return _table(VALUES_HEADER, _floats(values))
+    return _table(VALUES_HEADER, np.asarray(values, dtype=float))
 
 
 # --- quantile-correlation curves -------------------------------------------
 
 
 def curve_to_csv(curve: QcfCurve) -> str:
-    columns = [map(str, curve.lags.tolist()), _floats(curve.values)]
+    # Lags are integers far below 2**53, and the %.17g text of such a float
+    # is the integer's decimal text.
+    columns = [curve.lags.astype(float), curve.values]
     if curve.ci_half_width is None:
         return _table(CURVE_HEADER, *columns)
-    return _table(CURVE_HEADER_CI, *columns, [fmt(curve.ci_half_width)] * curve.lags.size)
+    return _table(CURVE_HEADER_CI, *columns, fmt(curve.ci_half_width))
 
 
 def curve_to_json(curve: QcfCurve) -> str:
@@ -273,7 +512,7 @@ def asymmetry_to_csv(rows: list[tuple[str, str, AsymmetryReport]]) -> tuple[str,
     away from zero, and every field at full precision; one row per input."""
     datasets, years, reports = zip(*rows)
     percents = [f"{int(math.copysign(math.floor(abs(r.delta) * 100.0 + 0.5), r.delta))}%" for r in reports]
-    areas = [_floats([getattr(r, name) for r in reports]) for name in ("delta", "area_neg", "area_pos")]
+    areas = [np.array([getattr(r, name) for r in reports], dtype=float) for name in ("delta", "area_neg", "area_pos")]
     return (
         _table(ASYM_SUMMARY_HEADER, datasets, years, percents),
         _table(ASYM_HEADER, datasets, years, *areas, [str(r.max_lag) for r in reports]),
@@ -285,7 +524,7 @@ def asymmetry_to_csv(rows: list[tuple[str, str, AsymmetryReport]]) -> tuple[str,
 
 def grid_to_csv(grid: PPGrid) -> str:
     levels = [str(l.p) for l in grid.levels]
-    return _table("alpha\\beta," + ",".join(levels), levels, *map(_floats, grid.matrix.T))
+    return _table("alpha\\beta," + ",".join(levels), levels, *grid.matrix.T)
 
 
 def grid_to_json(grid: PPGrid) -> str:
@@ -301,9 +540,7 @@ def grid_to_json(grid: PPGrid) -> str:
 
 
 def simulation_to_csv(sim: SimulationResult) -> str:
-    return _table(
-        SIM_HEADER, map(str, range(len(sim.returns))), _floats(sim.returns.values), _floats(sim.variances)
-    )
+    return _table(SIM_HEADER, range(len(sim.returns)), sim.returns.values, sim.variances)
 
 
 def simulation_meta(sim: SimulationResult, params: GarchParams) -> dict:
@@ -380,8 +617,8 @@ def batch_to_csv(batch: FitBatch) -> str:
     return _table(
         BATCH_HEADER,
         batch.fits.keys(),
-        *map(_floats, params),
-        _floats([f.log_likelihood for f in fits]),
+        *np.array(params, dtype=float),
+        np.array([f.log_likelihood for f in fits], dtype=float),
         ["true" if f.converged else "false" for f in fits],
     )
 
@@ -394,7 +631,7 @@ def excluded_to_csv(batch: FitBatch) -> str:
 
 
 def day_to_csv(day: TradingDay) -> str:
-    return _table(DAY_HEADER, map(str, range(day.prices.size)), _floats(day.prices))
+    return _table(DAY_HEADER, range(day.prices.size), day.prices)
 
 
 def prices_from_day_csv(text: str) -> np.ndarray:

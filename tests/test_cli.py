@@ -512,10 +512,13 @@ class TestErrorHandling:
             ("asym", "curve.json", "[1, 2]", "must be an object"),
             ("asym", "curve.csv", "lag,qcf\n1.5,0.1\n", "line 2"),
             ("asym", "curve.csv", "lag,qcf\n0,1\n99999999999999999999999,0.5\n", "line 3"),
+            ("qcf", "sim.csv", "t,return,variance\nx,0.1,1.0\n5,0.2,-3\n7,0.3,1\n2,0.1,1\nzz,0.5,abc\n",
+             "line 2: t must be 0, got 'x'"),
+            ("ppgrid", "day.csv", "second,price\n0,10.0\n2,10.5\n1,11.0\n", "line 3: second must be 1, got '2'"),
         ],
         ids=["sim-row-without-comma", "day-row-without-comma", "params-not-object",
              "params-null-field", "curve-json-not-object", "curve-csv-fractional-lag",
-             "curve-csv-lag-beyond-int64"],
+             "curve-csv-lag-beyond-int64", "sim-index-not-row-numbers", "day-index-out-of-order"],
     )
     def test_malformed_input_reports_one_error(self, tmp_path, capsys, command, name, text, reason):
         src = tmp_path / name

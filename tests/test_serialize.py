@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import stat
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -17,9 +19,13 @@ from qcorr import (
     QcfCurve,
     TradingDay,
     DayRejection,
+    build_index,
     fit_gjr,
     pp_grid,
     qcf_fast,
+    read_ticks_csv,
+    resample_day,
+    resimulate_experiment,
     simulate,
 )
 from qcorr.cli import main
@@ -65,6 +71,109 @@ class TestCurveSerialization:
     def test_seventeen_significant_digits(self):
         assert serialize.fmt(1.0 / 3.0) == "0.33333333333333331"
         assert float(serialize.fmt(0.1 + 0.2)) == 0.1 + 0.2
+
+
+def g17_lines(values) -> list[str]:
+    """The value lines values_to_csv writes for values."""
+    return serialize.values_to_csv(np.asarray(values, dtype=float)).split("\n")[1:-1]
+
+
+def reference_lines(values) -> list[str]:
+    return [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
+
+
+def powers_of_ten_and_neighbours() -> np.ndarray:
+    powers = np.array([float(f"1e{e}") for e in range(-300, 301)])
+    values = [powers]
+    below, above = powers, powers
+    for _ in range(3):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        values += [below, above]
+    return np.concatenate(values)
+
+
+def decade_edges() -> np.ndarray:
+    """Doubles at and next to 9.999999999999999eX, 1eX, 9.9999999999999999eX
+    and 9.99999999999999995eX: their 17 digits D sit on or next to 10**16 - 1,
+    10**16 and 10**17 - 1, where the decade of the scaled value decides the
+    exponent."""
+    texts = [f"{m}e{e}" for e in range(-300, 301) for m in ("9.999999999999999", "1.0000000000000000",
+                                                         "9.9999999999999999", "9.99999999999999995")]
+    centre = np.array([float(t) for t in texts])
+    return np.concatenate([centre, np.nextafter(centre, 0.0), np.nextafter(centre, np.inf)])
+
+
+def exact_ties() -> np.ndarray:
+    """Doubles with exactly 18 significant digits, the last a 5: format()
+    rounds them half to even."""
+    odd = np.arange(1, 20000, 2, dtype=float)
+    quarters = 2.0**50 + np.arange(1000) + 0.25  # 16 integer digits and ".25"
+    candidates = np.concatenate([odd * 2.0**-25, odd * 2.0**-30, odd * 2.0**10, quarters, quarters + 0.5])
+    ties = [v for v in candidates.tolist() if Decimal(v).as_tuple().digits[-1:] == (5,)
+            and len(Decimal(v).normalize().as_tuple().digits) == 18]
+    assert len(ties) > 2000
+    return np.array(ties)
+
+
+class TestSeventeenDigitColumns:
+    """The vectorized %.17g writer against format(v, ".17g"), value by value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(width=64),
+        st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                         1e-280, 1e280, 0.1 + 0.2]),
+    ), max_size=60))
+    def test_matches_format(self, values):
+        assert g17_lines(values) == reference_lines(values)
+
+    def test_million_random_bit_patterns(self):
+        bits = np.random.default_rng(20261018).integers(0, 2**64, 1_000_000, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        assert g17_lines(values) == reference_lines(values)
+
+    @pytest.mark.parametrize("crafted", [powers_of_ten_and_neighbours, decade_edges, exact_ties],
+                             ids=["powers-of-ten", "decade-edges", "exact-ties"])
+    def test_crafted_values(self, crafted):
+        values = crafted()
+        assert g17_lines(values) == reference_lines(values)
+        assert g17_lines(-values) == reference_lines(-values)
+
+    def test_ties_are_left_to_format(self, monkeypatch):
+        values = exact_ties()
+        calls = []
+        monkeypatch.setattr(serialize, "fmt", lambda v: calls.append(v) or format(v, ".17g"))
+        assert g17_lines(values) == reference_lines(values)
+        assert sorted(calls) == sorted(values.tolist())
+
+    def test_layout(self):
+        values = [0.1 + 0.2, 1 / 3, -2.0, 100.0, 1e16, 1e17, 1.5e-5, 1e-4, 1e-5, 123456789.125,
+                  12345678901234567.0, -1.2345678901234567e-308, 2.5e300]
+        assert g17_lines(values) == [
+            "0.30000000000000004", "0.33333333333333331", "-2", "100", "10000000000000000", "1e+17",
+            "1.5e-05", "0.0001", "1.0000000000000001e-05", "123456789.125", "12345678901234568",
+            "-1.2345678901234567e-308", "2.5000000000000001e+300",
+        ]
+
+    def test_bench_like_columns_take_the_fast_path(self, monkeypatch):
+        """At most 1% of realistic columns may fall back to format(), so the
+        speed of the writer does not quietly rest on the fallback."""
+        rng = np.random.default_rng(9)
+        gjr = GarchParams(kind="gjr", mu=0.0, omega=1e-6, alpha1=0.05, beta1=0.9, gamma1=0.06)
+        sims = resimulate_experiment(gjr, n_series=20, length=370, seed=3)
+        x = np.concatenate([sim.returns.values for sim in sims])
+        columns = {
+            "prices": np.round(50.0 * np.exp(np.cumsum(rng.normal(0.0, 2e-4, 22200))), 4),
+            "returns": x,
+            "variances": np.concatenate([sim.variances for sim in sims]),
+            "curve": qcf_fast(x, 0.05, 0.95, 600).values,
+        }
+        for name, values in columns.items():
+            calls = []
+            monkeypatch.setattr(serialize, "fmt", lambda v: calls.append(v) or format(v, ".17g"))
+            assert g17_lines(values) == reference_lines(values), name
+            assert len(calls) <= 0.01 * values.size, name
 
 
 class TestGridSerialization:
@@ -177,11 +286,15 @@ class TestColumnReaderPaths:
             ("second,price\n0,10.5\n1,\n", "line 3: '' is not a number"),
             ("second,price\n0,10.5\n1,11.0,3\n", "line 3: expected 2 field(s), got 3"),
             ("second,prices\n0,10.5\n", "unrecognized header"),
+            ("second,price\n0,10.5\n2,11.0\n", "line 3: second must be 1, got '2'"),
+            ("second,price\n1,10.5\n", "line 2: second must be 0, got '1'"),
+            ("second,price\n0,10.5\n01,11.0\n", "line 3: second must be 1, got '01'"),
         ],
         ids=[
             "plain", "crlf", "padded", "blank-line", "no-final-newline", "leading-blank-line",
             "header-only", "header-without-newline", "underscore-and-nan", "non-ascii-value",
-            "empty-value", "field-count", "unknown-header",
+            "empty-value", "field-count", "unknown-header", "index-skips", "index-from-one",
+            "index-leading-zero",
         ],
     )
     def test_day_paths_agree(self, text, expected):
@@ -285,6 +398,71 @@ def _asym_report_via_cli(tmp_path):
     return out.read_text()
 
 
+def _seeded_ticks() -> str:
+    """A tick CSV: two dates of three instruments, 4-decimal prices, ~3% of
+    rows flagged non-regular."""
+    rng = np.random.default_rng(2026)
+    rows = ["date,time_seconds,instrument,price,regular"]
+    for date in ("2007-01-03", "2007-01-04"):
+        for instrument in ("AAA", "BBB", "CCC"):
+            times = np.sort(rng.choice(23400, 4000, replace=False)).tolist()
+            prices = np.round(40.0 * np.exp(np.cumsum(rng.normal(0.0, 4e-4, len(times)))), 4).tolist()
+            flags = (rng.random(len(times)) > 0.03).tolist()
+            rows += [f"{date},{t},{instrument},{p!r},{int(f)}" for t, p, f in zip(times, prices, flags)]
+    return "\n".join(rows) + "\n"
+
+
+def _seeded_days() -> list[TradingDay]:
+    return [resample_day(group, 0, 23400, date=date) for (date, _), group in read_ticks_csv(_seeded_ticks()).items()]
+
+
+def _seeded_index_csvs() -> str:
+    days = _seeded_days()
+    dates = sorted({day.date for day in days})
+    return "".join(serialize.day_to_csv(build_index([d for d in days if d.date == date])) for date in dates)
+
+
+RESIM_PARAMS = {
+    "garch": GarchParams(kind="garch", mu=0.0005, omega=2e-6, alpha1=0.08, beta1=0.9),
+    "gjr": GarchParams(kind="gjr", mu=0.001, omega=0.05, alpha1=0.04, beta1=0.88, gamma1=0.1),
+    "egarch": GarchParams(kind="egarch", mu=0.0, omega=-0.1, alpha1=0.15, beta1=0.95, gamma1=-0.08),
+}
+
+
+def _seeded_resim_csvs(kind: str) -> str:
+    sims = resimulate_experiment(RESIM_PARAMS[kind], n_series=4, length=370, seed=17)
+    return "".join(map(serialize.simulation_to_csv, sims))
+
+
+def _seeded_curve() -> QcfCurve:
+    rng = np.random.default_rng(5)
+    values = rng.normal(0.0, 0.02, 1201)
+    values[600] = 1.0
+    curve = QcfCurve(ProbabilityLevel(0.05), ProbabilityLevel(0.95), np.arange(-600, 601), values,
+                     series_length=22140)
+    return curve.with_ci(1.96 / np.sqrt(22140))
+
+
+def _seeded_grid() -> PPGrid:
+    x = np.random.default_rng(6).standard_t(4, 22140)
+    return pp_grid(x, [round(0.05 * i, 2) for i in range(1, 20)], 120)
+
+
+def _seeded_batch() -> FitBatch:
+    rng = np.random.default_rng(8)
+    fits = {}
+    for day in range(40):
+        params = GarchParams(kind="gjr", mu=rng.normal(0.0, 1e-4), omega=rng.uniform(1e-7, 1e-5),
+                             alpha1=rng.uniform(0.01, 0.1), beta1=rng.uniform(0.6, 0.85),
+                             gamma1=rng.uniform(-0.01, 0.1))
+        fits[f"AAA_2007-{day:03d}"] = FitResult(params, rng.normal(1800.0, 50.0), bool(day % 7), 40, 369)
+    return FitBatch(fits=fits, excluded={})
+
+
+def _sha256(text: str) -> str:
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
 PINNED_WRITERS = {
     "day": (
         lambda _: serialize.day_to_csv(
@@ -374,6 +552,22 @@ PINNED_WRITERS = {
         '  "files": [\n    "sim_0000.csv"\n  ]\n}\n',
     ),
 }
+
+
+# Larger seeded outputs, pinned by sha256: a fault in the writers that shows
+# only in some exponent or digit pattern changes these.
+PINNED_WRITERS.update({
+    "ticks-day-csvs": (lambda _: _sha256("".join(map(serialize.day_to_csv, _seeded_days()))), "sha256:a1af2f69f7e265a1e34466045931612c54c7826631414ea4d2eb6880d8992b95"),
+    "ticks-index-csvs": (lambda _: _sha256(_seeded_index_csvs()), "sha256:0c3f4af68fb1efc6ecb540bb91cfa29e31f167e36bc7b911ee4ec7367a8190ae"),
+    **{f"resim-{kind}": (lambda _, kind=kind: _sha256(_seeded_resim_csvs(kind)), digest) for kind, digest in [
+        ("garch", "sha256:9738a1db9aacfd6f2eec75f8e420e38fe490831317f09a1adccc8a77a33233c4"),
+        ("gjr", "sha256:7c37fc72fcefa6c5e589518f8f56ae6c4e2c78785f736b16c24d65626a690fe2"),
+        ("egarch", "sha256:1387feea922a02342485313595b0db2f52b47f2327e411a8c8ad3f9588d57a47"),
+    ]},
+    "curve-ci-1201": (lambda _: _sha256(serialize.curve_to_csv(_seeded_curve())), "sha256:fb124b2724c4df75f576c87f5e3a117dc42be957cbb48f95f1ac29b68b1b71de"),
+    "grid-19-levels": (lambda _: _sha256(serialize.grid_to_csv(_seeded_grid())), "sha256:27afe832cbf3b1081898f048ae541f6e0ffc5886dadedf6e7a2ab241dd7ac04d"),
+    "batch-40-days": (lambda _: _sha256(serialize.batch_to_csv(_seeded_batch())), "sha256:61f4eb5dcf45d3ba8a4d475a1a25ae9e07122dca0d6045f14c70c2d1b405b0d8"),
+})
 
 
 @pytest.mark.parametrize("writer", sorted(PINNED_WRITERS))
