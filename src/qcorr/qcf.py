@@ -414,11 +414,7 @@ class PPGrid:
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "lag", int(self.lag))
-        # A ProbabilityLevel is in range by construction, so a tuple of them,
-        # as pp_grid passes, is kept as it is.
-        levels = self.levels
-        if type(levels) is not tuple or not all(type(l) is ProbabilityLevel for l in levels):
-            object.__setattr__(self, "levels", tuple(map(as_level, levels)))
+        object.__setattr__(self, "levels", tuple(map(as_level, self.levels)))
 
 
 def pp_grid(x, levels, lag: int) -> PPGrid:

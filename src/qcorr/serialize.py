@@ -244,13 +244,11 @@ def _string_cells(strings: list[str]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2)
-def _row_index(n: int) -> tuple[list[str], np.ndarray]:
-    """The index column 0, 1, ..., n - 1 of a day or sim CSV, as strings and as
-    cells.  Cached for the writer and the reader alike: a run writes and
-    reads table after table of one length.  A million rows hold about 70 MB,
-    so only the last two lengths are kept."""
-    strings = list(map(str, range(n)))
-    return strings, _string_cells(strings)
+def _row_index(n: int) -> np.ndarray:
+    """The cells of the index column 0, 1, ..., n - 1 of a day or sim CSV.
+    Cached: a run writes table after table of one length.  A million rows
+    hold about 6 MB, so only the last two lengths are kept."""
+    return _string_cells(list(map(str, range(n))))
 
 
 def _table(header: str, *columns) -> str:
@@ -275,7 +273,7 @@ def _table(header: str, *columns) -> str:
             cells = {j: text[:, i] for i, j in enumerate(floats)}
         for j, column in enumerate(columns):
             if isinstance(column, range):
-                cells[j] = _row_index(len(column))[1][start:stop]
+                cells[j] = _row_index(len(column))[start:stop]
             elif isinstance(column, str):
                 cell = _string_cells([column])
                 cells[j] = np.broadcast_to(cell, (stop - start, cell.shape[1]))
@@ -369,16 +367,35 @@ def _read_columns(text: str, columns: dict, what: str) -> tuple:
         width = header.count(",") + 1
         convert = partial(_convert_columns, columns[header], width)
         if header in _INDEXED_HEADERS:
-            # On the bulk path every line after the header is a row.
-            rows = text.count("\n", start) + (not text.endswith("\n"))
-            convert = _checking_index(convert, width, _row_index(rows)[0])
+            convert = _checking_index(convert, width)
         arrays = _bulk_split(text, start, width, convert)
         if arrays is not None:
             return (header, *arrays)
     return _read_columns_by_row(text, columns, what)
 
 
-def _checking_index(convert, width: int, index: list[str]):
+_INDEX_BLOCK = 4096
+
+
+@functools.lru_cache(maxsize=16)
+def _index_block(b: int) -> list[str]:
+    """Row indices b * _INDEX_BLOCK, ... of the next _INDEX_BLOCK rows, as the
+    writer spells them.  Cached by block, not by table length, so a run that
+    reads table after table reuses them while a long table keeps at most 16
+    blocks alive."""
+    return list(map(str, range(b * _INDEX_BLOCK, (b + 1) * _INDEX_BLOCK)))
+
+
+def _index_strings(start: int, stop: int) -> list[str]:
+    """The row indices start, ..., stop - 1 as the writer spells them."""
+    strings = []
+    for b in range(start // _INDEX_BLOCK, -(-stop // _INDEX_BLOCK)):
+        base = b * _INDEX_BLOCK
+        strings += _index_block(b)[max(start - base, 0) : stop - base]
+    return strings
+
+
+def _checking_index(convert, width: int):
     """convert, after requiring that the first column of each run of fields
     continues the row index; a mismatch is left to the row loop to name."""
     done = 0
@@ -386,7 +403,7 @@ def _checking_index(convert, width: int, index: list[str]):
     def check(fields: list[str]):
         nonlocal done
         rows = len(fields) // width
-        if fields[0::width] != index[done : done + rows]:
+        if fields[0::width] != _index_strings(done, done + rows):
             raise ValueError("a row index the row loop must name")
         done += rows
         return convert(fields)
