@@ -22,7 +22,6 @@ from .garch import (
 from .ingest import (
     DayRejection,
     TickGroup,
-    TickRecord,
     TradingDay,
     build_index,
     compute_returns,
@@ -65,7 +64,6 @@ __all__ = [
     "QcorrError",
     "SimulationResult",
     "TickGroup",
-    "TickRecord",
     "TimeSeries",
     "TradingDay",
     "asymmetry",

@@ -225,11 +225,13 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     _, series = _load_all_series(args)
     batch = fit_per_day(series)
-    serialize.write_text_atomic(args.out, serialize.batch_to_csv(batch))
+    texts = {args.out: serialize.batch_to_csv(batch)}  # all laid out before any write
     if args.excluded_out:
-        serialize.write_text_atomic(args.excluded_out, serialize.excluded_to_csv(batch))
+        texts[args.excluded_out] = serialize.excluded_to_csv(batch)
     if args.params_out:
-        serialize.write_text_atomic(args.params_out, serialize.params_to_json(average_params(batch)))
+        texts[args.params_out] = serialize.params_to_json(average_params(batch))
+    for path, text in texts.items():
+        serialize.write_text_atomic(path, text)
     print(f"fitted {len(batch.fits)} day(s), excluded {len(batch.excluded)}")
     return 0
 
@@ -272,17 +274,19 @@ def _safe_name(name: str) -> str:
 
 def cmd_ingest(args) -> int:
     accepted, rejections = _resample_groups(args)
+    rejected = serialize.rejections_to_csv(rejections)  # before any write: it may refuse a cell
     out = Path(args.out)
     for day in accepted:
         name = f"{_safe_name(day.instrument)}_{_safe_name(day.date)}.csv"
         serialize.write_text_atomic(out / name, serialize.day_to_csv(day))
-    serialize.write_text_atomic(out / "rejections.csv", serialize.rejections_to_csv(rejections))
+    serialize.write_text_atomic(out / "rejections.csv", rejected)
     print(f"accepted {len(accepted)} day(s), rejected {len(rejections)}")
     return 0
 
 
 def cmd_index(args) -> int:
     accepted, rejections = _resample_groups(args)
+    rejected = serialize.rejections_to_csv(rejections)  # before any write: it may refuse a cell
     by_date: dict[str, list[TradingDay]] = {}
     for day in accepted:
         by_date.setdefault(day.date, []).append(day)
@@ -292,7 +296,7 @@ def cmd_index(args) -> int:
         serialize.write_text_atomic(
             out / f"INDEX_{_safe_name(date)}.csv", serialize.day_to_csv(index_day)
         )
-    serialize.write_text_atomic(out / "rejections.csv", serialize.rejections_to_csv(rejections))
+    serialize.write_text_atomic(out / "rejections.csv", rejected)
     print(f"built {len(by_date)} index day(s), rejected {len(rejections)} day(s)")
     return 0
 

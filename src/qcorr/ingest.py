@@ -10,7 +10,6 @@ serialize.read_ticks_csv into one TickGroup per instrument-day.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,21 +20,6 @@ from .series import TimeSeries
 SESSION_TRIM_SECONDS = 600
 MIN_TRADED_SECONDS = 800
 STANDARD_GRID_SECONDS = 22200
-
-
-@dataclass(frozen=True)
-class TickRecord:
-    """A single hand-built trade: second-resolution timestamp within the session."""
-
-    timestamp: int
-    price: float
-    instrument: str
-
-    def __post_init__(self):
-        if self.timestamp < 0:
-            raise DataFormatError(f"negative timestamp {self.timestamp}")
-        if not self.price > 0:
-            raise DataFormatError(f"nonpositive price {self.price!r}")
 
 
 @dataclass(frozen=True)
@@ -96,19 +80,8 @@ class DayRejection:
     reason: str
 
 
-def _as_group(ticks: TickGroup | Sequence[TickRecord]) -> TickGroup:
-    """ticks as one TickGroup; hand-built TickRecords must share an instrument."""
-    if isinstance(ticks, TickGroup):
-        return ticks
-    instrument = ticks[0].instrument if ticks else ""
-    for t in ticks:
-        if t.instrument != instrument:
-            raise DataFormatError(f"mixed instruments in one day: {instrument} vs {t.instrument}")
-    return TickGroup(instrument, [t.timestamp for t in ticks], [t.price for t in ticks])
-
-
 def resample_day(
-    ticks: TickGroup | Sequence[TickRecord],
+    ticks: TickGroup,
     session_open: int,
     session_close: int,
     date: str = "",
@@ -122,13 +95,11 @@ def resample_day(
     the trimmed opening minutes seed the first grid second.  Returns a
     DayRejection for illiquid days (distinct traded seconds below the
     threshold) or when no price precedes the grid.  Malformed input
-    (unsorted ticks, out-of-session timestamps, hand-built TickRecords of
-    several instruments) raises DataFormatError.
+    (unsorted ticks, out-of-session timestamps) raises DataFormatError.
     """
-    group = _as_group(ticks)
-    if not len(group):
-        return DayRejection(group.instrument, date, "no ticks")
-    instrument, times, prices = group.instrument, group.times, group.prices
+    if not len(ticks):
+        return DayRejection(ticks.instrument, date, "no ticks")
+    instrument, times, prices = ticks.instrument, ticks.times, ticks.prices
     grid_length = int(session_close) - int(session_open) - 2 * int(trim_seconds)
     if grid_length <= 0:
         raise ValueError("session is shorter than twice the trim")

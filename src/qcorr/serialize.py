@@ -4,17 +4,19 @@ Data values are written with 17 significant digits so every IEEE double
 round-trips exactly: the bytes of format(v, ".17g"), laid out for whole
 blocks of rows by one vectorized pass that falls back to format() for each
 value whose rounding it cannot certify.  Writes go through a temp file plus
-rename so partial outputs are never left behind.  The tick input format is
-read here too.
+rename so partial outputs are never left behind.  A string cell holding a
+comma, a quote or a line break is refused, not written.  The tick input
+format is read here too.
 
 The index column of a day or simulation CSV must read 0, 1, ..., n - 1; a
 simulation's variance column is never parsed.
 
-Every CSV reader first tries one bulk splitter, which converts whole columns
-of ~256 KiB runs of lines at a time.  Input it does not take as plain (quotes,
-stray whitespace, CR, blank lines, a wrong field count, a value that does
-not convert) goes through the format's row loop, which gives the same
-result or names the first bad line.
+Every CSV is read by one rule: csv quoting, LF, CRLF or CR line ends, blank
+rows skipped, fields stripped, a field holding a separator (a comma or a
+line break) or a line holding NUL refused, and the first bad line in file
+order named.  One bulk splitter reads every format, whole columns of
+~256 KiB runs of lines at a time; text that is not plain already passes
+once through a normalizer that applies the rule.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import os
 import secrets
 from contextlib import contextmanager
 from functools import partial
-from itertools import compress, islice
-from operator import itemgetter
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -66,10 +67,13 @@ _REGULAR_TRUE = {"1", "true", "t", "yes", "y"}
 # The bulk splitter's unit of work: this many characters, extended to the
 # next newline.  It bounds the field strings alive at once.
 _CHUNK_CHARS = 1 << 18
-# What the bulk splitter leaves to the row loops: csv quoting, NUL (an error
-# to the csv module before Python 3.11), and every ASCII character other than
-# "\n" that str.strip() or str.splitlines() acts on.
+# ASCII text holding none of these reads the same with or without the
+# normalizer: csv quoting, NUL (an error to the csv module before Python
+# 3.11), and every ASCII character other than "\n" that str.strip() acts on
+# or that ends a csv line.  The bulk splitter drops blank lines itself.
 _NOT_PLAIN = ('"', "\x00", "\r", " ", "\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f")
+# What no string cell written may hold.
+_CELL_SEPARATORS = (b",", b'"', b"\r", b"\n")
 
 
 def fmt(x: float) -> str:
@@ -236,10 +240,14 @@ def _format_g17(values: np.ndarray) -> np.ndarray:
 
 
 def _string_cells(strings: list[str]) -> np.ndarray:
-    """Row i holds the UTF-8 bytes of strings[i], padded with _PAD."""
+    """Row i holds the UTF-8 bytes of strings[i], padded with _PAD.  A string
+    holding a comma, a quote or a line break raises ValueError."""
     encoded = [s.encode() for s in strings]
     width = max([1, *map(len, encoded)])
     padded = b"".join(e.ljust(width, _PAD) for e in encoded)
+    if any(map(padded.__contains__, _CELL_SEPARATORS)):
+        bad = next(s for s, e in zip(strings, encoded) if any(map(e.__contains__, _CELL_SEPARATORS)))
+        raise ValueError(f"{bad!r} cannot be a CSV cell: it holds a comma, a quote or a line break")
     return np.frombuffer(padded, dtype=np.uint8).reshape(len(encoded), width)
 
 
@@ -311,67 +319,147 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def _first_line(text: str) -> tuple[str, int]:
-    """The first line of text and the offset just past its newline."""
-    end = text.find("\n")
-    return (text, len(text)) if end < 0 else (text[:end], end + 1)
+def _normalize(text: str) -> tuple[str, DataFormatError | None]:
+    """text as plain CSV, line for line, and the error that ends it early, if any.
 
-
-def _bulk_split(text: str, start: int, width: int, convert) -> list[np.ndarray] | None:
-    """The columns convert() returns, concatenated over every run of whole lines
-    of text[start:], where it gets a run's fields with column k at fields[k::width].
-
-    None, for the row loop to take over, as soon as a run is not plain ASCII
-    lines of exactly `width` fields or convert raises ValueError or OverflowError.
+    Each line holds one csv record of text with its quoting undone and its
+    fields stripped; a blank record leaves an empty line.  The lines end
+    before the first record that cannot be one plain line: a field holding a
+    separator, a line holding NUL (the csv module refuses NUL before Python
+    3.11, so it never sees one) or a csv error.  That error is raised here
+    when only blank lines precede it; otherwise the caller raises it after
+    reading the lines before it.
     """
-    pattern = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
-    parts = [convert([])]  # gives each column its dtype, even for no lines
+    nul = text.find("\x00")
+    if nul >= 0:
+        text = text[: max(text.rfind("\n", 0, nul), text.rfind("\r", 0, nul)) + 1]
+    rows, error = [], None
+    try:
+        for row in csv.reader(io.StringIO(text, newline="")):
+            line = ",".join(row)
+            if line.count(",") >= max(len(row), 1) or "\r" in line or "\n" in line:
+                held = next(field for field in row if any(map(field.__contains__, ",\r\n")))
+                error = DataFormatError(f"line {len(rows) + 1}: field {held!r:.60} holds a separator")
+                break
+            rows.append(",".join(map(str.strip, row)))
+    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
+        error = DataFormatError(f"line {len(rows) + 1}: {exc}")
+    if nul >= 0 and error is None:
+        error = DataFormatError(f"line {len(rows) + 1}: line contains NUL")
+    if error and not any(rows):
+        raise error
+    return "\n".join(rows), error
+
+
+def _bulk_split(text: str, layout) -> tuple[str, list[np.ndarray]]:
+    """The header line of a CSV and the columns of the nonblank lines after it.
+
+    Text that is not plain goes once through _normalize first.
+    layout(header) gives the field count `width` and convert(fields, row),
+    which returns the columns of a run of rows, column k at fields[k::width],
+    whose first row is data row `row` (counted from 0), or raises ValueError.
+    Runs are whole lines of about _CHUNK_CHARS characters; their columns are
+    concatenated.  A blank line makes its run fail, and the run is split again
+    without its blank lines; if that fails too, it is read one row at a time
+    to name the first bad line, so an error text of convert need only be
+    right for a run of one row.
+    """
+    error = None
+    if not text.isascii() or any(map(text.__contains__, _NOT_PLAIN)):
+        text, error = _normalize(text)
+    begin = len(text) - len(text.lstrip("\n"))  # blank lines before the header
+    start = text.find("\n", begin) + 1 or len(text)
+    header = text[begin:start].removesuffix("\n")
+    width, convert = layout(header)
+    parts, row = [convert([], 0)], 0  # the first part gives each column its dtype
     while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
-        chunk = text[start:end]
-        start = end
-        if not chunk.endswith("\n"):
-            chunk += "\n"  # the last line of a file without a final newline
-        if not chunk.isascii() or any(map(chunk.__contains__, _NOT_PLAIN)):
-            return None
-        chars = np.frombuffer(chunk.encode(), dtype=np.uint8)
-        seps = chars[(chars == ord(",")) | (chars == ord("\n"))]
-        if seps.size % width or not (seps.reshape(-1, width) == pattern).all():
-            return None
-        chunk = chunk.replace("\n", ",")
-        fields = chunk.split(",")
-        del chars, seps, chunk  # only the fields stay alive during conversion
-        fields.pop()  # the empty string after the last newline
+        begin, start = start, text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
         try:
-            parts.append(convert(fields))
-        except (ValueError, OverflowError):
-            return None
-        del fields
-    return [np.concatenate(column) for column in zip(*parts)]
+            columns, rows = _split_run(text[begin:start], width, convert, row)
+        except ValueError:
+            kept = "".join(line + "\n" for line in text[begin:start].split("\n") if line)
+            try:
+                columns, rows = _split_run(kept, width, convert, row)
+            except ValueError:
+                _name_bad_row(text, begin, start, width, convert, row)
+        parts.append(columns)
+        row += rows
+    if error:
+        raise error
+    return header, [np.concatenate(column) for column in zip(*parts)]
 
 
-def _convert_columns(wanted, width: int, fields: list[str]) -> list[np.ndarray]:
+def _split_run(run: str, width: int, convert, row: int) -> tuple[list[np.ndarray], int]:
+    """(columns, row count) that convert gives for run, whole lines from data
+    row `row` on; ValueError if a line has other than `width` fields."""
+    if run and not run.endswith("\n"):
+        run += "\n"  # the last line of a file without a final newline
+    chars = np.frombuffer(run.encode(), dtype=np.uint8)
+    seps = chars[(chars == ord(",")) | (chars == ord("\n"))]
+    pattern = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
+    if seps.size % width or not (seps.reshape(-1, width) == pattern).all():
+        raise ValueError("a line has another field count")
+    fields = run.replace("\n", ",").split(",")
+    del chars, seps  # only the fields and the run stay alive during conversion
+    fields.pop()  # the empty string after the last newline
+    return convert(fields, row), len(fields) // width
+
+
+def _name_bad_row(text: str, begin: int, end: int, width: int, convert, row: int):
+    """Raise DataFormatError naming the first nonblank line of text[begin:end],
+    data row `row` on, that has other than `width` fields or that convert
+    refuses."""
+    for number, line in enumerate(text[begin:end].split("\n"), text.count("\n", 0, begin) + 1):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise DataFormatError(f"line {number}: expected {width} fields, got {len(fields)}")
+        try:
+            convert(fields, row)
+        except ValueError as exc:
+            raise DataFormatError(f"line {number}: {exc}") from None
+        row += 1
+    raise AssertionError("a run of rows failed, but none of its rows")
+
+
+def _convert_columns(wanted, width: int, index: str | None, fields: list[str], row: int) -> list[np.ndarray]:
+    """The (column, type) arrays wanted from a run of rows.  A first column
+    named by index must read row, row + 1, ... as the writer spells them.
+    Error texts name the run's first row."""
     rows = len(fields) // width
-    return [np.fromiter(map(kind, fields[index::width]), kind, rows) for index, kind in wanted]
+    if index and fields[0::width] != _index_strings(row, row + rows):
+        raise ValueError(f"{index} must be {row}, got {fields[0]!r}")
+    arrays = []
+    for column, kind in wanted:
+        strings = fields[column::width]
+        try:  # int() takes any size, the int64 array does not
+            arrays.append(np.fromiter(map(kind, strings), kind, rows))
+        except ValueError:
+            raise ValueError(f"{strings[0]!r} is not {'an integer' if kind is int else 'a number'}") from None
+        except OverflowError:
+            raise ValueError(f"{strings[0]!r} is out of range") from None
+    return arrays
 
 
 def _read_columns(text: str, columns: dict, what: str) -> tuple:
-    """(header, *arrays) of a CSV whose first nonblank line is a key of columns,
-    which maps it to the (index, type) of every column the caller needs.
+    """(header, *arrays) of a CSV whose header is a key of columns, which maps
+    it to the (index, type) of every column the caller needs.
 
-    Blank lines are skipped.  A row with the wrong number of fields, or a
-    value its column's type does not parse, raises DataFormatError naming its line.
+    A row with the wrong number of fields, or a value its column's type does
+    not parse, raises DataFormatError naming its line.
     """
-    header, start = _first_line(text)
-    if header in columns:
+
+    def layout(header: str):
+        if header not in columns:
+            expected = ", ".join(map(repr, columns))
+            raise DataFormatError(f"unrecognized header {header!r} for a {what}; expected one of {expected}")
         width = header.count(",") + 1
-        convert = partial(_convert_columns, columns[header], width)
-        if header in _INDEXED_HEADERS:
-            convert = _checking_index(convert, width)
-        arrays = _bulk_split(text, start, width, convert)
-        if arrays is not None:
-            return (header, *arrays)
-    return _read_columns_by_row(text, columns, what)
+        index = header.split(",")[0] if header in _INDEXED_HEADERS else None
+        return width, partial(_convert_columns, columns[header], width, index)
+
+    header, arrays = _bulk_split(text, layout)
+    return (header, *arrays)
 
 
 _INDEX_BLOCK = 4096
@@ -393,67 +481,6 @@ def _index_strings(start: int, stop: int) -> list[str]:
         base = b * _INDEX_BLOCK
         strings += _index_block(b)[max(start - base, 0) : stop - base]
     return strings
-
-
-def _checking_index(convert, width: int):
-    """convert, after requiring that the first column of each run of fields
-    continues the row index; a mismatch is left to the row loop to name."""
-    done = 0
-
-    def check(fields: list[str]):
-        nonlocal done
-        rows = len(fields) // width
-        if fields[0::width] != _index_strings(done, done + rows):
-            raise ValueError("a row index the row loop must name")
-        done += rows
-        return convert(fields)
-
-    return check
-
-
-def _read_columns_by_row(text: str, columns: dict, what: str) -> tuple:
-    """_read_columns one line at a time: any input, the first bad line named."""
-    lines = text.splitlines()
-    start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
-    header = lines[start].strip() if start < len(lines) else ""
-    if header not in columns:
-        expected = ", ".join(map(repr, columns))
-        raise DataFormatError(f"unrecognized header {header!r} for a {what}; expected one of {expected}")
-    width = header.count(",") + 1
-    wanted = columns[header]
-    pick = itemgetter(*(index for index, _ in wanted))
-    index_name = header.split(",")[0] if header in _INDEXED_HEADERS else None
-    picked = []
-    for number, line in enumerate(islice(lines, start + 1, None), start + 2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != width:
-            raise DataFormatError(f"line {number}: expected {width} field(s), got {len(fields)}")
-        if index_name and fields[0].strip() != str(len(picked)):
-            raise DataFormatError(f"line {number}: {index_name} must be {len(picked)}, got {fields[0]!r}")
-        picked.append(pick(fields))
-    del lines  # the picked fields are all the conversion needs
-    # itemgetter gives a bare field for one column and a tuple for several.
-    by_column = [picked] if len(wanted) == 1 else [[row[k] for row in picked] for k in range(len(wanted))]
-    del picked
-    # Each column is converted in bulk; only a failure rescans text for its line.
-    arrays = []
-    for (_, kind), strings in zip(wanted, by_column):
-        try:
-            arrays.append(np.array(list(map(kind, strings)), dtype=kind))
-        except (ValueError, OverflowError):
-            rows = text.splitlines()[start + 1 :]
-            numbers = [n for n, line in enumerate(rows, start + 2) if line.strip()]
-            for number, value in zip(numbers, strings):
-                try:  # as the bulk conversion: int() takes any size, the int64 array does not
-                    np.array([kind(value)], dtype=kind)
-                except ValueError:
-                    name = "an integer" if kind is int else "a number"
-                    raise DataFormatError(f"line {number}: {value!r} is not {name}") from None
-                except OverflowError:
-                    raise DataFormatError(f"line {number}: {value!r} is out of range") from None
-    return (header, *arrays)
 
 
 @contextmanager
@@ -676,7 +703,7 @@ def _ticks_width(header: list[str]) -> int:
     return len(header)
 
 
-def _tick_columns(width: int, keys: dict, fields: list[str]) -> tuple[np.ndarray, ...]:
+def _tick_columns(width: int, keys: dict, fields: list[str], row: int) -> tuple[np.ndarray, ...]:
     """(group code, time, price) of the kept rows among the tick fields; keys
     numbers each new (date, instrument) in order of first appearance."""
     if width == 5:
@@ -690,47 +717,16 @@ def _tick_columns(width: int, keys: dict, fields: list[str]) -> tuple[np.ndarray
     for key in dict.fromkeys(pairs):
         keys.setdefault(key, len(keys))
     codes = np.fromiter(map(keys.__getitem__, pairs), np.intp, rows)
-    times = np.fromiter(map(int, compress(fields[1::width], keep)), np.int64, rows)
-    prices = np.fromiter(map(float, compress(fields[3::width], keep)), float, rows)
-    if rows and (times.min() < 0 or not np.all(prices > 0)):
-        raise ValueError("a tick the row loop must name")
-    return codes, times, prices
-
-
-def _tick_rows(text: str, keys: dict) -> tuple[np.ndarray, ...]:
-    """_tick_columns over the csv module's rows of the whole text, one at a
-    time: any input, the first bad line named."""
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError("empty ticks file; header row required")
-        width = _ticks_width(header)
-        codes, times, prices = [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataFormatError(f"line {line_no}: expected {width} fields, got {len(row)}")
-            if width == 5 and row[4].strip().lower() not in _REGULAR_TRUE:
-                continue
-            date, time_s, instrument, price_s = (field.strip() for field in row[:4])
-            try:
-                time, price = int(time_s), float(price_s)
-            except ValueError as exc:
-                raise DataFormatError(f"line {line_no}: {exc}") from None
-            if time < 0:
-                raise DataFormatError(f"line {line_no}: negative timestamp {time}")
-            if time >= 2**63:
-                raise DataFormatError(f"line {line_no}: timestamp {time} is out of range")
-            if not price > 0:
-                raise DataFormatError(f"line {line_no}: nonpositive price {price!r}")
-            codes.append(keys.setdefault((date, instrument), len(keys)))
-            times.append(time)
-            prices.append(price)
-    except csv.Error as exc:  # e.g. a bare CR inside a line
-        raise DataFormatError(f"line {reader.line_num}: {exc}") from None
-    return np.array(codes, np.intp), np.array(times, np.int64), np.array(prices, float)
+        times = np.fromiter(map(int, compress(fields[1::width], keep)), np.int64, rows)
+    except OverflowError:  # beyond int64; the text names the run's first kept row
+        raise ValueError(f"timestamp {int(next(compress(fields[1::width], keep)))} is out of range") from None
+    prices = np.fromiter(map(float, compress(fields[3::width], keep)), float, rows)
+    if rows and times.min() < 0:
+        raise ValueError(f"negative timestamp {times[times < 0][0]}")
+    if not np.all(prices > 0):
+        raise ValueError(f"nonpositive price {float(prices[~(prices > 0)][0])!r}")
+    return codes, times, prices
 
 
 def read_ticks_csv(text: str) -> dict[tuple[str, str], TickGroup]:
@@ -741,16 +737,15 @@ def read_ticks_csv(text: str) -> dict[tuple[str, str], TickGroup]:
     appearance; each keeps the file's row order, so unsorted data is still
     detected downstream.
     """
-    head, start = _first_line(text)
     keys: dict[tuple[str, str], int] = {}
-    columns = None
-    if text and not any(map(head.__contains__, _NOT_PLAIN)):
-        # Then the csv module's first row is the first line split at commas.
-        width = _ticks_width(next(csv.reader([head])))
-        columns = _bulk_split(text, start, width, partial(_tick_columns, width, keys))
-    if columns is None:
-        keys.clear()
-        columns = _tick_rows(text, keys)
+
+    def layout(header: str):
+        if not header:
+            raise DataFormatError("empty ticks file; header row required")
+        width = _ticks_width(header.split(","))
+        return width, partial(_tick_columns, width, keys)
+
+    _, columns = _bulk_split(text, layout)
     return _group_ticks(keys, *columns)
 
 

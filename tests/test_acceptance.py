@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import RECOVERY_ELAPSED, RECOVERY_SEEDS
-from helpers import EXAMPLE_BITS, EXAMPLE_SERIES
+from helpers import EXAMPLE_BITS, EXAMPLE_SERIES, tick_group
 from qcorr import (
     DayRejection,
     GarchParams,
     ProbabilityLevel,
     QcfCurve,
-    TickRecord,
     asymmetry,
     average_params,
     confidence_band,
@@ -275,7 +274,7 @@ def test_criterion_10_ingestion_gates():
     session_open, session_close = 0, 23400
 
     def day_with(n_seconds):
-        ticks = [TickRecord(600 + 25 * k, 10.0 + 1e-5 * k, "XYZ") for k in range(n_seconds)]
+        ticks = tick_group([600 + 25 * k for k in range(n_seconds)], [10.0 + 1e-5 * k for k in range(n_seconds)])
         return resample_day(ticks, session_open, session_close, date="2007-01-03")
 
     rejected = day_with(799)
@@ -292,7 +291,7 @@ def test_criterion_10_ingestion_gates():
         seconds = np.sort(rng.choice(np.arange(session_open, session_close), size=n, replace=False))
         if seconds[0] > 600:
             seconds[0] = 0
-        ticks = [TickRecord(int(s), float(10 + rng.random()), "ZZZ") for s in seconds]
+        ticks = tick_group(seconds, [float(10 + rng.random()) for _ in seconds], "ZZZ")
         day = resample_day(ticks, session_open, session_close, date=f"d{trial}")
         assert not isinstance(day, DayRejection)
         assert len(day) == 22200

@@ -195,6 +195,17 @@ class TestAsymCommand:
         assert len(reports["csv"][1].splitlines()) == 7  # header + the six default pairs
         assert reports["json"] == reports["csv"]
 
+    def test_dataset_holding_a_separator_is_refused(self, tmp_path, capsys):
+        src = tmp_path / "c.csv"
+        src.write_text("lag,qcf\n-1,0.5\n0,1\n1,0.25\n")
+        out = tmp_path / "a.csv"
+        assert run(["asym", "-i", src, "--dataset", "GJR, sim", "--out", out]) == 2
+        shown = capsys.readouterr()
+        assert shown.out == ""
+        err = shown.err.strip().splitlines()
+        assert len(err) == 1 and "'GJR, sim'" in json.loads(err[0])["error"]
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_env_seed_overrides_flag(self, tmp_path):
@@ -245,6 +256,28 @@ class TestIngestCommands:
         assert rej[1] == "2007-01-03,XYZ,insufficient liquidity"
         assert not any(p.name.startswith("XYZ") for p in out_thin.iterdir())
 
+    @pytest.mark.parametrize("command", ["ingest", "index"])
+    @pytest.mark.parametrize(
+        "instrument, reason",
+        [('"BRK,B"', "line 2: field 'BRK,B' holds a separator"), ('BRK"B', "cannot be a CSV cell")],
+        ids=["read", "written"],
+    )
+    def test_instrument_holding_a_separator_writes_nothing(self, tmp_path, capsys, command, instrument, reason):
+        # A quoted instrument holding a comma is refused on input.  A bare
+        # quote is read as part of the name and refused when the rejection
+        # row is laid out, which happens before the accepted day is written.
+        src = tmp_path / "ticks.csv"
+        make_tick_file(src, 800)
+        header, rows = src.read_text().split("\n", 1)
+        src.write_text(f"{header}\n2007-01-03,600,{instrument},10.0\n{rows}")
+        out = tmp_path / "days"
+        assert run([command, "-i", src, "--out", out]) == 2
+        shown = capsys.readouterr()
+        assert shown.out == ""
+        err = shown.err.strip().splitlines()
+        assert len(err) == 1 and reason in json.loads(err[0])["error"]
+        assert not out.exists()
+
     def test_ingested_directory_feeds_fit_and_qcf(self, tmp_path, capsys):
         # rejections.csv in the ingest output directory must not trip
         # directory expansion in downstream commands
@@ -283,6 +316,16 @@ class TestIngestCommands:
 
 
 class TestFitResimCommands:
+    def test_excluded_day_name_holding_a_comma_writes_nothing(self, tmp_path, capsys):
+        days = tmp_path / "days"
+        days.mkdir()
+        (days / "x,y.csv").write_text(values_to_csv(np.linspace(1.0, 2.0, 5)))  # too short to fit
+        out, excluded = tmp_path / "fits.csv", tmp_path / "excluded.csv"
+        assert run(["fit", "-i", days, "--out", out, "--excluded-out", excluded]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "'x,y'" in json.loads(err[0])["error"]
+        assert not out.exists() and not excluded.exists()
+
     def test_fit_and_resim_roundtrip(self, tmp_path, capsys):
         params = GarchParams(kind="gjr", mu=0.0, omega=0.05, alpha1=0.05, beta1=0.9, gamma1=0.06)
         for seed in (1, 2):

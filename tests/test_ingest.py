@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import CSV_EDITS, perturb
+from helpers import CSV_EDITS, perturb, reference_read_ticks, tick_group
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +8,6 @@ from qcorr import (
     DataFormatError,
     DayRejection,
     TickGroup,
-    TickRecord,
     TradingDay,
     build_index,
     compute_returns,
@@ -21,23 +20,10 @@ SESSION_OPEN = 0
 SESSION_CLOSE = 23400  # 6.5 h; trimming 600 s each side leaves 22200 s
 
 
-def ticks_every(step, instrument="XYZ", price=100.0, start=SESSION_OPEN, stop=SESSION_CLOSE):
-    return [TickRecord(t, price, instrument) for t in range(start, stop, step)]
-
-
-class TestTickRecord:
-    def test_rejects_nonpositive_price(self):
-        with pytest.raises(DataFormatError, match="price"):
-            TickRecord(10, 0.0, "XYZ")
-
-    def test_rejects_negative_timestamp(self):
-        with pytest.raises(DataFormatError, match="timestamp"):
-            TickRecord(-1, 10.0, "XYZ")
-
-
 class TestResampleDay:
     def test_trade_every_second_is_identity(self):
-        ticks = [TickRecord(t, 100.0 + t * 1e-4, "XYZ") for t in range(SESSION_OPEN, SESSION_CLOSE)]
+        times = range(SESSION_OPEN, SESSION_CLOSE)
+        ticks = tick_group(times, [100.0 + t * 1e-4 for t in times])
         day = resample_day(ticks, SESSION_OPEN, SESSION_CLOSE, date="2007-01-03")
         assert isinstance(day, TradingDay)
         assert len(day) == 22200
@@ -46,72 +32,67 @@ class TestResampleDay:
         assert np.array_equal(day.prices, expected)
 
     def test_liquidity_gate_799_rejected_800_accepted(self):
-        ticks_799 = [TickRecord(600 + 25 * k, 10.0, "XYZ") for k in range(799)]
+        ticks_799 = tick_group([600 + 25 * k for k in range(799)], 10.0)
         result = resample_day(ticks_799, SESSION_OPEN, SESSION_CLOSE, date="d")
         assert isinstance(result, DayRejection)
         assert result.reason == "insufficient liquidity"
 
-        ticks_800 = [TickRecord(600 + 25 * k, 10.0, "XYZ") for k in range(800)]
+        ticks_800 = tick_group([600 + 25 * k for k in range(800)], 10.0)
         day = resample_day(ticks_800, SESSION_OPEN, SESSION_CLOSE, date="d")
         assert isinstance(day, TradingDay)
         assert len(day) == 22200
 
     def test_toy_six_second_session_no_trim(self):
-        ticks = [TickRecord(0, 10.0, "T"), TickRecord(3, 11.0, "T")]
+        ticks = tick_group([0, 3], [10.0, 11.0], "T")
         day = resample_day(ticks, 0, 6, date="toy", trim_seconds=0, min_traded_seconds=1)
         assert day.prices.tolist() == [10.0, 10.0, 10.0, 11.0, 11.0, 11.0]
 
     def test_opening_trades_seed_first_grid_price(self):
         # single trade inside the trimmed opening minutes carries forward
-        ticks = [TickRecord(30, 42.0, "XYZ")] + [
-            TickRecord(t, 43.0, "XYZ") for t in range(700, 23400, 25)
-        ]
+        times = [30, *range(700, 23400, 25)]
+        ticks = tick_group(times, [42.0] + [43.0] * (len(times) - 1))
         day = resample_day(ticks, SESSION_OPEN, SESSION_CLOSE, date="d")
         assert day.prices[0] == 42.0
         assert day.prices[-1] == 43.0
 
     def test_no_price_before_grid_rejected(self):
-        ticks = [TickRecord(t, 10.0, "XYZ") for t in range(700, 23400, 20)]
+        ticks = tick_group(range(700, 23400, 20), 10.0)
         # grid starts at 600; first trade at 700 with nothing earlier
         result = resample_day(ticks, SESSION_OPEN, SESSION_CLOSE, date="d")
         assert isinstance(result, DayRejection)
         assert "no price" in result.reason
 
     def test_unsorted_ticks_error(self):
-        ticks = [TickRecord(10, 10.0, "XYZ"), TickRecord(5, 10.0, "XYZ")]
+        ticks = tick_group([10, 5], 10.0)
         with pytest.raises(DataFormatError, match="sorted"):
             resample_day(ticks, 0, 20, date="d", trim_seconds=0, min_traded_seconds=1)
 
     def test_out_of_session_error(self):
-        ticks = [TickRecord(5, 10.0, "XYZ"), TickRecord(30, 10.0, "XYZ")]
+        ticks = tick_group([5, 30], 10.0)
         with pytest.raises(DataFormatError, match="session"):
             resample_day(ticks, 0, 20, date="d", trim_seconds=0, min_traded_seconds=1)
-
-    def test_mixed_instruments_error(self):
-        ticks = [TickRecord(1, 10.0, "A"), TickRecord(2, 10.0, "B")]
-        with pytest.raises(DataFormatError, match="mixed instruments"):
-            resample_day(ticks, 0, 10, date="d", trim_seconds=0, min_traded_seconds=1)
 
     def test_fill_idempotence(self):
         rng = np.random.default_rng(8)
         prices = 50.0 * np.exp(np.cumsum(rng.normal(0, 1e-4, SESSION_CLOSE)))
-        ticks = [TickRecord(t, float(p), "XYZ") for t, p in enumerate(prices)]
-        day = resample_day(ticks, SESSION_OPEN, SESSION_CLOSE, date="d")
-        again = [TickRecord(600 + i, float(p), "XYZ") for i, p in enumerate(day.prices)]
+        day = resample_day(tick_group(range(SESSION_CLOSE), prices), SESSION_OPEN, SESSION_CLOSE, date="d")
+        again = tick_group(range(600, 600 + day.prices.size), day.prices)
         day2 = resample_day(again, 600, 600 + 22200, date="d", trim_seconds=0)
         assert np.array_equal(day.prices, day2.prices)
 
     def test_tick_group_and_records_agree(self):
-        ticks = [TickRecord(30, 42.0, "XYZ")] + ticks_every(25, price=43.0, start=700)
-        group = TickGroup("XYZ", [t.timestamp for t in ticks], [t.price for t in ticks])
-        assert len(group) == len(ticks) and group.times.dtype == np.int64
+        times = [30, *range(700, 23400, 25)]
+        group = tick_group(times, [42.0] + [43.0] * (len(times) - 1))
+        assert len(group) == len(times) and group.times.dtype == np.int64
+        rows = "".join(f"2007-01-03,{t},XYZ,{p!r}\n" for t, p in zip(times, group.prices.tolist()))
+        read = read_ticks_csv("date,time_seconds,instrument,price\n" + rows)[("2007-01-03", "XYZ")]
         day = resample_day(group, SESSION_OPEN, SESSION_CLOSE, date="d")
-        assert np.array_equal(day.prices, resample_day(ticks, SESSION_OPEN, SESSION_CLOSE, date="d").prices)
+        assert np.array_equal(day.prices, resample_day(read, SESSION_OPEN, SESSION_CLOSE, date="d").prices)
         with pytest.raises(ValueError, match="equal length"):
             TickGroup("XYZ", [1, 2], [10.0])
 
     def test_last_trade_in_second_wins(self):
-        ticks = [TickRecord(0, 10.0, "T"), TickRecord(2, 11.0, "T"), TickRecord(2, 12.0, "T")]
+        ticks = tick_group([0, 2, 2], [10.0, 11.0, 12.0], "T")
         day = resample_day(ticks, 0, 4, date="d", trim_seconds=0, min_traded_seconds=1)
         assert day.prices.tolist() == [10.0, 10.0, 12.0, 12.0]
 
@@ -258,12 +239,6 @@ def with_rows(*rows, head=TICKS_HEAD, end="\n"):
     return end.join([head, *rows]) + end
 
 
-def read_by_row(text):
-    keys = {}
-    columns = serialize._tick_rows(text, keys)
-    return serialize._group_ticks(keys, *columns)
-
-
 def outcome(read, text):
     """Each group's instrument, times, prices and dtypes, or the error text."""
     try:
@@ -277,7 +252,7 @@ def outcome(read, text):
 
 
 class TestTickReaderPaths:
-    """The bulk path and the row loop give equal groups or the same error."""
+    """read_ticks_csv and the reference reader give equal groups or the same error."""
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -305,24 +280,33 @@ class TestTickReaderPaths:
             (with_rows(TICK_ROWS[0], "2007-01-03,2,BÖRSE,20.0,1", TICK_ROWS[2]),
              {("2007-01-03", "AAA"): [1, 3], ("2007-01-03", "BÖRSE"): [2]}),
             ("", "empty ticks file; header row required"),
+            (with_rows(*TICK_ROWS, end="\r"), TWO_GROUPS),
+            (with_rows(TICK_ROWS[0], " \t", *TICK_ROWS[1:]), TWO_GROUPS),
+            (with_rows(TICK_ROWS[0], '2007-01-03,2,"BRK,B",20.0,1'), "line 3: field 'BRK,B' holds a separator"),
+            (with_rows(TICK_ROWS[0], "2007-01-03,2,B\x00B,20.0,1"), "line 3: line contains NUL"),
+            (with_rows(TICK_ROWS[0], "2007-01-03,9223372036854775808,AAA,1.0,1"),
+             "line 3: timestamp 9223372036854775808 is out of range"),
+            (with_rows(TICK_ROWS[0], "2007-01-03,2,AAA, 0 ,1", '2007-01-03,3,"A,A",1.0,1'),
+             "line 3: nonpositive price 0.0"),
         ],
         ids=[
             "plain", "crlf", "quoted-field", "padded-fields", "blank-line", "no-final-newline",
             "header-only", "header-without-newline", "upper-case-header", "padded-header", "nonregular-xx",
             "nonregular-negative", "bad-int", "negative-time", "nan-price", "zero-price",
-            "field-count", "underscore-digits", "non-ascii-instrument", "empty",
+            "field-count", "underscore-digits", "non-ascii-instrument", "empty", "bare-cr",
+            "whitespace-line", "separator-in-field", "nul", "time-beyond-int64", "first-bad-line",
         ],
     )
     def test_paths_agree(self, text, expected):
         bulk = outcome(read_ticks_csv, text)
-        assert bulk == outcome(read_by_row, text)
+        assert bulk == outcome(reference_read_ticks, text)
         if isinstance(expected, str):
             assert bulk == expected
         else:
             assert {key: times for key, _, times, *_ in bulk} == expected
 
-    def test_plain_input_never_reaches_the_row_loop(self, monkeypatch):
-        monkeypatch.setattr(serialize, "_tick_rows", None)
+    def test_plain_input_never_reaches_the_normalizer(self, monkeypatch):
+        monkeypatch.setattr(serialize, "_normalize", None)
         monkeypatch.setattr(serialize, "_CHUNK_CHARS", 40)
         assert outcome(read_ticks_csv, with_rows(*TICK_ROWS * 20))[0][2] == [1, 3] * 20
         plain = with_rows(*(row[: row.rindex(",")] for row in TICK_ROWS), head=TICKS_HEAD[:-8])
@@ -357,7 +341,7 @@ class TestTickReaderPaths:
         text = perturb(with_rows(*(",".join(row[:width]) for row in rows), head=head), edits)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(serialize, "_CHUNK_CHARS", chunk)
-            assert outcome(read_ticks_csv, text) == outcome(read_by_row, text)
+            assert outcome(read_ticks_csv, text) == outcome(reference_read_ticks, text)
 
 
 class TestTradingDayValidation:

@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from helpers import CSV_EDITS, perturb
+from helpers import CSV_EDITS, perturb, reference_read_columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -268,7 +268,7 @@ def columns_outcome(read, text, columns):
 
 
 class TestColumnReaderPaths:
-    """_read_columns in bulk and one row at a time give the same arrays or error."""
+    """_read_columns and the reference reader give the same arrays or error."""
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -284,22 +284,31 @@ class TestColumnReaderPaths:
             ("second,price\n0,1_0.5\n1,nan\n", [10.5, float("nan")]),
             ("second,price\n0,10.5\n1,1é\n", "line 3: '1é' is not a number"),
             ("second,price\n0,10.5\n1,\n", "line 3: '' is not a number"),
-            ("second,price\n0,10.5\n1,11.0,3\n", "line 3: expected 2 field(s), got 3"),
+            ("second,price\n0,10.5\n1,11.0,3\n", "line 3: expected 2 fields, got 3"),
             ("second,prices\n0,10.5\n", "unrecognized header"),
             ("second,price\n0,10.5\n2,11.0\n", "line 3: second must be 1, got '2'"),
             ("second,price\n1,10.5\n", "line 2: second must be 0, got '1'"),
             ("second,price\n0,10.5\n01,11.0\n", "line 3: second must be 1, got '01'"),
+            ('second,price\n"0","10.5"\n1,11.0\n', [10.5, 11.0]),
+            ("second,price\r0,10.5\r1,11.0\r", [10.5, 11.0]),
+            ("second,price\n0,10.5\x0c1,11.0\n", "line 2: expected 2 fields, got 3"),
+            ("second,price\n0, 1x \n", "line 2: '1x' is not a number"),
+            ("second,price\n0,x\n5,1\n", "line 2: 'x' is not a number"),
+            ('second,price\n0,"1,5"\n', "line 2: field '1,5' holds a separator"),
+            ("second,price\n0,1\n1,1\x00\n", "line 3: line contains NUL"),
+            ('second,price\n0,"10.5\n"\n1,x\n', "line 2: field '10.5\\n' holds a separator"),
         ],
         ids=[
             "plain", "crlf", "padded", "blank-line", "no-final-newline", "leading-blank-line",
             "header-only", "header-without-newline", "underscore-and-nan", "non-ascii-value",
             "empty-value", "field-count", "unknown-header", "index-skips", "index-from-one",
-            "index-leading-zero",
+            "index-leading-zero", "quoted-values", "bare-cr", "form-feed-in-a-line", "padded-bad-value",
+            "first-bad-line", "separator-in-field", "nul", "quoted-line-break",
         ],
     )
     def test_day_paths_agree(self, text, expected):
         bulk = columns_outcome(serialize._read_columns, text, DAY_COLUMNS)
-        assert bulk == columns_outcome(serialize._read_columns_by_row, text, DAY_COLUMNS)
+        assert bulk == columns_outcome(reference_read_columns, text, DAY_COLUMNS)
         if isinstance(expected, str):
             assert expected in bulk
         else:
@@ -310,13 +319,13 @@ class TestColumnReaderPaths:
     def test_lag_beyond_int64_is_named(self, newline, lag):
         text = newline.join(["lag,qcf", "0,1", f"{lag},0.5", ""])
         outcome = columns_outcome(serialize._read_columns, text, CURVE_COLUMNS)
-        assert outcome == columns_outcome(serialize._read_columns_by_row, text, CURVE_COLUMNS)
+        assert outcome == columns_outcome(reference_read_columns, text, CURVE_COLUMNS)
         assert outcome == f"line 3: {lag!r} is out of range"
         with pytest.raises(DataFormatError, match="line 3"):
             serialize.curve_arrays_from_csv(text)
 
-    def test_plain_input_never_reaches_the_row_loop(self, monkeypatch):
-        monkeypatch.setattr(serialize, "_read_columns_by_row", None)
+    def test_plain_input_never_reaches_the_normalizer(self, monkeypatch):
+        monkeypatch.setattr(serialize, "_normalize", None)
         monkeypatch.setattr(serialize, "_CHUNK_CHARS", 16)
         params = GarchParams(kind="gjr", mu=0.0, omega=1e-5, alpha1=0.05, beta1=0.9, gamma1=0.06)
         sim = simulate(params, 200, seed=4)
@@ -325,6 +334,9 @@ class TestColumnReaderPaths:
         lags, values, ci = serialize.curve_arrays_from_csv("lag,qcf,ci\n0,1,0.1\n1,-0.25,0.1\n2,0.5,0.1\n")
         assert lags.dtype == int and lags.tolist() == [0, 1, 2] and values.tolist() == [1, -0.25, 0.5]
         assert ci == 0.1
+        assert columns_outcome(serialize._read_columns, "second,price\n0,1\n1,x\n", DAY_COLUMNS) == (
+            "line 3: 'x' is not a number"
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -343,8 +355,63 @@ class TestColumnReaderPaths:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(serialize, "_CHUNK_CHARS", chunk)
             assert columns_outcome(serialize._read_columns, text, columns) == columns_outcome(
-                serialize._read_columns_by_row, text, columns
+                reference_read_columns, text, columns
             )
+
+
+def restyle(rows, newline, padded, quoted, blanks):
+    """rows of fields as CSV text with the given line end: the fields at the
+    (row, column) positions in padded surrounded by whitespace, those in
+    quoted in quotes, and a blank line before each row number in blanks."""
+    lines = []
+    for i, row in enumerate(rows):
+        if i in blanks:
+            lines.append(" \t" * (i % 2))
+        row = [f" {field}\t" if (i, j) in padded else field for j, field in enumerate(row)]
+        lines.append(",".join(f'"{field}"' if (i, j) in quoted else field for j, field in enumerate(row)))
+    return newline.join(lines + [""] * (1 + (len(rows) in blanks)))
+
+
+class TestRestyledInput:
+    """Line ends, padding, blank lines and quoting do not change what a CSV reads as."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["day", "sim", "curve", "ticks"]),
+        values=st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), max_size=20),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        padded=st.sets(st.tuples(st.integers(0, 20), st.integers(0, 4)), max_size=10),
+        quoted=st.sets(st.tuples(st.integers(0, 20), st.integers(0, 4)), max_size=10),
+        blanks=st.sets(st.integers(0, 21), max_size=5),
+        chunk=st.sampled_from([1, 32, 1 << 18]),
+    )
+    def test_arrays_are_bit_identical(self, kind, values, newline, padded, quoted, blanks, chunk):
+        fmt = serialize.fmt
+        rows = {
+            "day": [[str(i), fmt(v)] for i, v in enumerate(values)],
+            "sim": [[str(i), fmt(v), fmt(abs(v))] for i, v in enumerate(values)],
+            "curve": [[str(i), repr(v)] for i, v in enumerate(values)],
+            "ticks": [
+                [f"2007-01-0{1 + i % 2}", str(i), "AB"[i % 3 % 2], fmt(abs(v)) if 0 < abs(v) < np.inf else "1", "yes"]
+                for i, v in enumerate(values)
+            ],
+        }[kind]
+        header = "date,time_seconds,instrument,price,regular" if kind == "ticks" else {
+            "day": serialize.DAY_HEADER, "sim": serialize.SIM_HEADER, "curve": serialize.CURVE_HEADER
+        }[kind]
+        rows = [header.split(","), *rows]
+
+        def read(text):
+            if kind == "ticks":
+                groups = read_ticks_csv(text)
+                return [(key, g.times.tobytes(), g.prices.tobytes()) for key, g in groups.items()]
+            return columns_outcome(serialize._read_columns, text, {**DAY_COLUMNS, **SIM_COLUMNS, **CURVE_COLUMNS})
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "_CHUNK_CHARS", chunk)
+            plain = read(restyle(rows, "\n", set(), set(), set()))
+            assert not isinstance(plain, str)
+            assert read(restyle(rows, newline, padded, quoted, blanks)) == plain
 
 
 class TestAtomicWrite:
