@@ -387,17 +387,14 @@ class TestRestyledInput:
     )
     def test_arrays_are_bit_identical(self, kind, values, newline, padded, quoted, blanks, chunk):
         fmt = serialize.fmt
-        rows = {
-            "day": [[str(i), fmt(v)] for i, v in enumerate(values)],
-            "sim": [[str(i), fmt(v), fmt(abs(v))] for i, v in enumerate(values)],
-            "curve": [[str(i), repr(v)] for i, v in enumerate(values)],
-            "ticks": [
+        header, rows = {
+            "day": (serialize.DAY_HEADER, [[str(i), fmt(v)] for i, v in enumerate(values)]),
+            "sim": (serialize.SIM_HEADER, [[str(i), fmt(v), fmt(abs(v))] for i, v in enumerate(values)]),
+            "curve": (serialize.CURVE_HEADER, [[str(i), repr(v)] for i, v in enumerate(values)]),
+            "ticks": ("date,time_seconds,instrument,price,regular", [
                 [f"2007-01-0{1 + i % 2}", str(i), "AB"[i % 3 % 2], fmt(abs(v)) if 0 < abs(v) < np.inf else "1", "yes"]
                 for i, v in enumerate(values)
-            ],
-        }[kind]
-        header = "date,time_seconds,instrument,price,regular" if kind == "ticks" else {
-            "day": serialize.DAY_HEADER, "sim": serialize.SIM_HEADER, "curve": serialize.CURVE_HEADER
+            ]),
         }[kind]
         rows = [header.split(","), *rows]
 
