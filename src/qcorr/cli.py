@@ -17,7 +17,7 @@ from pathlib import Path
 from . import serialize
 from .errors import DataFormatError, QcorrError
 from .fitting import average_params, fit_per_day, resimulate_experiment
-from .garch import GarchParams, simulate
+from .garch import PARAM_NAMES, GarchParams, simulate
 from .ingest import (
     MIN_TRADED_SECONDS,
     SESSION_TRIM_SECONDS,
@@ -120,10 +120,15 @@ def _parse_pairs(args) -> list[tuple[float, float]]:
     return list(zip(alphas, betas))
 
 
-def _load_all_series(args) -> tuple[list[str], list[TimeSeries]]:
-    """The kind and the series of every input, in input order."""
-    loaded = [load_series(p, args.horizon, args.stride) for p in _expand_inputs(args.input)]
-    return [kind for kind, _ in loaded], [series for _, series in loaded]
+def _load_all_series(args) -> tuple[bool, list[TimeSeries]]:
+    """Whether the inputs are day prices, and the series of every input, in input
+    order.  Inputs that mix day prices with returns are refused."""
+    paths = _expand_inputs(args.input)
+    loaded = [load_series(p, args.horizon, args.stride) for p in paths]
+    by_kind = {kind == "day": path for path, (kind, _) in zip(paths, loaded)}  # one path per kind
+    if len(by_kind) > 1:
+        raise ValueError(f"inputs mix day prices ({by_kind[True]}) with returns ({by_kind[False]})")
+    return True in by_kind, [series for _, series in loaded]
 
 
 def cmd_qcf(args) -> int:
@@ -160,11 +165,11 @@ def _parse_levels(text: str) -> list[float]:
 
 
 def cmd_ppgrid(args) -> int:
-    kinds, series = _load_all_series(args)
+    days, series = _load_all_series(args)
     levels = _parse_levels(args.levels) if args.levels else list(DEFAULT_GRID_LEVELS)
     if args.lag:
         lags = list(args.lag)
-    elif kinds[0] == "day":
+    elif days:
         lags = []
         for seconds in DEFAULT_DAY_GRID_LAG_SECONDS:
             if seconds % args.stride:
@@ -199,14 +204,7 @@ def cmd_asym(args) -> int:
 
 
 def _params_from_args(args) -> GarchParams:
-    return GarchParams(
-        kind=args.model,
-        mu=args.mu,
-        omega=args.omega,
-        alpha1=args.alpha1,
-        beta1=args.beta1,
-        gamma1=args.gamma1,
-    )
+    return GarchParams(args.model, *(getattr(args, name) for name in PARAM_NAMES))
 
 
 def cmd_simulate(args) -> int:
@@ -272,31 +270,37 @@ def _safe_name(name: str) -> str:
     return "".join(c if (c.isalnum() or c in "._-") else "_" for c in name) or "_"
 
 
-def cmd_ingest(args) -> int:
-    accepted, rejections = _resample_groups(args)
-    rejected = serialize.rejections_to_csv(rejections)  # before any write: it may refuse a cell
-    out = Path(args.out)
-    for day in accepted:
+def _write_days(args, days: list[TradingDay], rejections: list[DayRejection]) -> None:
+    """Write each day to --out as <instrument>_<date>.csv, made safe, then
+    rejections.csv.  Every name is laid out before the first write, so two
+    days that would share a file write nothing."""
+    rejected = serialize.rejections_to_csv(rejections)  # it may refuse a cell
+    named: dict[str, TradingDay] = {}
+    for day in days:
         name = f"{_safe_name(day.instrument)}_{_safe_name(day.date)}.csv"
+        if name in named:
+            both = " and ".join(f"{d.instrument!r} on {d.date!r}" for d in (named[name], day))
+            raise ValueError(f"{both} would both be written to {name}")
+        named[name] = day
+    out = Path(args.out)
+    for name, day in named.items():
         serialize.write_text_atomic(out / name, serialize.day_to_csv(day))
     serialize.write_text_atomic(out / "rejections.csv", rejected)
+
+
+def cmd_ingest(args) -> int:
+    accepted, rejections = _resample_groups(args)
+    _write_days(args, accepted, rejections)
     print(f"accepted {len(accepted)} day(s), rejected {len(rejections)}")
     return 0
 
 
 def cmd_index(args) -> int:
     accepted, rejections = _resample_groups(args)
-    rejected = serialize.rejections_to_csv(rejections)  # before any write: it may refuse a cell
     by_date: dict[str, list[TradingDay]] = {}
     for day in accepted:
         by_date.setdefault(day.date, []).append(day)
-    out = Path(args.out)
-    for date in sorted(by_date):
-        index_day = build_index(by_date[date])
-        serialize.write_text_atomic(
-            out / f"INDEX_{_safe_name(date)}.csv", serialize.day_to_csv(index_day)
-        )
-    serialize.write_text_atomic(out / "rejections.csv", rejected)
+    _write_days(args, [build_index(by_date[date]) for date in sorted(by_date)], rejections)
     print(f"built {len(by_date)} index day(s), rejected {len(rejections)} day(s)")
     return 0
 
@@ -315,6 +319,15 @@ def _add_common_series(parser):
                         help="spacing of return start points in grid seconds")
 
 
+def _add_output(parser):
+    parser.add_argument("--out", required=True, help="a .csv or .json file, else a directory")
+    parser.add_argument("--format", choices=("csv", "json"), help="default: the --out suffix, else csv")
+
+
+def _add_seed(parser):
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--burn-in", type=int, default=1000)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -330,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-lag", type=int, required=True)
     _add_common_series(p)
     p.add_argument("--no-band", action="store_true", help="skip the (0.5,0.5) confidence band")
-    p.add_argument("--out", required=True, help="a .csv or .json file, else a directory")
-    p.add_argument("--format", choices=("csv", "json"), help="default: the --out suffix, else csv")
+    _add_output(p)
     p.set_defaults(func=cmd_qcf)
 
     p = sub.add_parser("ppgrid", help="probability-probability grid at fixed lags")
@@ -340,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lag", type=int, action="append",
                    help="lag in observation steps; repeatable; defaults depend on input kind")
     _add_common_series(p)
-    p.add_argument("--out", required=True, help="a .csv or .json file, else a directory")
-    p.add_argument("--format", choices=("csv", "json"), help="default: the --out suffix, else csv")
+    _add_output(p)
     p.set_defaults(func=cmd_ppgrid)
 
     p = sub.add_parser("asym", help="area asymmetry of stored curves")
@@ -360,10 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta1", type=float, default=0.9)
     p.add_argument("--gamma1", type=float, default=0.0)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--out", required=True, help="a .csv or .json file, else a directory")
-    p.add_argument("--format", choices=("csv", "json"), help="default: the --out suffix, else csv")
+    _add_seed(p)
+    _add_output(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="per-day GJR-GARCH fits")
@@ -379,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--n-series", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", type=int, default=1000)
+    _add_seed(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_resim)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .garch import GarchParams, ModelKind, SimulationResult, _simulate_seeds
+from .garch import PARAM_NAMES, GarchParams, ModelKind, SimulationResult, _simulate_seeds
 from .series import TimeSeries, as_values
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -290,15 +290,8 @@ def average_params(batch: FitBatch) -> GarchParams:
     converged = list(batch.converged_fits().values())
     if not converged:
         raise ValueError("no converged fits to average")
-    n = len(converged)
-    return GarchParams(
-        kind=ModelKind.GJR,
-        mu=sum(f.params.mu for f in converged) / n,
-        omega=sum(f.params.omega for f in converged) / n,
-        alpha1=sum(f.params.alpha1 for f in converged) / n,
-        beta1=sum(f.params.beta1 for f in converged) / n,
-        gamma1=sum(f.params.gamma1 for f in converged) / n,
-    )
+    means = (sum(getattr(f.params, name) for f in converged) / len(converged) for name in PARAM_NAMES)
+    return GarchParams(ModelKind.GJR, *means)
 
 
 def derived_seeds(seed: int, n_series: int) -> list[int]:

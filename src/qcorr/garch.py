@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TimeSeries
+from .series import TimeSeries, frozen_array
 
 # E|z| for standard normal innovations, used exactly rather than sampled.
 E_ABS_NORMAL = math.sqrt(2.0 / math.pi)
@@ -42,6 +42,9 @@ GENERATOR = "numpy.random.default_rng (PCG64)"
 # 343 us per series at width 32, 70 at 256 and 30 at 1024 (2-core Xeon).
 # 256 bounds the innovation buffer at about 2.7 MiB for 1370 steps.
 _BLOCK_SERIES = 256
+
+# The real parameters of every model, in GarchParams field order.
+PARAM_NAMES = ("mu", "omega", "alpha1", "beta1", "gamma1")
 
 
 class ModelKind(str, enum.Enum):
@@ -77,7 +80,7 @@ class GarchParams:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", as_kind(self.kind))
-        for name in ("mu", "omega", "alpha1", "beta1", "gamma1"):
+        for name in PARAM_NAMES:
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -127,15 +130,13 @@ class SimulationResult:
     burn_in: int
 
     def __post_init__(self):
-        variances = np.asarray(self.variances, dtype=float)
+        variances = frozen_array(self.variances)
         if variances.shape != (len(self.returns),):
             raise ValueError("variances must align one-to-one with returns")
         if not np.all(variances > 0):
             raise ValueError("conditional variances must be strictly positive")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
-        variances = variances.copy()
-        variances.setflags(write=False)
         object.__setattr__(self, "variances", variances)
 
 

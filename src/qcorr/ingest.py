@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .series import TimeSeries
+from .series import TimeSeries, frozen_array
 
 SESSION_TRIM_SECONDS = 600
 MIN_TRADED_SECONDS = 800
-STANDARD_GRID_SECONDS = 22200
 
 
 @dataclass(frozen=True)
@@ -35,6 +34,7 @@ class TickGroup:
         prices = np.asarray(self.prices, dtype=float)
         if times.ndim != 1 or times.shape != prices.shape:
             raise ValueError("times and prices must be one-dimensional and of equal length")
+        # Kept as views, not frozen_array copies: every tick read builds these.
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "prices", prices)
 
@@ -56,15 +56,13 @@ class TradingDay:
     traded_seconds: int
 
     def __post_init__(self):
-        prices = np.asarray(self.prices, dtype=float)
+        prices = frozen_array(self.prices)
         if prices.ndim != 1 or prices.size == 0:
             raise ValueError("prices must be a nonempty one-dimensional array")
         if not np.all(prices > 0):
             raise ValueError("all prices must be positive")
         if self.traded_seconds < 1:
             raise ValueError("traded_seconds must be positive")
-        prices = prices.copy()
-        prices.setflags(write=False)
         object.__setattr__(self, "prices", prices)
 
     def __len__(self) -> int:

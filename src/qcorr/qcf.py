@@ -19,7 +19,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import DegenerateLevelError
-from .series import ProbabilityLevel, as_level, as_values
+from .series import ProbabilityLevel, as_level, as_values, frozen_array
 
 # Correlations are bounded by 1 in exact arithmetic; allow roundoff.
 VALUE_TOL = 1e-12
@@ -85,7 +85,7 @@ class BinarySeries:
     quantile_value: float
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
+        bits = frozen_array(self.bits, np.uint8)
         if bits.ndim != 1 or bits.size == 0:
             raise ValueError("bits must be a nonempty one-dimensional array")
         if not np.all((bits == 0) | (bits == 1)):
@@ -95,8 +95,6 @@ class BinarySeries:
             raise ValueError(
                 f"achieved_fraction {self.achieved_fraction!r} does not match bits ({frac!r})"
             )
-        bits = bits.copy()
-        bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "achieved_fraction", frac)
 
@@ -149,8 +147,8 @@ class QcfCurve:
     n_averaged: int = 1
 
     def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=int)
-        values = np.asarray(self.values, dtype=float)
+        lags = frozen_array(self.lags, int)
+        values = frozen_array(self.values)
         if lags.ndim != 1 or values.ndim != 1 or lags.size != values.size or lags.size == 0:
             raise ValueError("lags and values must be nonempty arrays of equal length")
         if np.any(np.diff(lags) <= 0):
@@ -170,10 +168,6 @@ class QcfCurve:
         # lags mirror positive ones when both filters share the same bits)
         # rather than checked here, because equal levels do not imply equal
         # bits for externally supplied binary series (e.g. complements).
-        lags = lags.copy()
-        values = values.copy()
-        lags.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "series_length", int(self.series_length))
@@ -402,7 +396,7 @@ class PPGrid:
     n_averaged: int = 1
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
+        matrix = frozen_array(self.matrix)
         n = len(self.levels)
         if n == 0 or matrix.shape != (n, n):
             raise ValueError("matrix must be square with one row/column per level")
@@ -410,8 +404,6 @@ class PPGrid:
             raise ValueError("grid entries must lie in [-1, 1] up to 1e-12")
         if self.n_averaged < 1:
             raise ValueError("n_averaged must be positive")
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "lag", int(self.lag))
         object.__setattr__(self, "levels", tuple(map(as_level, self.levels)))

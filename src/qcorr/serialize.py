@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .fitting import FitBatch
-from .garch import GENERATOR, GarchParams, SimulationResult
+from .garch import GENERATOR, PARAM_NAMES, GarchParams, SimulationResult
 from .ingest import DayRejection, TickGroup, TradingDay
 from .qcf import AsymmetryReport, PPGrid, QcfCurve
 from .series import ProbabilityLevel
@@ -642,14 +642,8 @@ def params_to_json(params: GarchParams) -> str:
 
 def params_from_json(text: str) -> GarchParams:
     with _load_object(text, "params JSON") as doc:
-        return GarchParams(
-            kind=doc["kind"],
-            mu=float(doc["mu"]),
-            omega=float(doc["omega"]),
-            alpha1=float(doc["alpha1"]),
-            beta1=float(doc["beta1"]),
-            gamma1=float(doc.get("gamma1", 0.0)),
-        )
+        doc = {"gamma1": 0.0, **doc}
+        return GarchParams(doc["kind"], *(float(doc[name]) for name in PARAM_NAMES))
 
 
 # --- fit batches ---------------------------------------------------------------
@@ -657,7 +651,7 @@ def params_from_json(text: str) -> GarchParams:
 
 def batch_to_csv(batch: FitBatch) -> str:
     fits = list(batch.fits.values())
-    params = [[getattr(f.params, name) for f in fits] for name in ("mu", "omega", "alpha1", "beta1", "gamma1")]
+    params = [[getattr(f.params, name) for f in fits] for name in PARAM_NAMES]
     return _table(
         BATCH_HEADER,
         batch.fits.keys(),

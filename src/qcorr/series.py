@@ -24,6 +24,14 @@ class ProbabilityLevel:
         return self.p
 
 
+def frozen_array(x, dtype=float) -> np.ndarray:
+    """A read-only copy of x as a C-order array of dtype: how the value types
+    store their arrays."""
+    array = np.array(x, dtype=dtype, order="C")
+    array.setflags(write=False)
+    return array
+
+
 def as_level(level: float | ProbabilityLevel) -> ProbabilityLevel:
     if isinstance(level, ProbabilityLevel):
         return level
@@ -43,7 +51,7 @@ class TimeSeries:
     label: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = frozen_array(self.values)
         if values.ndim != 1:
             raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
         if values.size < 2:
@@ -52,8 +60,6 @@ class TimeSeries:
             raise ValueError("values must all be finite (no NaN/inf markers)")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be a positive real, got {self.step!r}")
-        values = values.copy()
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "step", float(self.step))
 

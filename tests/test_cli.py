@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import EXAMPLE_SERIES, oracle_qcf
-from qcorr import GarchParams, asymmetry, confidence_band, qcf_fast, simulate
+from qcorr import GarchParams, TradingDay, asymmetry, confidence_band, qcf_fast, simulate
 from qcorr.cli import build_parser, main
 from qcorr import serialize
 from qcorr.serialize import values_to_csv
@@ -276,6 +276,33 @@ class TestIngestCommands:
         assert shown.out == ""
         err = shown.err.strip().splitlines()
         assert len(err) == 1 and reason in json.loads(err[0])["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, keys, name",
+        [
+            ("ingest", [("2007-01-03", "BRK/B"), ("2007-01-03", "BRK_B")], "BRK_B_2007-01-03.csv"),
+            ("index", [("2007/01/03", "AAA"), ("2007_01_03", "AAA")], "INDEX_2007_01_03.csv"),
+        ],
+    )
+    def test_keys_sharing_a_file_name_write_nothing(self, tmp_path, capsys, command, keys, name):
+        # Both keys of each case make one file name.  A day of a third key,
+        # due first, must not be written either.
+        lines = ["date,time_seconds,instrument,price"]
+        for (date, instrument), price in zip([("2007-01-02", "AAA"), *keys], (30.0, 10.0, 20.0)):
+            lines += [f"{date},{25 * k},{instrument},{price}" for k in range(900)]
+        src = tmp_path / "ticks.csv"
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "days"
+        assert run([command, "-i", src, "--out", out]) == 2
+        shown = capsys.readouterr()
+        assert shown.out == ""
+        err = shown.err.strip().splitlines()
+        assert len(err) == 1
+        message = json.loads(err[0])["error"]
+        assert name in message and all(repr(date) in message for date, _ in keys)
+        if command == "ingest":
+            assert all(repr(instrument) in message for _, instrument in keys)
         assert not out.exists()
 
     def test_ingested_directory_feeds_fit_and_qcf(self, tmp_path, capsys):
@@ -590,3 +617,23 @@ class TestErrorHandling:
                     "--max-lag", 2, "--out", tmp_path / "o.csv"])
         assert code == 2
         assert "unrecognized header" in json.loads(capsys.readouterr().err.strip())["error"]
+
+    @pytest.mark.parametrize("command", ["ppgrid", "qcf", "fit"])
+    @pytest.mark.parametrize("day_first", [True, False], ids=["day-first", "sim-first"])
+    def test_mixed_input_kinds_write_nothing(self, tmp_path, capsys, command, day_first):
+        # Default lags and horizons depend on the input kind, so day prices
+        # and returns cannot share one run, in either order.
+        day_csv, sim_csv = tmp_path / "day.csv", tmp_path / "sim.csv"
+        day_csv.write_text(serialize.day_to_csv(TradingDay("AAA", "", np.linspace(40.0, 41.0, 22200), 22200)))
+        assert run(["simulate", "--model", "garch", "--length", 500, "--seed", 6, "--out", sim_csv]) == 0
+        inputs = [day_csv, sim_csv] if day_first else [sim_csv, day_csv]
+        out = tmp_path / "out"
+        extra = {"qcf": ["--max-lag", 5], "ppgrid": [], "fit": []}[command]
+        assert run([command, "-i", inputs[0], "-i", inputs[1], *extra, "--out", out]) == 2
+        shown = capsys.readouterr()
+        assert shown.out == ""
+        err = shown.err.strip().splitlines()
+        assert len(err) == 1
+        message = json.loads(err[0])["error"]
+        assert str(day_csv) in message and str(sim_csv) in message
+        assert not out.exists()
