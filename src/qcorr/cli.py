@@ -105,9 +105,8 @@ def load_series(path: Path, horizon: int, stride: int) -> tuple[str, TimeSeries]
     kind, values = _parse_file(path, serialize.series_from_csv)
     if kind == "day":
         day = TradingDay(instrument=path.stem, date="", prices=values, traded_seconds=values.size)
-        series = compute_returns(day, horizon, stride)
-        return kind, TimeSeries(series.values, step=series.step, label=path.stem)
-    return kind, TimeSeries(values, step=1.0, label=path.stem)
+        values = compute_returns(day, horizon, stride).values
+    return kind, TimeSeries(values, label=path.stem)
 
 
 def _parse_pairs(args) -> list[tuple[float, float]]:
@@ -305,9 +304,9 @@ def cmd_index(args) -> int:
     return 0
 
 
-def _add_input(parser, required=True):
+def _add_input(parser):
     parser.add_argument(
-        "--input", "-i", action="append", required=required,
+        "--input", "-i", action="append", required=True,
         help="input file or directory of .csv files (asym: .csv and .json); repeatable",
     )
 

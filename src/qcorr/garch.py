@@ -192,7 +192,7 @@ def _check_lengths(length: int, burn_in: int) -> None:
 def _result(params: GarchParams, seed: int, burn_in: int, eps, sigma2) -> SimulationResult:
     """The SimulationResult of simulate() from its kept eps and sigma2."""
     label = f"{params.kind.value}-sim-seed{seed}"
-    returns = TimeSeries(params.mu + eps, step=1.0, label=label)
+    returns = TimeSeries(params.mu + eps, label=label)
     return SimulationResult(
         returns=returns,
         variances=sigma2,

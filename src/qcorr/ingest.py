@@ -139,7 +139,7 @@ def compute_returns(day: TradingDay, horizon_seconds: int, stride_seconds: int =
     starts = np.arange(0, prices.size - horizon, stride)
     r = (prices[starts + horizon] - prices[starts]) / prices[starts]
     label = f"{day.instrument} {day.date} r{horizon}s/{stride}s".strip()
-    return TimeSeries(r, step=float(stride), label=label)
+    return TimeSeries(r, label=label)
 
 
 def build_index(days: list[TradingDay]) -> TradingDay:

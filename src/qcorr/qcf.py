@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
@@ -75,14 +75,14 @@ def empirical_quantile(x, level: float | ProbabilityLevel) -> float:
 class BinarySeries:
     """A quantile-filtered 0/1 series: bit_t = 1 iff x_t <= quantile_value.
 
-    achieved_fraction is the realized share of ones; ties at the threshold
-    can only push it above the nominal level.
+    achieved_fraction is the realized share of ones, computed from the bits;
+    ties at the threshold can only push it above the nominal level.
     """
 
     bits: np.ndarray
     level: ProbabilityLevel
-    achieved_fraction: float
     quantile_value: float
+    achieved_fraction: float = field(init=False)
 
     def __post_init__(self):
         bits = frozen_array(self.bits, np.uint8)
@@ -90,13 +90,8 @@ class BinarySeries:
             raise ValueError("bits must be a nonempty one-dimensional array")
         if not np.all((bits == 0) | (bits == 1)):
             raise ValueError("bits must contain only 0 and 1")
-        frac = float(np.count_nonzero(bits)) / bits.size
-        if abs(frac - self.achieved_fraction) > 1e-12:
-            raise ValueError(
-                f"achieved_fraction {self.achieved_fraction!r} does not match bits ({frac!r})"
-            )
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "achieved_fraction", frac)
+        object.__setattr__(self, "achieved_fraction", float(np.count_nonzero(bits)) / bits.size)
 
     def __len__(self) -> int:
         return int(self.bits.size)
@@ -110,7 +105,6 @@ class BinarySeries:
         return BinarySeries(
             bits=np.uint8(1) - self.bits,
             level=ProbabilityLevel(1.0 - self.level.p),
-            achieved_fraction=1.0 - self.achieved_fraction,
             quantile_value=self.quantile_value,
         )
 
@@ -120,13 +114,7 @@ def filter_series(x, level: float | ProbabilityLevel) -> BinarySeries:
     values = as_values(x)
     lvl = as_level(level)
     q = empirical_quantile(values, lvl)
-    bits = (values <= q).astype(np.uint8)
-    return BinarySeries(
-        bits=bits,
-        level=lvl,
-        achieved_fraction=float(np.count_nonzero(bits)) / bits.size,
-        quantile_value=q,
-    )
+    return BinarySeries(bits=values <= q, level=lvl, quantile_value=q)
 
 
 @dataclass(frozen=True)
@@ -224,11 +212,8 @@ def _assemble(pos: np.ndarray, neg: np.ndarray | None, max_lag: int) -> tuple[np
     neg[l-1] is the value at lag -l; None mirrors pos (equal-bits case), which
     keeps the equal-level curve symmetric to the bit.
     """
-    lags = np.arange(-max_lag, max_lag + 1)
-    if max_lag == 0:
-        return lags, pos.copy()
     left = pos[1:][::-1] if neg is None else neg[::-1]
-    return lags, np.concatenate([left, pos])
+    return np.arange(-max_lag, max_lag + 1), np.concatenate([left, pos])
 
 
 def qcf_from_filtered(a: BinarySeries, b: BinarySeries, max_lag: int) -> QcfCurve:
@@ -330,21 +315,27 @@ def confidence_band(reference: QcfCurve) -> float:
 @dataclass(frozen=True)
 class AsymmetryReport:
     """Absolute areas under a curve on negative/positive lags and their
-    normalized difference delta = (A- - A+) / (A- + A+)."""
+    normalized difference delta = (A- - A+) / (A- + A+), which is 0 for a
+    degenerate report, one whose areas are both zero."""
 
     area_neg: float
     area_pos: float
-    delta: float
     max_lag: int
-    degenerate: bool = False
 
     def __post_init__(self):
         if self.area_neg < 0 or self.area_pos < 0:
             raise ValueError("areas are sums of absolute values; must be nonnegative")
-        if abs(self.delta) > 1.0 + VALUE_TOL:
-            raise ValueError("delta must lie in [-1, 1]")
         if self.max_lag < 1:
             raise ValueError("max_lag must be at least 1")
+
+    @property
+    def degenerate(self) -> bool:
+        return not self.area_neg + self.area_pos > 0
+
+    @property
+    def delta(self) -> float:
+        total = self.area_neg + self.area_pos
+        return (self.area_neg - self.area_pos) / total if total > 0 else 0.0
 
 
 def asymmetry(curve: QcfCurve, max_lag: int | None = None) -> AsymmetryReport:
@@ -361,6 +352,8 @@ def asymmetry_from_arrays(lags, values, max_lag: int | None = None) -> Asymmetry
     values = np.asarray(values, dtype=float)
     if lags.shape != values.shape or lags.ndim != 1:
         raise ValueError("lags and values must be 1-d arrays of equal length")
+    if np.any(np.diff(lags) <= 0):
+        raise ValueError("lags must be strictly increasing")
     limit = int(np.max(np.abs(lags))) if lags.size else 0
     if max_lag is not None:
         if max_lag < 1 or max_lag > limit:
@@ -377,10 +370,7 @@ def asymmetry_from_arrays(lags, values, max_lag: int | None = None) -> Asymmetry
     # yields exactly mirrored areas (identical summation order)
     area_neg = float(np.abs(values[keep & (lags < 0)][::-1]).sum())
     area_pos = float(np.abs(values[keep & (lags > 0)]).sum())
-    total = area_neg + area_pos
-    if total > 0:
-        return AsymmetryReport(area_neg, area_pos, (area_neg - area_pos) / total, limit)
-    return AsymmetryReport(area_neg, area_pos, 0.0, limit, degenerate=True)
+    return AsymmetryReport(area_neg, area_pos, limit)
 
 
 @dataclass(frozen=True)
@@ -430,7 +420,9 @@ def pp_grid(x, levels, lag: int) -> PPGrid:
     values = as_values(x)
     T = values.size
     lag = int(lag)
-    m = _check_max_lag(abs(lag), T)
+    m = abs(lag)
+    if m >= T / 2:
+        raise ValueError(f"lag {lag} too large for series of length {T}")
     ps = tuple(map(float, levels))
     lvls = _grid_levels(ps)
     ordered = np.sort(values)

@@ -40,14 +40,10 @@ def as_level(level: float | ProbabilityLevel) -> ProbabilityLevel:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Ordered real-valued observations on a uniform grid.
-
-    ``step`` is the spacing in seconds per observation and is purely
-    informational; all lag arithmetic is done in observation steps.
-    """
+    """Ordered real-valued observations on a uniform grid; all lag arithmetic
+    is done in observation steps."""
 
     values: np.ndarray
-    step: float = 1.0
     label: str = ""
 
     def __post_init__(self):
@@ -58,10 +54,7 @@ class TimeSeries:
             raise ValueError(f"a time series needs at least 2 observations, got {values.size}")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must all be finite (no NaN/inf markers)")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be a positive real, got {self.step!r}")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "step", float(self.step))
 
     def __len__(self) -> int:
         return int(self.values.size)

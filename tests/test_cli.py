@@ -206,6 +206,22 @@ class TestAsymCommand:
         assert len(err) == 1 and "'GJR, sim'" in json.loads(err[0])["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rows",
+        [["-1,0.1", "0,1", "1,0.2", "1,0.2"], ["1,0.2", "-1,0.1", "0,1"]],
+        ids=["repeated-lag", "unsorted-lags"],
+    )
+    def test_lags_not_increasing_write_nothing(self, tmp_path, capsys, rows):
+        src = tmp_path / "c.csv"
+        src.write_text("\n".join(["lag,qcf", *rows]) + "\n")
+        out = tmp_path / "a.csv"
+        assert run(["asym", "-i", src, "--out", out]) == 2
+        shown = capsys.readouterr()
+        assert shown.out == ""
+        err = shown.err.strip().splitlines()
+        assert len(err) == 1 and "strictly increasing" in json.loads(err[0])["error"]
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_env_seed_overrides_flag(self, tmp_path):
@@ -439,6 +455,16 @@ class TestPpgridCommand:
         names = sorted(p.name for p in out.iterdir())
         assert names == [f"ppgrid_lag{l}.csv" for l in (120, 1200, 3600, 600)]
 
+    @pytest.mark.parametrize("lag", [1500, -1500])
+    def test_too_long_lag_is_named_as_given(self, tmp_path, capsys, lag):
+        sim = tmp_path / "sim.csv"
+        run(["simulate", "--model", "garch", "--length", 3000, "--seed", 6, "--out", sim])
+        out = tmp_path / "g"
+        assert run(["ppgrid", "-i", sim, "--lag", 2, "--lag", lag, "--out", out]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [json.dumps({"error": f"lag {lag} too large for series of length 3000"})]
+        assert not out.exists()
+
 
 class TestOutputResolution:
     @pytest.fixture
@@ -637,3 +663,33 @@ class TestErrorHandling:
         message = json.loads(err[0])["error"]
         assert str(day_csv) in message and str(sim_csv) in message
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            (["simulate", "--model", "garch", "--length", 100], "QCORR_SEED must be an integer"),
+            (["qcf", "-i", "empty", "--max-lag", 2], "no .csv files inside directory"),
+            (["qcf", "-i", "x.csv", "--alpha", 0.1, "--alpha", 0.2, "--beta", 0.3, "--max-lag", 2],
+             "--alpha and --beta must be given the same number of times"),
+            (["ppgrid", "-i", "x.csv", "--levels", "0.1:0.5"], "--levels range must be start:stop:step"),
+            (["ppgrid", "-i", "x.csv", "--levels", "0.5:0.1:0.1"], "--levels range must increase"),
+            (["ppgrid", "-i", "day.csv", "--stride", 7], "default lag 120s is not a multiple of stride 7"),
+        ],
+        ids=["seed-not-integer", "directory-without-csv", "unpaired-levels", "levels-not-a-range",
+             "levels-decreasing", "day-lag-off-stride"],
+    )
+    def test_refusals_write_nothing(self, tmp_path, capsys, monkeypatch, args, reason):
+        monkeypatch.setenv("QCORR_SEED", "1.5")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "empty" / "notes.txt").write_text("no data here\n")
+        write_example_series(tmp_path / "x.csv")
+        day = TradingDay("AAA", "", np.linspace(40.0, 41.0, 500), 500)
+        (tmp_path / "day.csv").write_text(serialize.day_to_csv(day))
+        before = sorted(tmp_path.rglob("*"))
+        assert run([*args, "--out", "out"]) == 2
+        shown = capsys.readouterr()
+        assert shown.out == ""
+        err = shown.err.strip().splitlines()
+        assert len(err) == 1 and reason in json.loads(err[0])["error"]
+        assert sorted(tmp_path.rglob("*")) == before

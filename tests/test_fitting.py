@@ -17,6 +17,7 @@ from qcorr import (
     resimulate_experiment,
     simulate,
 )
+from qcorr import fitting
 from qcorr.garch import _BLOCK_SERIES
 from qcorr.fitting import START_POINTS, _negative_ll_and_score, _pack, _unpack, derived_seeds
 
@@ -233,6 +234,17 @@ class TestFitPerDay:
         assert len(keys) == len(days)
         assert not set(batch.fits) & set(batch.excluded)
         assert "short" in batch.excluded and "const" in batch.excluded
+
+    def test_unconverged_day_excluded(self, monkeypatch):
+        def unconverged(day):
+            return FitResult(GJR_UNIT, math.nan, converged=False, iterations=3, n_obs=len(day))
+
+        monkeypatch.setattr(fitting, "fit_gjr", unconverged)
+        days = [TimeSeries(np.random.default_rng(2).standard_normal(370), label="stuck"),
+                TimeSeries(np.ones(100), label="const")]
+        batch = fit_per_day(days)
+        assert not batch.fits
+        assert batch.excluded == {"stuck": "optimizer did not converge", "const": "zero-variance returns"}
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty input"):

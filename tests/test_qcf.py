@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import EXAMPLE_BITS, EXAMPLE_SERIES, oracle_filter, oracle_qcf, oracle_quantile
 from qcorr import (
+    AsymmetryReport,
     BinarySeries,
     DegenerateLevelError,
     GarchParams,
@@ -24,6 +25,7 @@ from qcorr import (
     qcf_from_filtered,
     simulate,
 )
+from qcorr.qcf import asymmetry_from_arrays
 
 LEVEL_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
 
@@ -121,11 +123,7 @@ class TestFilterSeries:
 class TestBinarySeriesValidation:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError, match="only 0 and 1"):
-            BinarySeries(np.array([0, 2, 1]), ProbabilityLevel(0.5), 2 / 3, 0.0)
-
-    def test_rejects_wrong_fraction(self):
-        with pytest.raises(ValueError, match="achieved_fraction"):
-            BinarySeries(np.array([0, 1, 1]), ProbabilityLevel(0.5), 0.5, 0.0)
+            BinarySeries(np.array([0, 2, 1]), ProbabilityLevel(0.5), 0.0)
 
     def test_level_bounds(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -202,6 +200,16 @@ class TestQcfFast:
         direct = qcf(list(EXAMPLE_SERIES), 0.5, 0.5, 4)
         fast = qcf_fast(list(EXAMPLE_SERIES), 0.5, 0.5, 4)
         assert np.max(np.abs(direct.values - fast.values)) <= 1e-10
+
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 0.3), (0.1, 0.7)])
+    def test_lag_zero_only(self, alpha, beta):
+        x = np.random.default_rng(11).standard_normal(200)
+        direct = qcf(x, alpha, beta, 0)
+        fast = qcf_fast(x, alpha, beta, 0)
+        assert direct.lags.tolist() == fast.lags.tolist() == [0]
+        assert abs(direct.values[0] - fast.values[0]) <= 1e-10
+        if alpha == beta:
+            assert direct.values[0] == fast.values[0] == 1.0
 
     @pytest.mark.parametrize("seed, length, level", [(3, 500, 0.25)] + [(s, 2000, 0.5) for s in range(5)])
     def test_symmetric_for_equal_levels(self, seed, length, level):
@@ -354,6 +362,18 @@ class TestAsymmetry:
         report = asymmetry(curve)
         assert report.delta == 0.0
         assert report.degenerate
+
+    def test_report_derives_delta_from_its_areas(self):
+        report = AsymmetryReport(0.1, 0.2, 5)
+        assert report.delta == (0.1 - 0.2) / (0.1 + 0.2)
+        assert not report.degenerate
+        with pytest.raises(TypeError):
+            AsymmetryReport(0.1, 0.2, 0.9, 5)
+
+    @pytest.mark.parametrize("lags", [[-1, 0, 1, 1], [1, -1, 0]], ids=["repeated", "unsorted"])
+    def test_lags_must_increase(self, lags):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            asymmetry_from_arrays(lags, [0.2] * len(lags))
 
     def test_asymmetric_grid_rejected(self):
         curve = make_curve([-1, 0, 1, 2], [0.1, 1.0, 0.1, 0.2])
@@ -521,8 +541,6 @@ class TestTimeSeries:
             TimeSeries(np.array([1.0]))
         with pytest.raises(ValueError, match="finite"):
             TimeSeries(np.array([1.0, np.nan]))
-        with pytest.raises(ValueError, match="step"):
-            TimeSeries(np.array([1.0, 2.0]), step=0.0)
 
     def test_immutable(self):
         ts = TimeSeries(np.array([1.0, 2.0, 3.0]))
