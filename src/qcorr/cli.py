@@ -194,7 +194,10 @@ def cmd_asym(args) -> int:
     rows = []
     for path in _expand_inputs(args.input, (".csv", ".json")):
         lags, values = load_curve(path)
-        report = asymmetry_from_arrays(lags, values, args.max_lag)
+        try:
+            report = asymmetry_from_arrays(lags, values, args.max_lag)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         rows.append((args.dataset or path.stem, args.year, report))
     summary, full = serialize.asymmetry_to_csv(rows)
     sys.stdout.write(summary)

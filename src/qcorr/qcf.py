@@ -139,8 +139,7 @@ class QcfCurve:
         values = frozen_array(self.values)
         if lags.ndim != 1 or values.ndim != 1 or lags.size != values.size or lags.size == 0:
             raise ValueError("lags and values must be nonempty arrays of equal length")
-        if np.any(np.diff(lags) <= 0):
-            raise ValueError("lags must be strictly increasing")
+        _check_increasing(lags)
         if self.series_length < 2:
             raise ValueError("series_length must be at least 2")
         if int(np.max(np.abs(lags))) >= self.series_length / 2:
@@ -197,12 +196,18 @@ def _centered_levels(values: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray]:
     return _centered(values <= _thresholds(np.sort(values), ps)[:, None], ps)
 
 
-def _check_max_lag(max_lag: int, length: int) -> int:
+def _check_increasing(lags: np.ndarray) -> None:
+    if np.any(np.diff(lags) <= 0):
+        raise ValueError("lags must be strictly increasing")
+
+
+def _check_max_lag(max_lag: int, length: int, shown: str = "") -> int:
+    """max_lag as an int below length / 2; shown names it in the error."""
     max_lag = int(max_lag)
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
     if max_lag >= length / 2:
-        raise ValueError(f"max_lag {max_lag} too large for series of length {length}")
+        raise ValueError(f"{shown or f'max_lag {max_lag}'} too large for series of length {length}")
     return max_lag
 
 
@@ -352,8 +357,7 @@ def asymmetry_from_arrays(lags, values, max_lag: int | None = None) -> Asymmetry
     values = np.asarray(values, dtype=float)
     if lags.shape != values.shape or lags.ndim != 1:
         raise ValueError("lags and values must be 1-d arrays of equal length")
-    if np.any(np.diff(lags) <= 0):
-        raise ValueError("lags must be strictly increasing")
+    _check_increasing(lags)
     limit = int(np.max(np.abs(lags))) if lags.size else 0
     if max_lag is not None:
         if max_lag < 1 or max_lag > limit:
@@ -420,9 +424,7 @@ def pp_grid(x, levels, lag: int) -> PPGrid:
     values = as_values(x)
     T = values.size
     lag = int(lag)
-    m = abs(lag)
-    if m >= T / 2:
-        raise ValueError(f"lag {lag} too large for series of length {T}")
+    m = _check_max_lag(abs(lag), T, f"lag {lag}")
     ps = tuple(map(float, levels))
     lvls = _grid_levels(ps)
     ordered = np.sort(values)

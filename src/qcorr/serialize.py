@@ -16,8 +16,7 @@ rows skipped, fields stripped, a field holding a separator (a comma or a
 line break) or a line holding NUL refused, and the first bad line in file
 order named.  One bulk splitter reads every format, whole columns of
 ~256 KiB runs of lines at a time; text that is not plain already passes
-once through a normalizer that applies the rule, unless only its CRLF line
-ends make it so.
+once through a normalizer that applies the rule.
 """
 
 from __future__ import annotations
@@ -352,16 +351,10 @@ def _normalize(text: str) -> tuple[str, DataFormatError | None]:
     return "\n".join(rows), error
 
 
-def _plain(text: str) -> bool:
-    """Whether text reads the same with or without _normalize."""
-    return text.isascii() and not any(map(text.__contains__, _NOT_PLAIN))
-
-
 def _bulk_split(text: str, layout) -> tuple[str, list[np.ndarray]]:
     """The header line of a CSV and the columns of the nonblank lines after it.
 
-    Text that is plain once its CRLF line ends read LF is read as that LF
-    text; other text that is not plain goes once through _normalize first.
+    Text that is not plain goes once through _normalize first.
     layout(header) gives the field count `width` and convert(fields, row),
     which returns the columns of a run of rows, column k at fields[k::width],
     whose first row is data row `row` (counted from 0), or raises ValueError.
@@ -372,9 +365,8 @@ def _bulk_split(text: str, layout) -> tuple[str, list[np.ndarray]]:
     right for a run of one row.
     """
     error = None
-    if not _plain(text):
-        lf = text.replace("\r\n", "\n")
-        text, error = (lf, None) if _plain(lf) else _normalize(text)
+    if not text.isascii() or any(map(text.__contains__, _NOT_PLAIN)):
+        text, error = _normalize(text)
     begin = len(text) - len(text.lstrip("\n"))  # blank lines before the header
     start = text.find("\n", begin) + 1 or len(text)
     header = text[begin:start].removesuffix("\n")

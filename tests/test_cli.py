@@ -207,19 +207,25 @@ class TestAsymCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "rows",
-        [["-1,0.1", "0,1", "1,0.2", "1,0.2"], ["1,0.2", "-1,0.1", "0,1"]],
-        ids=["repeated-lag", "unsorted-lags"],
+        "rows, message",
+        [
+            (["-1,0.1", "0,1", "1,0.2", "1,0.2"], "lags must be strictly increasing"),
+            (["1,0.2", "-1,0.1", "0,1"], "lags must be strictly increasing"),
+            (["-1,0.1", "0,1", "1,0.2", "2,0.3"], "lag grid must cover -max_lag..max_lag symmetrically"),
+        ],
+        ids=["repeated-lag", "unsorted-lags", "one-sided-lag"],
     )
-    def test_lags_not_increasing_write_nothing(self, tmp_path, capsys, rows):
-        src = tmp_path / "c.csv"
+    def test_refused_curve_is_named_and_writes_nothing(self, tmp_path, capsys, rows, message):
+        good = tmp_path / "in" / "a.csv"
+        good.parent.mkdir()
+        good.write_text("lag,qcf\n-1,0.1\n0,1\n1,0.2\n")
+        src = tmp_path / "in" / "b.csv"
         src.write_text("\n".join(["lag,qcf", *rows]) + "\n")
         out = tmp_path / "a.csv"
-        assert run(["asym", "-i", src, "--out", out]) == 2
+        assert run(["asym", "-i", good.parent, "--out", out]) == 2
         shown = capsys.readouterr()
         assert shown.out == ""
-        err = shown.err.strip().splitlines()
-        assert len(err) == 1 and "strictly increasing" in json.loads(err[0])["error"]
+        assert shown.err.splitlines() == [json.dumps({"error": f"{src}: {message}"})]
         assert not out.exists()
 
 

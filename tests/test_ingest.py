@@ -312,12 +312,6 @@ class TestTickReaderPaths:
         plain = with_rows(*(row[: row.rindex(",")] for row in TICK_ROWS), head=TICKS_HEAD[:-8])
         assert {key: times for key, _, times, *_ in outcome(read_ticks_csv, plain)} == TWO_GROUPS
 
-    def test_crlf_only_input_never_reaches_the_normalizer(self, monkeypatch):
-        lf = outcome(read_ticks_csv, with_rows(*TICK_ROWS * 20))
-        monkeypatch.setattr(serialize, "_normalize", None)
-        monkeypatch.setattr(serialize, "_CHUNK_CHARS", 40)
-        assert outcome(read_ticks_csv, with_rows(*TICK_ROWS * 20, end="\r\n")) == lf
-
     def test_bad_row_in_a_later_chunk_is_named(self, monkeypatch):
         monkeypatch.setattr(serialize, "_CHUNK_CHARS", 64)
         rows = [f"2007-01-03,{t},AAA,10.0,1" for t in range(100)]
