@@ -10,13 +10,13 @@ qcf(-l; alpha, beta) = qcf(l; beta, alpha).
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .errors import DegenerateLevelError
 from .series import ProbabilityLevel, as_level, as_values, frozen_array
@@ -54,6 +54,28 @@ def _grid_levels(ps: tuple[float, ...]) -> tuple[ProbabilityLevel, ...]:
         if not 0.0 < level.p < 1.0:
             raise ValueError(f"grid levels must be strictly inside (0, 1), got {level.p}")
     return levels
+
+
+@functools.lru_cache(maxsize=None)
+def _smooth_lengths(bound: int) -> list[int]:
+    """Every 2*3*5*7*11-smooth number up to bound, sorted; cached per power of two."""
+    lengths = [1]
+    for p in (2, 3, 5, 7, 11):
+        more = []
+        for m in lengths:
+            while m <= bound:
+                more.append(m)
+                m *= p
+        lengths = more
+    return sorted(lengths)
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 2*3*5*7*11-smooth n >= target, scipy.fft.next_fast_len's default
+    rule.  numpy.fft at scipy's padded length gives scipy's bits; the 5-smooth
+    length scipy uses for real=True would not."""
+    lengths = _smooth_lengths(1 << (target - 1).bit_length())
+    return lengths[bisect.bisect_left(lengths, target)]
 
 
 def _thresholds(ordered: np.ndarray, ps) -> np.ndarray:
@@ -268,10 +290,10 @@ def qcf_fast(x, alpha, beta, max_lag: int) -> QcfCurve:
     T = values.size
     max_lag = _check_max_lag(max_lag, T)
     denom = math.sqrt(sumsq[0] * sumsq[-1])
-    n = scipy.fft.next_fast_len(T + max_lag)
-    fa_hat = scipy.fft.rfft(rows[0], n)
-    fb_hat = fa_hat if same else scipy.fft.rfft(rows[1], n)
-    corr = scipy.fft.irfft(np.conj(fa_hat) * fb_hat, n)
+    n = _next_fast_len(T + max_lag)
+    fa_hat = np.fft.rfft(rows[0], n)
+    fb_hat = fa_hat if same else np.fft.rfft(rows[1], n)
+    corr = np.fft.irfft(np.conj(fa_hat) * fb_hat, n)
     if same:
         # Lag 0 from the np.dot sum the denominator uses, so it is exactly 1.
         corr[0] = sumsq[0]

@@ -545,10 +545,45 @@ class TestEntryPoint:
         import sys
 
         code = ("import sys, qcorr.cli; "
-                "print([m for m in ('scipy.optimize', 'scipy.signal') if m in sys.modules])")
+                "print([m for m in ('scipy.optimize', 'scipy.signal') if m in sys.modules]); "
+                "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.splitlines() == ["[]", "[]"]
+
+    def test_only_fit_loads_scipy(self, tmp_path):
+        import subprocess
+        import sys
+
+        make_tick_file(tmp_path / "ticks.csv", 900)
+        (tmp_path / "params.json").write_text(serialize.params_to_json(
+            GarchParams(kind="gjr", mu=0.0, omega=0.05, alpha1=0.05, beta1=0.9, gamma1=0.06)))
+        commands = [
+            ["simulate", "--model", "gjr", "--length", "400", "--seed", "1", "--out", "sim.csv"],
+            ["qcf", "-i", "sim.csv", "--max-lag", "20", "--out", "curves"],
+            ["ppgrid", "-i", "sim.csv", "--out", "grids"],
+            ["asym", "-i", "curves/qcf_a0.05_b0.95.csv", "--out", "asym.csv"],
+            ["resim", "--params", "params.json", "--n-series", "2", "--length", "370", "--out", "resim"],
+            ["ingest", "-i", "ticks.csv", "--out", "days"],
+            ["index", "-i", "ticks.csv", "--out", "idx"],
+            ["fit", "-i", "sim.csv", "--out", "fits.csv"],
+        ]
+        # Runs the commands in order in one interpreter; its last line maps each
+        # command to the scipy modules loaded by the end of it.
+        code = ("import json, os, sys\n"
+                "from qcorr.cli import main\n"
+                "os.chdir(sys.argv[2])\n"
+                "loaded = {}\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert main(argv) == 0, argv\n"
+                "    loaded[argv[0]] = [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+                "print(json.dumps(loaded))\n")
+        result = subprocess.run([sys.executable, "-c", code, json.dumps(commands), str(tmp_path)],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        loaded = json.loads(result.stdout.splitlines()[-1])
+        assert "scipy.optimize" in loaded.pop("fit")
+        assert loaded == {argv[0]: [] for argv in commands[:-1]}
 
     def test_help_lists_subcommands(self):
         import subprocess

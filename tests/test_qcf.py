@@ -25,7 +25,8 @@ from qcorr import (
     qcf_from_filtered,
     simulate,
 )
-from qcorr.qcf import asymmetry_from_arrays
+from qcorr.cli import DEFAULT_PAIRS
+from qcorr.qcf import _assemble, _centered_levels, _next_fast_len, asymmetry_from_arrays
 
 LEVEL_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
 
@@ -217,6 +218,31 @@ class TestQcfFast:
         c = qcf_fast(rng.standard_normal(length), level, level, 40)
         assert np.array_equal(c.values, c.values[::-1])
         assert c.value_at(0) == 1.0
+
+    def test_next_fast_len_is_scipys_rule(self):
+        import scipy.fft
+
+        targets = range(1, 200_001)
+        assert [_next_fast_len(t) for t in targets] == [scipy.fft.next_fast_len(t) for t in targets]
+
+    @pytest.mark.parametrize("T, max_lag", [(370, 100), (22140, 3600), (50000, 3600)])
+    def test_bits_match_scipy_fft(self, T, max_lag):
+        import scipy.fft
+
+        x = tie_heavy(T, T)
+        for alpha, beta in DEFAULT_PAIRS:
+            # qcf_fast's steps with scipy.fft at scipy's padded length.
+            same = alpha == beta
+            rows, sumsq = _centered_levels(x, [alpha] if same else [alpha, beta])
+            n = scipy.fft.next_fast_len(T + max_lag)
+            fa_hat = scipy.fft.rfft(rows[0], n)
+            corr = scipy.fft.irfft(np.conj(fa_hat) * scipy.fft.rfft(rows[-1], n), n)
+            if same:
+                corr[0] = sumsq[0]
+            denom = math.sqrt(sumsq[0] * sumsq[-1])
+            neg = None if same else corr[n - max_lag :][::-1] / denom
+            _, expected = _assemble(corr[: max_lag + 1] / denom, neg, max_lag)
+            assert np.array_equal(qcf_fast(x, alpha, beta, max_lag).values, expected), (alpha, beta)
 
 
 class TestInvariances:

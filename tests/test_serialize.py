@@ -538,15 +538,15 @@ def _seeded_cent_day_csvs() -> list[str]:
     return [serialize.day_to_csv(TradingDay("AAA", "", p, traded_seconds=p.size)) for p in prices]
 
 
-def _ppgrid_via_cli(tmp_path, texts: list[str]) -> str:
-    """sha256 of the names and bytes of every grid `qcorr ppgrid` writes at its
-    default levels and lags, averaged over the input CSVs."""
+def _cli_outputs(tmp_path, texts: list[str], command: list[str]) -> str:
+    """sha256 of the names and bytes of every file a `qcorr` command writes,
+    run through main over the input CSVs at its default levels, pairs and lags."""
     inputs = tmp_path / "in"
     inputs.mkdir()
     for i, text in enumerate(texts):
         (inputs / f"s{i}.csv").write_text(text)
-    out = tmp_path / "grids"
-    assert main(["ppgrid", "-i", str(inputs), "--out", str(out)]) == 0
+    out = tmp_path / "out"
+    assert main([*command, "-i", str(inputs), "--out", str(out)]) == 0
     return _sha256("".join(p.name + p.read_text() for p in sorted(out.iterdir())))
 
 
@@ -654,10 +654,16 @@ PINNED_WRITERS.update({
     "curve-ci-1201": (lambda _: _sha256(serialize.curve_to_csv(_seeded_curve())), "sha256:fb124b2724c4df75f576c87f5e3a117dc42be957cbb48f95f1ac29b68b1b71de"),
     "grid-19-levels": (lambda _: _sha256(serialize.grid_to_csv(_seeded_grid())), "sha256:27afe832cbf3b1081898f048ae541f6e0ffc5886dadedf6e7a2ab241dd7ac04d"),
     "batch-40-days": (lambda _: _sha256(serialize.batch_to_csv(_seeded_batch())), "sha256:61f4eb5dcf45d3ba8a4d475a1a25ae9e07122dca0d6045f14c70c2d1b405b0d8"),
-    "ppgrid-cli-gjr-sims": (lambda tmp: _ppgrid_via_cli(tmp, _seeded_gjr_sim_csvs()),
+    "ppgrid-cli-gjr-sims": (lambda tmp: _cli_outputs(tmp, _seeded_gjr_sim_csvs(), ["ppgrid"]),
                             "sha256:7dcdf12a0bb919fa8214cd91090c85f0d7267d2e8b415967d3c554cc7b0a179e"),
-    "ppgrid-cli-cent-days": (lambda tmp: _ppgrid_via_cli(tmp, _seeded_cent_day_csvs()),
+    "ppgrid-cli-cent-days": (lambda tmp: _cli_outputs(tmp, _seeded_cent_day_csvs(), ["ppgrid"]),
                              "sha256:0cdbadd20ce61df471d8f0b55b664849e133b6f65e21a0639770c3624b0e8ccd"),
+    # The FFT path of `qcorr qcf`: T + max-lag is 2200 on the sims, and 25 799,
+    # padded to 25 872, on the days.
+    "qcf-cli-gjr-sims": (lambda tmp: _cli_outputs(tmp, _seeded_gjr_sim_csvs(), ["qcf", "--max-lag", "200"]),
+                         "sha256:330d8c8d4803d92f1a3d6005566f7405afc2a6961fe9aa87c3368dda640ceaf4"),
+    "qcf-cli-cent-days": (lambda tmp: _cli_outputs(tmp, _seeded_cent_day_csvs(), ["qcf", "--max-lag", "3600"]),
+                          "sha256:81abde447c460ce4a86277d48a795a27301798800b4592abdadb15735c49fa7f"),
 })
 
 
