@@ -27,7 +27,7 @@ from .ingest import (
     compute_returns,
     resample_day,
 )
-from .qcf import asymmetry_from_arrays, average_curves, average_grids, confidence_band, pp_grid, qcf_fast
+from .qcf import _curves, _grids, asymmetry_from_arrays, average_curves, average_grids, confidence_band
 from .series import TimeSeries
 
 DEFAULT_PAIRS = [(0.05, 0.05), (0.5, 0.5), (0.95, 0.95), (0.05, 0.5), (0.5, 0.95), (0.05, 0.95)]
@@ -133,14 +133,12 @@ def _load_all_series(args) -> tuple[bool, list[TimeSeries]]:
 def cmd_qcf(args) -> int:
     _, series = _load_all_series(args)
     pairs = _parse_pairs(args)
-
-    def averaged(alpha: float, beta: float):
-        return average_curves([qcf_fast(s, alpha, beta, args.max_lag) for s in series])
-
-    curves = [averaged(alpha, beta) for alpha, beta in pairs]
+    # The band's (0.5, 0.5) curve is one more pair, last and not written, unless
+    # it is requested already.
+    requested = pairs + ([] if args.no_band or (0.5, 0.5) in pairs else [(0.5, 0.5)])
+    curves = [average_curves(list(c)) for c in zip(*(_curves(s, requested, args.max_lag) for s in series))]
     if not args.no_band:
-        by_pair = dict(zip(pairs, curves))
-        band = confidence_band(by_pair[(0.5, 0.5)] if (0.5, 0.5) in by_pair else averaged(0.5, 0.5))
+        band = confidence_band(curves[requested.index((0.5, 0.5))])
         curves = [c.with_ci(band) for c in curves]
     # repr is the shortest text that round-trips, so distinct pairs get distinct names.
     stems = [f"qcf_a{alpha!r}_b{beta!r}" for alpha, beta in pairs]
@@ -176,7 +174,8 @@ def cmd_ppgrid(args) -> int:
             lags.append(seconds // args.stride)
     else:
         lags = list(DEFAULT_SIM_GRID_LAGS)
-    grids = {f"ppgrid_lag{lag}": average_grids([pp_grid(s, levels, lag) for s in series]) for lag in lags}
+    per_lag = zip(*(_grids(s, levels, lags) for s in series))
+    grids = {f"ppgrid_lag{lag}": average_grids(list(g)) for lag, g in zip(lags, per_lag)}
     _write_outputs(args, grids, serialize.grid_to_csv, serialize.grid_to_json)
     return 0
 

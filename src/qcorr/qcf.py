@@ -78,19 +78,28 @@ def _next_fast_len(target: int) -> int:
     return lengths[bisect.bisect_left(lengths, target)]
 
 
-def _thresholds(ordered: np.ndarray, ps) -> np.ndarray:
-    """Order statistics x_(ceil(p*T)) for every level p, read from the sorted values.
+def _filters(values: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quantile filters 1[x <= x_(ceil(p*T))] of values at every level p in
+    ps: their distinct thresholds in increasing order, each level's index into
+    them, and each threshold's count of values at or below it.  Raises for the
+    first level, in the order of ps, whose filtered series is constant.
 
-    Callers sort once with np.sort: the order statistics are the same as
-    np.partition's bit for bit, and at T=22140 the sort takes about a
-    sixth of the time of a 19-index partition.
+    One np.sort serves every level: its order statistics are np.partition's
+    bit for bit, and at T=22140 the sort takes about a sixth of the time of
+    a 19-index partition.
     """
-    return ordered[[_order_index(p, ordered.size) - 1 for p in ps]]
+    ordered = np.sort(values)
+    per_level = ordered[[_order_index(p, ordered.size) - 1 for p in ps]]
+    thresholds, index = np.unique(per_level, return_inverse=True)
+    counts = np.searchsorted(ordered, thresholds, side="right")
+    _refuse_degenerate(ps, ordered.size - counts[index])
+    return thresholds, index, counts
 
 
 def empirical_quantile(x, level: float | ProbabilityLevel) -> float:
     """Order statistic x_(ceil(p*T)) of the sorted values; the minimum for p = 0."""
-    return float(_thresholds(np.sort(as_values(x)), [as_level(level).p])[0])
+    ordered = np.sort(as_values(x))
+    return float(ordered[_order_index(as_level(level).p, ordered.size) - 1])
 
 
 @dataclass(frozen=True)
@@ -191,31 +200,14 @@ class QcfCurve:
         return dataclasses.replace(self, ci_half_width=float(half_width))
 
 
-def _centered(bits: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray]:
-    """Centered float rows of a (k, T) 0/1 array at levels ps, and each row's sum of squares."""
-    # Centered in place: a second float temporary per call made the heap
-    # shrink and regrow on long series, so every call paid page faults for
-    # fresh pages.  Only the curve estimators use these rows, one or two
-    # per call.
-    centered = np.array(bits, dtype=float)
-    centered -= centered.mean(axis=1, keepdims=True)
-    sumsq = np.array([np.dot(row, row) for row in centered])
-    _refuse_degenerate(ps, sumsq)
-    return centered, sumsq
-
-
-def _refuse_degenerate(ps, sumsq) -> None:
-    """Raise for the first level, in the order of ps, whose filtered series is constant."""
-    for p, s in zip(ps, sumsq):
-        if s == 0.0:
+def _refuse_degenerate(ps, spreads) -> None:
+    """Raise for the first level, in the order of ps, whose spread is zero: its
+    filtered series is constant."""
+    for p, spread in zip(ps, spreads):
+        if spread == 0:
             raise DegenerateLevelError(
                 f"degenerate quantile level: filtered series at p={p} is constant"
             )
-
-
-def _centered_levels(values: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray]:
-    """Filter values at every level in ps and center the rows (see _centered)."""
-    return _centered(values <= _thresholds(np.sort(values), ps)[:, None], ps)
 
 
 def _check_increasing(lags: np.ndarray) -> None:
@@ -250,7 +242,10 @@ def qcf_from_filtered(a: BinarySeries, b: BinarySeries, max_lag: int) -> QcfCurv
         raise ValueError("filtered series must have equal length")
     T = len(a)
     max_lag = _check_max_lag(max_lag, T)
-    (da, db), (sa2, sb2) = _centered(np.vstack([a.bits, b.bits]), [a.level.p, b.level.p])
+    # bits - c / T is each 0/1 series minus its mean, exactly.
+    da, db = (s.bits - s.achieved_fraction for s in (a, b))
+    sa2, sb2 = np.dot(da, da), np.dot(db, db)
+    _refuse_degenerate([a.level.p, b.level.p], [sa2, sb2])
     same = a is b or np.array_equal(a.bits, b.bits)
     # T * sigma_a * sigma_b; sqrt(s * s) == s exactly, so equal bits give
     # exactly 1 at lag 0.
@@ -282,26 +277,36 @@ def qcf(x, alpha, beta, max_lag: int) -> QcfCurve:
 def qcf_fast(x, alpha, beta, max_lag: int) -> QcfCurve:
     """Same contract as qcf, computed via frequency-domain cross-correlation
     in O(T log T); matches qcf within 1e-10 at every lag."""
+    return _curves(x, [(alpha, beta)], max_lag)[0]
+
+
+def _curves(x, pairs, max_lag: int) -> list[QcfCurve]:
+    """qcf_fast of x at every (alpha, beta) in pairs, in order: one sort, one
+    rfft per distinct threshold and one irfft per pair."""
     values = as_values(x)
-    a = as_level(alpha)
-    b = as_level(beta)
-    same = a.p == b.p
-    rows, sumsq = _centered_levels(values, [a.p] if same else [a.p, b.p])
+    levels = [(as_level(alpha), as_level(beta)) for alpha, beta in pairs]
+    thresholds, index, counts = _filters(values, [level.p for pair in levels for level in pair])
     T = values.size
     max_lag = _check_max_lag(max_lag, T)
-    denom = math.sqrt(sumsq[0] * sumsq[-1])
+    # bits - c / T is each 0/1 row minus its mean, exactly.
+    rows = (values <= thresholds[:, None]) - (counts / T)[:, None]
+    sumsq = [np.dot(row, row) for row in rows]
     n = _next_fast_len(T + max_lag)
-    fa_hat = np.fft.rfft(rows[0], n)
-    fb_hat = fa_hat if same else np.fft.rfft(rows[1], n)
-    corr = np.fft.irfft(np.conj(fa_hat) * fb_hat, n)
-    if same:
-        # Lag 0 from the np.dot sum the denominator uses, so it is exactly 1.
-        corr[0] = sumsq[0]
-    pos = corr[: max_lag + 1] / denom
-    # corr[n - l] = sum_t db_t * da_{t+l}, the swap-identity value at -l.
-    neg = None if same else corr[n - max_lag :][::-1] / denom
-    lags, out = _assemble(pos, neg, max_lag)
-    return QcfCurve(alpha=a, beta=b, lags=lags, values=out, series_length=T)
+    spectra = [np.fft.rfft(row, n) for row in rows]
+    curves = []
+    for (a, b), i, j in zip(levels, index[::2], index[1::2]):
+        same = a.p == b.p
+        corr = np.fft.irfft(np.conj(spectra[i]) * spectra[j], n)
+        if same:
+            # Lag 0 from the np.dot sum the denominator uses, so it is exactly 1.
+            corr[0] = sumsq[i]
+        denom = math.sqrt(sumsq[i] * sumsq[j])
+        pos = corr[: max_lag + 1] / denom
+        # corr[n - l] = sum_t db_t * da_{t+l}, the swap-identity value at -l.
+        neg = None if same else corr[n - max_lag :][::-1] / denom
+        lags, out = _assemble(pos, neg, max_lag)
+        curves.append(QcfCurve(alpha=a, beta=b, lags=lags, values=out, series_length=T))
+    return curves
 
 
 def average_curves(curves: list[QcfCurve]) -> QcfCurve:
@@ -443,20 +448,21 @@ def pp_grid(x, levels, lag: int) -> PPGrid:
     expanded to the requested levels, so levels that share a threshold
     share a row and read exactly 1 against each other at lag 0.
     """
+    return _grids(x, levels, [lag])[0]
+
+
+def _grids(x, levels, lags) -> list[PPGrid]:
+    """pp_grid of x at every lag in lags, in order: one sort, one bucket pass
+    and one bincount per lag.  Every lag is checked before the levels."""
     values = as_values(x)
     T = values.size
-    lag = int(lag)
-    m = _check_max_lag(abs(lag), T, f"lag {lag}")
+    lags = [int(lag) for lag in lags]
+    shifts = [_check_max_lag(abs(lag), T, f"lag {lag}") for lag in lags]
     ps = tuple(map(float, levels))
     lvls = _grid_levels(ps)
-    ordered = np.sort(values)
-    per_level = _thresholds(ordered, ps)
-    thresholds = np.array(sorted(set(per_level.tolist())))
-    expand = np.searchsorted(thresholds, per_level)
-    counts = np.searchsorted(ordered, thresholds, side="right")
+    thresholds, expand, counts = _filters(values, ps)
     f = counts / T
     sumsq = counts * (1.0 - f)
-    _refuse_degenerate(ps, sumsq[expand])
     # x_t <= thresholds[i] iff bucket_t <= i.  The comparisons are summed
     # through a uint8 view, which needs no cast, into the smallest dtype that
     # holds every bucket; K * K fits no dtype that small, so pairs are intp.
@@ -464,20 +470,23 @@ def pp_grid(x, levels, lag: int) -> PPGrid:
         axis=0, dtype=np.min_scalar_type(thresholds.size)
     )
     K = thresholds.size + 1
-    pair = np.multiply(bucket[: T - m], K, dtype=np.intp)
-    pair += bucket[m:]
-    joint = np.bincount(pair, minlength=K * K).reshape(K, K).cumsum(axis=0).cumsum(axis=1)
-    head, tail = joint[:-1, -1], joint[-1, :-1]
-    # One sum for both cross terms: at lag 0, head == tail and the sum
-    # stays exactly symmetric, which subtracting them in turn does not.
     fc = f[:, None]
-    products = joint[:-1, :-1] - (head[:, None] * f + fc * tail) + (T - m) * (fc * f)
-    if m == 0:
-        # The lag-0 diagonal is each level's own sum of squares; s / sqrt(s * s)
-        # is exactly 1.
-        np.fill_diagonal(products, sumsq)
-    matrix = (products / np.sqrt(np.outer(sumsq, sumsq)))[expand[:, None], expand]
-    return PPGrid(lag=lag, levels=lvls, matrix=matrix if lag >= 0 else matrix.T)
+    grids = []
+    for lag, m in zip(lags, shifts):
+        pair = np.multiply(bucket[: T - m], K, dtype=np.intp)
+        pair += bucket[m:]
+        joint = np.bincount(pair, minlength=K * K).reshape(K, K).cumsum(axis=0).cumsum(axis=1)
+        head, tail = joint[:-1, -1], joint[-1, :-1]
+        # One sum for both cross terms: at lag 0, head == tail and the sum
+        # stays exactly symmetric, which subtracting them in turn does not.
+        products = joint[:-1, :-1] - (head[:, None] * f + fc * tail) + (T - m) * (fc * f)
+        if m == 0:
+            # The lag-0 diagonal is each level's own sum of squares; s / sqrt(s * s)
+            # is exactly 1.
+            np.fill_diagonal(products, sumsq)
+        matrix = (products / np.sqrt(np.outer(sumsq, sumsq)))[expand[:, None], expand]
+        grids.append(PPGrid(lag=lag, levels=lvls, matrix=matrix if lag >= 0 else matrix.T))
+    return grids
 
 
 def average_grids(grids: list[PPGrid]) -> PPGrid:

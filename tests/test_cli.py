@@ -69,14 +69,30 @@ class TestQcfCommand:
             run(["simulate", "--model", "garch", "--length", 300, "--seed", seed, "--out", path])
             inputs += ["-i", path]
         calls = []
+        curves = qcorr.cli._curves
 
-        def counting(x, alpha, beta, max_lag):
-            calls.append((alpha, beta))
-            return qcf_fast(x, alpha, beta, max_lag)
+        def counting(x, pairs, max_lag):
+            calls.append(list(pairs))
+            return curves(x, pairs, max_lag)
 
-        monkeypatch.setattr(qcorr.cli, "qcf_fast", counting)
-        assert run(["qcf", *inputs, "--max-lag", 10, "--out", tmp_path / "curves"]) == 0
-        assert sorted(calls) == sorted(qcorr.cli.DEFAULT_PAIRS * 2)
+        monkeypatch.setattr(qcorr.cli, "_curves", counting)
+        custom = ["--alpha", 0.05, "--beta", 0.95, "--alpha", 0.5, "--beta", 0.05]
+        cases = [
+            # (0.5, 0.5) is one of the six defaults, so the band adds no pair.
+            ([], qcorr.cli.DEFAULT_PAIRS, 6),
+            # Custom pairs without it: the band's pair is appended once.
+            (custom, [(0.05, 0.95), (0.5, 0.05), (0.5, 0.5)], 2),
+            (custom + ["--no-band"], [(0.05, 0.95), (0.5, 0.05)], 2),
+        ]
+        for k, (flags, requested, written) in enumerate(cases):
+            calls.clear()
+            out = tmp_path / f"curves{k}"
+            assert run(["qcf", *inputs, *flags, "--max-lag", 10, "--out", out]) == 0
+            # One call per input, each carrying every pair.
+            assert calls == [requested, requested]
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                f"qcf_a{a!r}_b{b!r}.csv" for a, b in requested[:written]
+            )
 
     def test_multi_input_averages(self, tmp_path):
         params = GarchParams(kind="garch", mu=0.0, omega=1e-5, alpha1=0.05, beta1=0.9)

@@ -26,7 +26,7 @@ from qcorr import (
     simulate,
 )
 from qcorr.cli import DEFAULT_PAIRS
-from qcorr.qcf import _assemble, _centered_levels, _next_fast_len, asymmetry_from_arrays
+from qcorr.qcf import _assemble, _next_fast_len, asymmetry_from_arrays
 
 LEVEL_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
 
@@ -231,9 +231,13 @@ class TestQcfFast:
 
         x = tie_heavy(T, T)
         for alpha, beta in DEFAULT_PAIRS:
-            # qcf_fast's steps with scipy.fft at scipy's padded length.
+            # qcf_fast's steps with scipy.fft at scipy's padded length, on
+            # centered 0/1 rows built here from empirical_quantile.
             same = alpha == beta
-            rows, sumsq = _centered_levels(x, [alpha] if same else [alpha, beta])
+            rows = [(x <= empirical_quantile(x, p)).astype(float) for p in (alpha, beta)]
+            for row in rows:
+                row -= row.mean()
+            sumsq = [np.dot(row, row) for row in rows]
             n = scipy.fft.next_fast_len(T + max_lag)
             fa_hat = scipy.fft.rfft(rows[0], n)
             corr = scipy.fft.irfft(np.conj(fa_hat) * scipy.fft.rfft(rows[-1], n), n)
