@@ -55,6 +55,14 @@ def _parse_file(path: str | Path, parse):
         raise DataFormatError(f"{path}: {exc}") from None
 
 
+def _named(path, compute, *args):
+    """compute(*args); a refusal names the input path it came from."""
+    try:
+        return compute(*args)
+    except (QcorrError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _write_outputs(args, outputs: dict, to_csv, to_json, csv_sidecar=None) -> None:
     """Write outputs keyed by file stem: to one file if --out ends in .csv or .json,
     in that format, else into the --out directory as <stem>.<--format, default csv>.
@@ -119,24 +127,25 @@ def _parse_pairs(args) -> list[tuple[float, float]]:
     return list(zip(alphas, betas))
 
 
-def _load_all_series(args) -> tuple[bool, list[TimeSeries]]:
-    """Whether the inputs are day prices, and the series of every input, in input
-    order.  Inputs that mix day prices with returns are refused."""
+def _load_all_series(args) -> tuple[bool, list[tuple[Path, TimeSeries]]]:
+    """Whether the inputs are day prices, and the path and series of every input,
+    in input order.  Inputs that mix day prices with returns are refused."""
     paths = _expand_inputs(args.input)
     loaded = [load_series(p, args.horizon, args.stride) for p in paths]
     by_kind = {kind == "day": path for path, (kind, _) in zip(paths, loaded)}  # one path per kind
     if len(by_kind) > 1:
         raise ValueError(f"inputs mix day prices ({by_kind[True]}) with returns ({by_kind[False]})")
-    return True in by_kind, [series for _, series in loaded]
+    return True in by_kind, [(path, series) for path, (_, series) in zip(paths, loaded)]
 
 
 def cmd_qcf(args) -> int:
-    _, series = _load_all_series(args)
+    _, inputs = _load_all_series(args)
     pairs = _parse_pairs(args)
     # The band's (0.5, 0.5) curve is one more pair, last and not written, unless
     # it is requested already.
     requested = pairs + ([] if args.no_band or (0.5, 0.5) in pairs else [(0.5, 0.5)])
-    curves = [average_curves(list(c)) for c in zip(*(_curves(s, requested, args.max_lag) for s in series))]
+    per_input = [_named(path, _curves, s, requested, args.max_lag) for path, s in inputs]
+    curves = [average_curves(list(c)) for c in zip(*per_input)]
     if not args.no_band:
         band = confidence_band(curves[requested.index((0.5, 0.5))])
         curves = [c.with_ci(band) for c in curves]
@@ -162,7 +171,7 @@ def _parse_levels(text: str) -> list[float]:
 
 
 def cmd_ppgrid(args) -> int:
-    days, series = _load_all_series(args)
+    days, inputs = _load_all_series(args)
     levels = _parse_levels(args.levels) if args.levels else list(DEFAULT_GRID_LEVELS)
     if args.lag:
         lags = list(args.lag)
@@ -174,7 +183,7 @@ def cmd_ppgrid(args) -> int:
             lags.append(seconds // args.stride)
     else:
         lags = list(DEFAULT_SIM_GRID_LAGS)
-    per_lag = zip(*(_grids(s, levels, lags) for s in series))
+    per_lag = zip(*(_named(path, _grids, s, levels, lags) for path, s in inputs))
     grids = {f"ppgrid_lag{lag}": average_grids(list(g)) for lag, g in zip(lags, per_lag)}
     _write_outputs(args, grids, serialize.grid_to_csv, serialize.grid_to_json)
     return 0
@@ -192,11 +201,7 @@ def load_curve(path: Path):
 def cmd_asym(args) -> int:
     rows = []
     for path in _expand_inputs(args.input, (".csv", ".json")):
-        lags, values = load_curve(path)
-        try:
-            report = asymmetry_from_arrays(lags, values, args.max_lag)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        report = _named(path, asymmetry_from_arrays, *load_curve(path), args.max_lag)
         rows.append((args.dataset or path.stem, args.year, report))
     summary, full = serialize.asymmetry_to_csv(rows)
     sys.stdout.write(summary)
@@ -222,8 +227,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _, series = _load_all_series(args)
-    batch = fit_per_day(series)
+    _, inputs = _load_all_series(args)
+    batch = fit_per_day([series for _, series in inputs])
     texts = {args.out: serialize.batch_to_csv(batch)}  # all laid out before any write
     if args.excluded_out:
         texts[args.excluded_out] = serialize.excluded_to_csv(batch)

@@ -484,7 +484,7 @@ class TestPpgridCommand:
         out = tmp_path / "g"
         assert run(["ppgrid", "-i", sim, "--lag", 2, "--lag", lag, "--out", out]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [json.dumps({"error": f"lag {lag} too large for series of length 3000"})]
+        assert err == [json.dumps({"error": f"{sim}: lag {lag} too large for series of length 3000"})]
         assert not out.exists()
 
 
@@ -719,6 +719,27 @@ class TestErrorHandling:
         assert len(err) == 1
         message = json.loads(err[0])["error"]
         assert str(day_csv) in message and str(sim_csv) in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["qcf", "ppgrid"])
+    @pytest.mark.parametrize(
+        "second, reason",
+        [
+            (np.random.default_rng(2).standard_normal(300), "{lag} 200 too large for series of length 300"),
+            (np.full(3000, 1.5), "degenerate quantile level: filtered series at p=0.05 is constant"),
+        ],
+        ids=["too-short-for-lag", "constant"],
+    )
+    def test_estimator_refusal_names_its_input(self, tmp_path, capsys, command, second, reason):
+        first, bad = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text(values_to_csv(np.random.default_rng(1).standard_normal(3000)))
+        bad.write_text(values_to_csv(second))
+        out = tmp_path / "out"
+        lag = {"qcf": "--max-lag", "ppgrid": "--lag"}[command]
+        assert run([command, "-i", first, "-i", bad, lag, 200, "--out", out]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        shown = reason.format(lag={"qcf": "max_lag", "ppgrid": "lag"}[command])
+        assert err == [json.dumps({"error": f"{bad}: {shown}"})]
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from qcorr import (
     simulate,
 )
 from qcorr.cli import DEFAULT_PAIRS
-from qcorr.qcf import _assemble, _next_fast_len, asymmetry_from_arrays
+from qcorr.qcf import _assemble, _curves, _grids, _next_fast_len, asymmetry_from_arrays
 
 LEVEL_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
 
@@ -37,6 +38,18 @@ def tie_heavy(T, seed):
     x = rng.standard_normal(T)
     x[rng.choice(T, T // 5, replace=False)] = 0.0
     return x
+
+
+# Short series of 2-4 distinct integers, so most levels share a threshold
+# with another and the higher levels often threshold at the maximum.
+TIE_HEAVY_LISTS = st.lists(st.integers(-3, 3), min_size=2, max_size=4, unique=True).flatmap(
+    lambda support: st.lists(st.sampled_from(support), min_size=8, max_size=200)
+)
+
+
+def first_degenerate(xs, ps):
+    """The first level in ps whose threshold is the maximum of xs, or None."""
+    return next((p for p in ps if oracle_quantile(xs, p) == max(xs)), None)
 
 
 def make_curve(lags, values, alpha=0.05, beta=0.95, series_length=1000, **kw):
@@ -536,6 +549,68 @@ class TestPPGrid:
         x = np.concatenate([np.arange(10.0), np.full(30, 10.0)])
         with pytest.raises(DegenerateLevelError, match=r"at p=0\.9 is constant"):
             pp_grid(x, [0.1, 0.9, 0.2, 0.5, 0.8], 1)
+
+
+class TestBatches:
+    """_curves and _grids serve many requests from one sort of a series; each
+    result must equal the one-request call (qcf_fast, pp_grid) bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(xs=TIE_HEAVY_LISTS, data=st.data())
+    def test_curves_equal_one_request_each(self, xs, data):
+        x = np.array(xs, dtype=float)
+        level = st.sampled_from(LEVEL_GRID)
+        pairs = data.draw(st.lists(st.tuples(level, level), min_size=1, max_size=4), label="pairs")
+        a, b = pairs[0]
+        shared = [p for p in LEVEL_GRID if p != a and oracle_quantile(xs, p) == oracle_quantile(xs, a)]
+        # Swapped, repeated, equal levels, and distinct levels that share one threshold.
+        pairs += [(b, a), (a, b), (b, b)] + [(a, p) for p in shared[:1]]
+        max_lag = data.draw(st.integers(0, (x.size - 1) // 2), label="max_lag")
+        first = first_degenerate(xs, [p for pair in pairs for p in pair])
+        if first is not None:
+            with pytest.raises(DegenerateLevelError, match=rf"at p={re.escape(str(first))} is"):
+                _curves(x, pairs, max_lag)
+            return
+        batch = _curves(x, pairs, max_lag)
+        assert len(batch) == len(pairs)
+        for (alpha, beta), curve in zip(pairs, batch):
+            one = qcf_fast(x, alpha, beta, max_lag)
+            assert (curve.alpha, curve.beta) == (one.alpha, one.beta)
+            assert np.array_equal(curve.lags, one.lags)
+            assert np.array_equal(curve.values, one.values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(xs=TIE_HEAVY_LISTS, data=st.data())
+    def test_grids_equal_one_request_each(self, xs, data):
+        x = np.array(xs, dtype=float)
+        levels = data.draw(st.lists(st.sampled_from(LEVEL_GRID), min_size=1, max_size=5), label="levels")
+        m = (x.size - 1) // 2
+        lags = data.draw(st.lists(st.integers(-m, m), min_size=1, max_size=4), label="lags")
+        # Lag 0, a negative lag and a repeated lag.
+        lags += [0, -max(abs(lags[0]), 1), lags[0]]
+        first = first_degenerate(xs, levels)
+        if first is not None:
+            with pytest.raises(DegenerateLevelError, match=rf"at p={re.escape(str(first))} is"):
+                _grids(x, levels, lags)
+            return
+        batch = _grids(x, levels, lags)
+        assert [grid.lag for grid in batch] == lags
+        for lag, grid in zip(lags, batch):
+            assert np.array_equal(grid.matrix, pp_grid(x, levels, lag).matrix)
+
+    def test_grids_refuse_a_long_lag_before_a_degenerate_level(self):
+        x = np.ones(40)
+        with pytest.raises(ValueError, match="lag -20 too large for series of length 40"):
+            pp_grid(x, [0.5], -20)
+        with pytest.raises(ValueError, match="lag 20 too large"):
+            _grids(x, [0.5], [1, 20])
+
+    def test_curves_refuse_a_degenerate_level_before_max_lag(self):
+        x = np.concatenate([np.arange(10.0), np.full(30, 10.0)])
+        with pytest.raises(DegenerateLevelError, match=r"at p=0\.5 is constant"):
+            qcf_fast(x, 0.5, 0.1, 20)
+        with pytest.raises(DegenerateLevelError, match=r"at p=0\.9 is constant"):
+            _curves(x, [(0.1, 0.2), (0.9, 0.5)], 20)
 
 
 class TestQcfCurveValidation:
