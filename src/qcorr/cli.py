@@ -27,8 +27,9 @@ from .ingest import (
     compute_returns,
     resample_day,
 )
-from .qcf import _curves, _grids, asymmetry_from_arrays, average_curves, average_grids, confidence_band
-from .series import TimeSeries
+from .qcf import _curves, _grid_levels, _grids
+from .qcf import asymmetry_from_arrays, average_curves, average_grids, confidence_band
+from .series import TimeSeries, as_level
 
 DEFAULT_PAIRS = [(0.05, 0.05), (0.5, 0.5), (0.95, 0.95), (0.05, 0.5), (0.5, 0.95), (0.05, 0.95)]
 DEFAULT_GRID_LEVELS = [i / 20 for i in range(1, 20)]  # 0.05 .. 0.95
@@ -124,7 +125,7 @@ def _parse_pairs(args) -> list[tuple[float, float]]:
         raise ValueError("--alpha and --beta must be given the same number of times")
     if not alphas:
         return list(DEFAULT_PAIRS)
-    return list(zip(alphas, betas))
+    return [(as_level(alpha).p, as_level(beta).p) for alpha, beta in zip(alphas, betas)]
 
 
 def _load_all_series(args) -> tuple[bool, list[tuple[Path, TimeSeries]]]:
@@ -173,6 +174,7 @@ def _parse_levels(text: str) -> list[float]:
 def cmd_ppgrid(args) -> int:
     days, inputs = _load_all_series(args)
     levels = _parse_levels(args.levels) if args.levels else list(DEFAULT_GRID_LEVELS)
+    _grid_levels(tuple(levels))  # refused here, so a bad level names no input
     if args.lag:
         lags = list(args.lag)
     elif days:
@@ -183,8 +185,8 @@ def cmd_ppgrid(args) -> int:
             lags.append(seconds // args.stride)
     else:
         lags = list(DEFAULT_SIM_GRID_LAGS)
-    per_lag = zip(*(_named(path, _grids, s, levels, lags) for path, s in inputs))
-    grids = {f"ppgrid_lag{lag}": average_grids(list(g)) for lag, g in zip(lags, per_lag)}
+    per_input = [_named(path, _grids, s, levels, lags) for path, s in inputs]
+    grids = {f"ppgrid_lag{lag}": average_grids(list(g)) for lag, g in zip(lags, zip(*per_input))}
     _write_outputs(args, grids, serialize.grid_to_csv, serialize.grid_to_json)
     return 0
 

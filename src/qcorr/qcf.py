@@ -90,7 +90,10 @@ def _filters(values: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     ordered = np.sort(values)
     per_level = ordered[[_order_index(p, ordered.size) - 1 for p in ps]]
-    thresholds, index = np.unique(per_level, return_inverse=True)
+    # A set, not np.unique: on the few levels of one call, np.unique takes
+    # about 14 us more, a tenth of the time of a whole curve at T=370.
+    thresholds = np.array(sorted(set(per_level.tolist())))
+    index = np.searchsorted(thresholds, per_level)
     counts = np.searchsorted(ordered, thresholds, side="right")
     _refuse_degenerate(ps, ordered.size - counts[index])
     return thresholds, index, counts

@@ -745,6 +745,23 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "args, reason",
         [
+            (["qcf", "--alpha", 1.5, "--beta", 0.5, "--max-lag", 5],
+             "probability level must lie in [0, 1], got 1.5"),
+            (["ppgrid", "--levels", "0,0.5", "--lag", 5], "grid levels must be strictly inside (0, 1), got 0.0"),
+        ],
+        ids=["qcf-alpha", "ppgrid-levels"],
+    )
+    def test_level_refusal_names_no_input(self, tmp_path, capsys, args, reason):
+        src = tmp_path / "a.csv"
+        src.write_text(values_to_csv(np.random.default_rng(1).standard_normal(300)))
+        out = tmp_path / "out"
+        assert run([args[0], "-i", src, *args[1:], "--out", out]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [json.dumps({"error": reason})]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
             (["simulate", "--model", "garch", "--length", 100], "QCORR_SEED must be an integer"),
             (["qcf", "-i", "empty", "--max-lag", 2], "no .csv files inside directory"),
             (["qcf", "-i", "x.csv", "--alpha", 0.1, "--alpha", 0.2, "--beta", 0.3, "--max-lag", 2],
