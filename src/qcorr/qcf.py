@@ -71,9 +71,10 @@ def _smooth_lengths(bound: int) -> list[int]:
 
 
 def _next_fast_len(target: int) -> int:
-    """Smallest 2*3*5*7*11-smooth n >= target, scipy.fft.next_fast_len's default
-    rule.  numpy.fft at scipy's padded length gives scipy's bits; the 5-smooth
-    length scipy uses for real=True would not."""
+    """Smallest 2*3*5*7*11-smooth n >= target, the default rule of
+    scipy.fft.next_fast_len (scipy is not imported).  numpy.fft at scipy's
+    padded length gives scipy's bits; the 5-smooth length scipy uses for
+    real=True would not."""
     lengths = _smooth_lengths(1 << (target - 1).bit_length())
     return lengths[bisect.bisect_left(lengths, target)]
 
@@ -235,7 +236,14 @@ def _assemble(pos: np.ndarray, neg: np.ndarray | None, max_lag: int) -> tuple[np
     keeps the equal-level curve symmetric to the bit.
     """
     left = pos[1:][::-1] if neg is None else neg[::-1]
-    return np.arange(-max_lag, max_lag + 1), np.concatenate([left, pos])
+    return _lag_grid(max_lag), np.concatenate([left, pos])
+
+
+@functools.lru_cache(maxsize=8)
+def _lag_grid(max_lag: int) -> np.ndarray:
+    """-max_lag..max_lag as one int64 array over immutable bytes, which no
+    caller can write, so every curve on that grid holds the same array."""
+    return np.frombuffer(np.arange(-max_lag, max_lag + 1, dtype=np.int64).tobytes(), dtype=np.int64)
 
 
 def qcf_from_filtered(a: BinarySeries, b: BinarySeries, max_lag: int) -> QcfCurve:

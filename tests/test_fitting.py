@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from conftest import RECOVERY_SEEDS, RECOVERY_TRUE
 from helpers import oracle_gjr_loglik
@@ -19,7 +22,10 @@ from qcorr import (
 )
 from qcorr import fitting
 from qcorr.garch import _BLOCK_SERIES
-from qcorr.fitting import START_POINTS, _negative_ll_and_score, _pack, _unpack, derived_seeds
+from qcorr.fitting import (
+    START_POINTS, _bfgs, _lockstep, _negative_ll_and_score, _pack, _recursion, _unpack,
+    derived_seeds,
+)
 
 GJR_UNIT = GarchParams(kind="gjr", mu=0.0, omega=1.0, alpha1=0.0, beta1=0.0, gamma1=0.0)
 
@@ -36,6 +42,54 @@ def optimality_fits():
         for i, g in enumerate(np.linspace(-0.08, 0.08, 50))
     ]
     return [(day, fit_gjr(day)) for day in days]
+
+
+def _lfilter_rows(u, beta, start):
+    """The recursion row by row through scipy's filter, the reference."""
+    return np.array([lfilter([1.0], [1.0, -b], row, zi=[b * y0])[0]
+                     for row, b, y0 in zip(u, beta, start)])
+
+
+class TestRecursion:
+    @pytest.mark.parametrize("length", [1, 2, 369, 50_000])
+    @pytest.mark.parametrize("beta", [0.0, 1e-12, 0.5, 1.0 - 1e-6])
+    def test_matches_lfilter(self, beta, length):
+        rng = np.random.default_rng(length)
+        u = rng.standard_normal((3, length)) * rng.uniform(0.1, 10.0, (3, 1))
+        betas, start = np.full(3, beta), rng.standard_normal(3)
+        # the error bound scales with the recursion of |u| from |start|
+        bound = 1e-13 * _lfilter_rows(np.abs(u), betas, np.abs(start))
+        assert np.all(np.abs(_recursion(u, betas, start) - _lfilter_rows(u, betas, start)) <= bound)
+
+    @given(st.integers(1, 6), st.integers(1, 200), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_stacks_match_lfilter(self, rows, length, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((rows, length))
+        betas = rng.choice([0.0, rng.uniform(0.0, 1.0), 1.0 - 10.0 ** -rng.uniform(1, 9)], rows)
+        start = rng.standard_normal(rows)
+        bound = 1e-13 * _lfilter_rows(np.abs(u), betas, np.abs(start))
+        assert np.all(np.abs(_recursion(u, betas, start) - _lfilter_rows(u, betas, start)) <= bound)
+
+
+class TestLockstepBfgs:
+    def test_runs_are_scipys_bfgs_on_rosenbrock(self):
+        from scipy.optimize import minimize, rosen, rosen_der
+
+        starts = [np.array(x, dtype=float) for x in (
+            [-1.2, 1.0, -0.5, 0.3, 2.0], [0.0] * 5, [2.0] * 5, [1.5, -0.5, 0.8, 1.1, 0.2],
+            [-2.0, 3.0, 0.1, -1.0, 1.0])]
+
+        def objective(stack):
+            return np.array([rosen(x) for x in stack]), np.array([rosen_der(x) for x in stack])
+
+        ends = _lockstep([_bfgs(x, 3000) for x in starts], objective)
+        for x0, (x, value, iterations, success) in zip(starts, ends):
+            ref = minimize(rosen, x0, jac=rosen_der, method="BFGS")
+            assert success == ref.success
+            assert abs(iterations - ref.nit) <= 2
+            assert np.max(np.abs(x - ref.x)) <= 1e-8
+            assert value == pytest.approx(ref.fun, abs=1e-12)
 
 
 class TestLogLikelihood:
@@ -152,21 +206,19 @@ class TestFitGjr:
 class TestScoreAndOptimality:
     @pytest.mark.parametrize("length", [369, 5000])
     def test_score_matches_central_differences(self, length):
-        from scipy.signal import lfilter
-
         r = simulate(RECOVERY_TRUE, length=length, seed=length).returns.values
         rng = np.random.default_rng(length)
         thetas = [rng.normal(size=5) * [0.1, 1.0, 2.0, 2.0, 1.5] for _ in range(6)]
         thetas.append(np.array([0.05, -2.0, 12.0, -1.0, -0.8]))  # persistence at the cap, gamma1 < 0
         thetas.append(np.array([-0.02, -3.0, 3.0, -0.5, -2.0]))  # alpha1 + gamma1 close to 0
         for theta in thetas:
-            _, score = _negative_ll_and_score(theta, lfilter, r)
+            _, score = _negative_ll_and_score(theta, r)
             numeric = np.empty(5)
             for k in range(5):
                 step = np.zeros(5)
                 step[k] = 1e-5 * max(1.0, abs(theta[k]))
-                up = _negative_ll_and_score(theta + step, lfilter, r)[0]
-                down = _negative_ll_and_score(theta - step, lfilter, r)[0]
+                up = _negative_ll_and_score(theta + step, r)[0]
+                down = _negative_ll_and_score(theta - step, r)[0]
                 numeric[k] = (up - down) / (2.0 * step[k])
             scale = np.max(np.abs(numeric))
             assert np.max(np.abs(score - numeric)) <= 1e-6 * scale, _unpack(theta)
@@ -190,6 +242,10 @@ class TestScoreAndOptimality:
             polish = minimize(negative_ll, theta, method="Nelder-Mead",
                               options={"xatol": 1e-8, "fatol": 1e-10, "maxfev": 4000})
             assert -polish.fun <= fit.log_likelihood + 1e-6
+
+    def test_fit_likelihood_is_the_kernel_at_the_fitted_parameters(self, optimality_fits):
+        for day, fit in optimality_fits:
+            assert fit.log_likelihood == pytest.approx(gjr_log_likelihood(day, fit.params), rel=1e-10)
 
     def test_iteration_limit_is_not_convergence(self):
         fit = fit_gjr(simulate(RECOVERY_TRUE, length=369, seed=1).returns, max_iter=2)

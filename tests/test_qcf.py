@@ -639,6 +639,21 @@ class TestQcfCurveValidation:
         with pytest.raises(KeyError):
             curve.value_at(5)
 
+    def test_estimated_curves_share_one_unwritable_lag_grid(self):
+        x = np.random.default_rng(3).standard_normal(400)
+        first, second = _curves(x, [(0.05, 0.95), (0.5, 0.5)], 20)
+        assert first.lags is second.lags is _curves(x[::-1], [(0.2, 0.8)], 20)[0].lags
+        with pytest.raises(ValueError):
+            first.lags.setflags(write=True)
+        assert average_curves([first, first]).lags is first.lags
+
+    def test_arrays_passed_in_are_copied(self):
+        lags, values = np.arange(-1, 2), np.array([0.1, 0.9, 0.1])
+        lags.setflags(write=False)
+        curve = make_curve(lags, values)
+        assert not np.shares_memory(curve.lags, lags) and not np.shares_memory(curve.values, values)
+        assert not curve.lags.flags.writeable and not curve.values.flags.writeable
+
 
 class TestTimeSeries:
     def test_validation(self):
