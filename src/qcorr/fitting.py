@@ -85,16 +85,17 @@ def _scan(u, log_beta, start):
     y = np.zeros((rows, blocks * b))
     y[:, :n] = u
     y = y.reshape(rows, blocks, b)
+    powers = np.exp(log_beta[:, None] * np.arange(1, b + 1))  # beta**1 .. beta**b
     # After the pass with shift s, y holds each block's sums over the last 2s steps.
     s = 1
     while s < b:
-        y[..., s:] += np.exp(s * log_beta)[:, None, None] * y[..., :-s]
+        y[..., s:] += powers[:, s - 1, None, None] * y[..., :-s]
         s *= 2
     # Block j starts from the true end of block j - 1.
     carry = start[:, None]
     if blocks > 1:
         carry = np.concatenate([carry, _scan(y[..., -1], b * log_beta, start)[:, :-1]], axis=1)
-    y += np.exp(log_beta[:, None] * np.arange(1, b + 1))[:, None, :] * carry[..., None]
+    y += powers[:, None, :] * carry[..., None]
     return y.reshape(rows, blocks * b)[:, :n]
 
 
@@ -110,9 +111,8 @@ def gjr_log_likelihood(returns, params: GarchParams) -> float:
     if r.size < 10:
         raise ValueError("need at least 10 observations")
     eps = (r - params.mu)[None, :]
-    sigma2 = _gjr_variance_filter(
-        eps, *(np.array([value]) for value in (params.omega, params.alpha1, params.beta1, params.gamma1))
-    )
+    one_row = np.array([[params.omega], [params.alpha1], [params.beta1], [params.gamma1]])
+    sigma2 = _gjr_variance_filter(eps, *one_row)
     if not sigma2[0, 0] > 0:
         raise ValueError("zero-variance returns")
     if np.any(sigma2 <= 0) or not np.all(np.isfinite(sigma2)):
@@ -402,9 +402,9 @@ def _bfgs(x, max_iter):
     """One BFGS run, as a generator: yields points and receives (value, score) at each.
 
     H0 = I, a first step about 1 long, and the inverse-Hessian update
-    after every accepted step.  Returns (x, value, iterations, success).  Success means max|score| <= GTOL within
-    max_iter iterations; a failed line search or a nonfinite value ends the
-    run without it.
+    after every accepted step.  Returns (x, value, iterations, success).
+    Success means max|score| <= GTOL within max_iter iterations; a failed
+    line search or a nonfinite value ends the run without it.
     """
     f, g = yield x
     f = float(f)

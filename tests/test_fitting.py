@@ -223,6 +223,17 @@ class TestScoreAndOptimality:
             scale = np.max(np.abs(numeric))
             assert np.max(np.abs(score - numeric)) <= 1e-6 * scale, _unpack(theta)
 
+    def test_a_stack_scores_each_row_as_alone(self):
+        # lockstep rounds evaluate the starts together; each must see its own bits
+        r = simulate(RECOVERY_TRUE, length=369, seed=3).returns.values
+        thetas = np.random.default_rng(0).normal(size=(6, 5)) * [0.1, 1.0, 2.0, 2.0, 1.5]
+        thetas[5] = [0.0, 800.0, 0.0, 0.0, 0.0]  # omega overflows
+        values, scores = _negative_ll_and_score(thetas, r)
+        assert values[5] == np.inf and not np.any(scores[5])
+        for theta, value, score in zip(thetas, values, scores):
+            alone = _negative_ll_and_score(theta, r)
+            assert alone[0] == value and np.array_equal(alone[1], score)
+
     def test_every_fixed_day_converges(self, optimality_fits):
         assert len(optimality_fits) >= 50
         assert all(fit.converged for _, fit in optimality_fits)
