@@ -1,9 +1,12 @@
 """Command-line front end: ingest, qcf, ppgrid, asym, simulate, fit, resim, index.
 
 Every file format, provenance documents included, is defined in serialize;
-_write_outputs is the one rule mapping --out and --format to files.  Outputs
-are written atomically and are deterministic given the inputs and flags.
-QCORR_SEED in the environment overrides --seed everywhere.
+_output_pairs is the one rule mapping --out and --format to files.  Each
+command returns its outputs as (path, text) pairs in write order, and the
+text it prints.  main passes the pairs to serialize.write_files, the one
+writer, which writes each to a temp file before it renames any, and prints
+only after the last rename.  Outputs are deterministic given the inputs and
+flags.  QCORR_SEED in the environment overrides --seed everywhere.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 from . import serialize
-from .errors import DataFormatError, QcorrError
+from .errors import QcorrError
 from .fitting import average_params, fit_per_day, resimulate_experiment
 from .garch import PARAM_NAMES, GarchParams, simulate
 from .ingest import (
@@ -49,11 +54,7 @@ def resolve_seed(args) -> int:
 
 def _parse_file(path: str | Path, parse):
     """parse applied to the text of path; a malformed file's error names the path."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        return parse(text)
-    except (DataFormatError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    return _named(path, lambda: parse(Path(path).read_text(encoding="utf-8")))
 
 
 def _named(path, compute, *args):
@@ -64,10 +65,10 @@ def _named(path, compute, *args):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _write_outputs(args, outputs: dict, to_csv, to_json, csv_sidecar=None) -> None:
-    """Write outputs keyed by file stem: to one file if --out ends in .csv or .json,
-    in that format, else into the --out directory as <stem>.<--format, default csv>.
-    csv_sidecar gives the text of a .meta.json written next to each CSV.
+def _output_pairs(args, outputs: dict, to_csv, to_json):
+    """(path, text) of each output keyed by file stem, laid out as it is due:
+    one file if --out ends in .csv or .json, in that format, else the --out
+    directory's <stem>.<--format, default csv>.
     """
     out = Path(args.out)
     if out.suffix in (".csv", ".json"):
@@ -81,10 +82,7 @@ def _write_outputs(args, outputs: dict, to_csv, to_json, csv_sidecar=None) -> No
         fmt = args.format or "csv"
         paths = [out / f"{stem}.{fmt}" for stem in outputs]
     to_text = to_json if fmt == "json" else to_csv
-    for path, value in zip(paths, outputs.values()):
-        serialize.write_text_atomic(path, to_text(value))
-        if csv_sidecar and fmt == "csv":
-            serialize.write_text_atomic(path.with_suffix(".meta.json"), csv_sidecar(value))
+    return ((path, to_text(value)) for path, value in zip(paths, outputs.values()))
 
 
 # Log artifacts our own commands drop next to their data outputs.
@@ -110,12 +108,13 @@ def _expand_inputs(paths: list[str], suffixes: tuple[str, ...] = (".csv",)) -> l
 
 
 def load_series(path: Path, horizon: int, stride: int) -> tuple[str, TimeSeries]:
-    """(kind, series) of a CSV by header; day prices become returns."""
+    """(kind, series) of a CSV by header; day prices become returns.  A refusal
+    names the path."""
     kind, values = _parse_file(path, serialize.series_from_csv)
     if kind == "day":
-        day = TradingDay(instrument=path.stem, date="", prices=values, traded_seconds=values.size)
-        values = compute_returns(day, horizon, stride).values
-    return kind, TimeSeries(values, label=path.stem)
+        day = _named(path, TradingDay, path.stem, "", values, values.size)
+        values = _named(path, compute_returns, day, horizon, stride).values
+    return kind, _named(path, TimeSeries, values, path.stem)
 
 
 def _parse_pairs(args) -> list[tuple[float, float]]:
@@ -139,7 +138,7 @@ def _load_all_series(args) -> tuple[bool, list[tuple[Path, TimeSeries]]]:
     return True in by_kind, [(path, series) for path, (_, series) in zip(paths, loaded)]
 
 
-def cmd_qcf(args) -> int:
+def cmd_qcf(args) -> tuple[Iterable[tuple[Path, str]], str]:
     _, inputs = _load_all_series(args)
     pairs = _parse_pairs(args)
     # The band's (0.5, 0.5) curve is one more pair, last and not written, unless
@@ -152,8 +151,7 @@ def cmd_qcf(args) -> int:
         curves = [c.with_ci(band) for c in curves]
     # repr is the shortest text that round-trips, so distinct pairs get distinct names.
     stems = [f"qcf_a{alpha!r}_b{beta!r}" for alpha, beta in pairs]
-    _write_outputs(args, dict(zip(stems, curves)), serialize.curve_to_csv, serialize.curve_to_json)
-    return 0
+    return _output_pairs(args, dict(zip(stems, curves)), serialize.curve_to_csv, serialize.curve_to_json), ""
 
 
 def _parse_levels(text: str) -> list[float]:
@@ -171,7 +169,7 @@ def _parse_levels(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-def cmd_ppgrid(args) -> int:
+def cmd_ppgrid(args) -> tuple[Iterable[tuple[Path, str]], str]:
     days, inputs = _load_all_series(args)
     levels = _parse_levels(args.levels) if args.levels else list(DEFAULT_GRID_LEVELS)
     _grid_levels(tuple(levels))  # refused here, so a bad level names no input
@@ -187,8 +185,7 @@ def cmd_ppgrid(args) -> int:
         lags = list(DEFAULT_SIM_GRID_LAGS)
     per_input = [_named(path, _grids, s, levels, lags) for path, s in inputs]
     grids = {f"ppgrid_lag{lag}": average_grids(list(g)) for lag, g in zip(lags, zip(*per_input))}
-    _write_outputs(args, grids, serialize.grid_to_csv, serialize.grid_to_json)
-    return 0
+    return _output_pairs(args, grids, serialize.grid_to_csv, serialize.grid_to_json), ""
 
 
 def load_curve(path: Path):
@@ -200,58 +197,43 @@ def load_curve(path: Path):
     return lags, values
 
 
-def cmd_asym(args) -> int:
+def cmd_asym(args) -> tuple[Iterable[tuple[Path, str]], str]:
     rows = []
     for path in _expand_inputs(args.input, (".csv", ".json")):
         report = _named(path, asymmetry_from_arrays, *load_curve(path), args.max_lag)
         rows.append((args.dataset or path.stem, args.year, report))
     summary, full = serialize.asymmetry_to_csv(rows)
-    sys.stdout.write(summary)
-    serialize.write_text_atomic(args.out, full)
-    return 0
+    return [(args.out, full)], summary
 
 
-def _params_from_args(args) -> GarchParams:
-    return GarchParams(args.model, *(getattr(args, name) for name in PARAM_NAMES))
-
-
-def cmd_simulate(args) -> int:
-    params = _params_from_args(args)
+def cmd_simulate(args) -> tuple[Iterable[tuple[Path, str]], str]:
+    params = GarchParams(args.model, *(getattr(args, name) for name in PARAM_NAMES))
     sim = simulate(params, args.length, resolve_seed(args), args.burn_in)
-    _write_outputs(
-        args,
-        {"sim": sim},
-        serialize.simulation_to_csv,
-        lambda s: serialize.simulation_to_json(s, params),
-        csv_sidecar=lambda s: serialize.simulation_meta_json(s, params),
-    )
-    return 0
+    [pair] = _output_pairs(args, {"sim": sim}, serialize.simulation_to_csv,
+                           lambda s: serialize.simulation_to_json(s, params))
+    meta = (pair[0].with_suffix(".meta.json"), serialize.simulation_meta_json(sim, params))
+    return [pair, meta] if pair[0].suffix == ".csv" else [pair], ""
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> tuple[Iterable[tuple[Path, str]], str]:
     _, inputs = _load_all_series(args)
     batch = fit_per_day([series for _, series in inputs])
-    texts = {args.out: serialize.batch_to_csv(batch)}  # all laid out before any write
+    pairs = [(args.out, serialize.batch_to_csv(batch))]
     if args.excluded_out:
-        texts[args.excluded_out] = serialize.excluded_to_csv(batch)
+        pairs.append((args.excluded_out, serialize.excluded_to_csv(batch)))
     if args.params_out:
-        texts[args.params_out] = serialize.params_to_json(average_params(batch))
-    for path, text in texts.items():
-        serialize.write_text_atomic(path, text)
-    print(f"fitted {len(batch.fits)} day(s), excluded {len(batch.excluded)}")
-    return 0
+        pairs.append((args.params_out, serialize.params_to_json(average_params(batch))))
+    return pairs, f"fitted {len(batch.fits)} day(s), excluded {len(batch.excluded)}\n"
 
 
-def cmd_resim(args) -> int:
+def cmd_resim(args) -> tuple[Iterable[tuple[Path, str]], str]:
     params = _parse_file(args.params, serialize.params_from_json)
     seed = resolve_seed(args)
     sims = resimulate_experiment(params, args.n_series, args.length, seed, args.burn_in)
     files = {f"sim_{i:04d}.csv": sim for i, sim in enumerate(sims)}
     out = Path(args.out)
-    for name, sim in files.items():
-        serialize.write_text_atomic(out / name, serialize.simulation_to_csv(sim))
-    serialize.write_text_atomic(out / "manifest.json", serialize.resim_manifest_json(params, seed, files))
-    return 0
+    manifest = (out / "manifest.json", serialize.resim_manifest_json(params, seed, files))
+    return chain(((out / name, serialize.simulation_to_csv(sim)) for name, sim in files.items()), [manifest]), ""
 
 
 def _resample_groups(args):
@@ -278,39 +260,35 @@ def _safe_name(name: str) -> str:
     return "".join(c if (c.isalnum() or c in "._-") else "_" for c in name) or "_"
 
 
-def _write_days(args, days: list[TradingDay], rejections: list[DayRejection]) -> None:
-    """Write each day to --out as <instrument>_<date>.csv, made safe, then
-    rejections.csv.  Every name is laid out before the first write, so two
-    days that would share a file write nothing."""
-    rejected = serialize.rejections_to_csv(rejections)  # it may refuse a cell
+def _day_pairs(args, days: list[TradingDay], rejections: list[DayRejection]):
+    """(path, text) of each day in --out as <instrument>_<date>.csv, made safe,
+    then of rejections.csv.  Two days that would share a file are refused
+    here, where the error can name both."""
     named: dict[str, TradingDay] = {}
     for day in days:
         name = f"{_safe_name(day.instrument)}_{_safe_name(day.date)}.csv"
-        if name in named:
-            both = " and ".join(f"{d.instrument!r} on {d.date!r}" for d in (named[name], day))
+        if (first := named.setdefault(name, day)) is not day:
+            both = " and ".join(f"{d.instrument!r} on {d.date!r}" for d in (first, day))
             raise ValueError(f"{both} would both be written to {name}")
-        named[name] = day
     out = Path(args.out)
-    for name, day in named.items():
-        serialize.write_text_atomic(out / name, serialize.day_to_csv(day))
-    serialize.write_text_atomic(out / "rejections.csv", rejected)
+    rejected = (out / "rejections.csv", serialize.rejections_to_csv(rejections))
+    return chain(((out / name, serialize.day_to_csv(day)) for name, day in named.items()), [rejected])
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> tuple[Iterable[tuple[Path, str]], str]:
     accepted, rejections = _resample_groups(args)
-    _write_days(args, accepted, rejections)
-    print(f"accepted {len(accepted)} day(s), rejected {len(rejections)}")
-    return 0
+    shown = f"accepted {len(accepted)} day(s), rejected {len(rejections)}\n"
+    return _day_pairs(args, accepted, rejections), shown
 
 
-def cmd_index(args) -> int:
+def cmd_index(args) -> tuple[Iterable[tuple[Path, str]], str]:
     accepted, rejections = _resample_groups(args)
     by_date: dict[str, list[TradingDay]] = {}
     for day in accepted:
         by_date.setdefault(day.date, []).append(day)
-    _write_days(args, [build_index(by_date[date]) for date in sorted(by_date)], rejections)
-    print(f"built {len(by_date)} index day(s), rejected {len(rejections)} day(s)")
-    return 0
+    days = [build_index(by_date[date]) for date in sorted(by_date)]
+    shown = f"built {len(days)} index day(s), rejected {len(rejections)} day(s)\n"
+    return _day_pairs(args, days, rejections), shown
 
 
 def _add_input(parser):
@@ -419,10 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        pairs, shown = args.func(args)
+        serialize.write_files(pairs)
     except (QcorrError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    sys.stdout.write(shown)
+    return 0
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@
 Data values are written with 17 significant digits so every IEEE double
 round-trips exactly: the bytes of format(v, ".17g"), laid out for whole
 blocks of rows by one vectorized pass that falls back to format() for each
-value whose rounding it cannot certify.  Writes go through a temp file plus
-rename so partial outputs are never left behind.  A string cell holding a
-comma, a quote or a line break is refused, not written.  The tick input
-format is read here too.
+value whose rounding it cannot certify.  write_files writes every output of
+a run to a temp file before it renames any into place.  A string cell
+holding a comma, a quote or a line break is refused, not written.  The tick
+input format is read here too.
 
 The index column of a day or simulation CSV must read 0, 1, ..., n - 1; a
 simulation's variance column is never parsed.
@@ -29,7 +29,7 @@ import json
 import math
 import os
 import secrets
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import partial
 from itertools import compress
 from pathlib import Path
@@ -299,24 +299,45 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via temp file + rename in the target directory."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
-    # Mode 0o666 less the umask, like any file the user creates (mkstemp's
-    # 0o600 would survive the rename); O_EXCL never opens an existing file.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def write_files(pairs) -> None:
+    """Write every (path, text) of pairs, in order, then rename them all into place.
+
+    Each text goes to a temp file in its path's directory as its pair arrives,
+    so pairs may lay out each text only when it is due.  A path named twice or
+    held by a directory is refused.  If anything fails before the renames,
+    every temp file is removed; directories made for the outputs stay.  The
+    renames are not transactional: one that fails leaves those before it done.
+    """
+    targets: dict[str, tuple[Path, Path]] = {}  # absolute path -> (path, temp file)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in pairs:
+            path, key = Path(path), os.path.abspath(path)
+            if key in targets or path.is_dir():
+                raise ValueError(f"output {path} is {'named twice' if key in targets else 'a directory'}")
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+                # Mode 0o666 less the umask, like any file the user creates (mkstemp's
+                # 0o600 would survive the rename); O_EXCL never opens an existing file.
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                targets[key] = path, tmp
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:  # its own text may name a temp file
+                raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
+            del text  # so it is freed before the next one is laid out
+        for path, tmp in targets.values():
+            os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for _, tmp in targets.values():
+            with suppress(OSError):  # a renamed temp file is gone already
+                os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text to path through a temp file plus rename in its directory."""
+    write_files([(path, text)])
 
 
 def _normalize(text: str) -> tuple[str, DataFormatError | None]:

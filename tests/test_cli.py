@@ -667,10 +667,15 @@ class TestErrorHandling:
             ("qcf", "sim.csv", "t,return,variance\nx,0.1,1.0\n5,0.2,-3\n7,0.3,1\n2,0.1,1\nzz,0.5,abc\n",
              "line 2: t must be 0, got 'x'"),
             ("ppgrid", "day.csv", "second,price\n0,10.0\n2,10.5\n1,11.0\n", "line 3: second must be 1, got '2'"),
+            # Refused after parsing, by the day, the returns or the series.
+            ("qcf", "day.csv", "second,price\n0,10.0\n1,-1.0\n2,11.0\n", "all prices must be positive"),
+            ("qcf", "values.csv", "value\n0.1\nnan\n0.3\n", "values must all be finite"),
+            ("ppgrid", "day.csv", "second,price\n0,10.0\n1,10.5\n2,11.0\n", "horizon 60 exceeds the 3-second grid"),
         ],
         ids=["sim-row-without-comma", "day-row-without-comma", "params-not-object",
              "params-null-field", "curve-json-not-object", "curve-csv-fractional-lag",
-             "curve-csv-lag-beyond-int64", "sim-index-not-row-numbers", "day-index-out-of-order"],
+             "curve-csv-lag-beyond-int64", "sim-index-not-row-numbers", "day-index-out-of-order",
+             "day-negative-price", "values-nan", "day-shorter-than-horizon"],
     )
     def test_malformed_input_reports_one_error(self, tmp_path, capsys, command, name, text, reason):
         src = tmp_path / name
@@ -688,8 +693,7 @@ class TestErrorHandling:
         assert len(err) == 1
         error = json.loads(err[0])["error"]
         assert reason in error
-        if command == "asym":
-            assert str(src) in error
+        assert error.count(str(src)) == 1
         assert not out.exists()
 
     def test_unrecognized_header(self, tmp_path, capsys):
@@ -786,4 +790,36 @@ class TestErrorHandling:
         assert shown.out == ""
         err = shown.err.strip().splitlines()
         assert len(err) == 1 and reason in json.loads(err[0])["error"]
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "args, output, reason",
+        [
+            (["qcf", "-i", "sim.csv", "--max-lag", 5, "--out", "d"], "d/qcf_a0.5_b0.5.csv", "is a directory"),
+            (["resim", "--params", "p.json", "--n-series", 3, "--length", 100, "--out", "r"],
+             "r/sim_0001.csv", "is a directory"),
+            (["fit", "-i", "sim.csv", "--out", "fits.csv", "--params-out", "sim.csv/avg.json"],
+             "sim.csv/avg.json", "cannot write"),
+            (["fit", "-i", "sim.csv", "--out", "f.csv", "--excluded-out", "f.csv", "--params-out", "f.csv"],
+             "f.csv", "is named twice"),
+        ],
+        ids=["qcf-curve-path-is-a-directory", "resim-series-path-is-a-directory",
+             "fit-params-under-a-file", "fit-one-path-three-times"],
+    )
+    def test_refused_outputs_write_nothing(self, tmp_path, capsys, monkeypatch, args, output, reason):
+        # Each is refused only after earlier outputs of the run are laid out.
+        monkeypatch.chdir(tmp_path)
+        params = GarchParams(kind="gjr", mu=0.0, omega=0.05, alpha1=0.05, beta1=0.9, gamma1=0.06)
+        Path("sim.csv").write_text(serialize.simulation_to_csv(simulate(params, length=600, seed=1)))
+        Path("p.json").write_text(serialize.params_to_json(params))
+        Path("d/qcf_a0.5_b0.5.csv").mkdir(parents=True)
+        Path("r/sim_0001.csv").mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        assert run(args) == 2
+        shown = capsys.readouterr()
+        assert shown.out == ""
+        err = shown.err.strip().splitlines()
+        assert len(err) == 1
+        error = json.loads(err[0])["error"]
+        assert output in error and reason in error and ".tmp" not in error
         assert sorted(tmp_path.rglob("*")) == before

@@ -434,6 +434,25 @@ class TestAtomicWrite:
             os.umask(previous)
         assert stat.S_IMODE((tmp_path / "f.csv").stat().st_mode) == 0o666 & ~umask
 
+    def test_a_pair_that_fails_to_lay_out_leaves_nothing(self, tmp_path):
+        def pairs():
+            yield tmp_path / "a.csv", "a\n"
+            yield tmp_path / "b.csv", "b\n"
+            raise ValueError("the third text cannot be laid out")
+
+        with pytest.raises(ValueError, match="third text"):
+            serialize.write_files(pairs())
+        assert os.listdir(tmp_path) == []
+
+    def test_a_path_named_twice_leaves_nothing(self, tmp_path):
+        (tmp_path / "b.csv").write_text("kept\n")
+        # sub/../a.csv is a.csv again; sub is never made.
+        pairs = [(tmp_path / "a.csv", "a\n"), (tmp_path / "b.csv", "b\n"),
+                 (tmp_path / "sub" / ".." / "a.csv", "c\n")]
+        with pytest.raises(ValueError, match="named twice"):
+            serialize.write_files(pairs)
+        assert os.listdir(tmp_path) == ["b.csv"] and (tmp_path / "b.csv").read_text() == "kept\n"
+
 
 # Tiny fixed inputs whose writer output is pinned byte for byte below: a value
 # with a 17-digit tail (0.1 + 0.2), negatives, integer-valued floats and a fit
