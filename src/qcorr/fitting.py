@@ -15,8 +15,11 @@ first-order linear recursion with coefficient beta1, and so is the score:
 d sigma2_t / d(parameters) follows the same filter (Fiorentini, Calzolari
 & Panattoni 1996), and its adjoint, run backwards once, gives all five
 derivatives.  `_recursion` solves both in numpy.  The starts run in
-lockstep: each round evaluates every running start in one call.  Nothing
-here imports scipy.
+lockstep: each round evaluates every running start in one call.  A
+batch's days of one length share one lockstep stack, one row of returns
+per running start, capped at _STACK elements; each day's fit is
+bit-identical to fitting it alone, and fit_gjr is the one-day batch.
+Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ LINE_SEARCH_EVALS = 100
 
 # Steps per block in _recursion.
 _BLOCK = 32
+
+# Elements (rows x T) in one lockstep stack of starts, about 2 MB per
+# temporary of the objective.
+_STACK = 1 << 18
 
 
 def _recursion(u, beta, start):
@@ -462,42 +469,62 @@ def fit_gjr(returns, max_iter: int = 3000) -> FitResult:
     BFGS iterations of that start.  converged is True when some start that
     succeeded (max|score| <= GTOL) ended within CONVERGENCE_TOL of the best
     objective.  Never raises on optimizer trouble; converged=False reports
-    it instead.
+    it instead.  This is the one-day case of fit_per_day's batch.
     """
     r = as_values(returns)
     if r.size < MIN_FIT_LENGTH:
         raise ValueError(f"need at least {MIN_FIT_LENGTH} observations to fit, got {r.size}")
-    variance = float(np.var(r))
-    if variance <= 0:
+    if float(np.var(r)) <= 0:
         raise ValueError("zero-variance returns")
-    mean = float(np.mean(r))
+    return _fit_days([r], max_iter)[0]
+
+
+def _fit_days(days, max_iter: int = 3000) -> list[FitResult]:
+    """fit_gjr of each day in days, arrays fit_gjr would accept, in order.
+    Days of one length share one lockstep, in stacks of at most _STACK
+    elements: each start is one row of T returns."""
+    fits = {}
+    for n in dict.fromkeys(r.size for r in days):
+        members = [i for i, r in enumerate(days) if r.size == n]
+        per_stack = max(1, _STACK // (len(START_POINTS) * n))
+        for first in range(0, len(members), per_stack):
+            chunk = members[first : first + per_stack]
+            fits.update(zip(chunk, _fit_stack([days[i] for i in chunk], max_iter)))
+    return [fits[i] for i in range(len(days))]
+
+
+def _fit_stack(days, max_iter: int) -> list[FitResult]:
+    """One lockstep over the five starts of every day of one length."""
+    means = [float(np.mean(r)) for r in days]
     # Fitting standardized returns makes the score, and so BFGS's stopping
     # test, independent of the data's location and scale.
-    scale = math.sqrt(variance)
-    z = (r - mean) / scale
+    scales = [math.sqrt(float(np.var(r))) for r in days]
+    z = np.array([(r - mean) / scale for r, mean, scale in zip(days, means, scales)])
+    starts = [_pack(0.0, max(1.0 - (alpha1 + beta1 + gamma1 / 2.0), 1e-12), alpha1, beta1, gamma1)
+              for alpha1, beta1, gamma1 in START_POINTS]
+    k = len(starts)
+    live = list(range(k * len(days)))  # the runs still going, in stack order
 
-    runs = [
-        _bfgs(_pack(0.0, max(1.0 - (alpha1 + beta1 + gamma1 / 2.0), 1e-12), alpha1, beta1, gamma1),
-              max_iter)
-        for alpha1, beta1, gamma1 in START_POINTS
-    ]
-    ends = _lockstep(runs, lambda thetas: _negative_ll_and_score(thetas, z))
-    theta, best, iterations, _ = min(ends, key=lambda end: end[1])
-    mu, omega, alpha1, beta1, gamma1 = (float(v) for v in _unpack(theta))
-    params = GarchParams(
-        kind=ModelKind.GJR, mu=mean + scale * mu, omega=scale * scale * omega,
-        alpha1=alpha1, beta1=beta1, gamma1=gamma1,
-    )
-    converged = math.isfinite(best) and any(
-        success and value <= best + CONVERGENCE_TOL for _, value, _, success in ends
-    )
-    return FitResult(
-        params=params,
-        log_likelihood=-best - r.size * math.log(scale),
-        converged=converged,
-        iterations=iterations,
-        n_obs=int(r.size),
-    )
+    def run(i):
+        end = yield from _bfgs(starts[i % k], max_iter)
+        live.remove(i)
+        return end
+
+    # Each row of the stack is scored on its own day's returns; one day's
+    # row broadcasts, which spares a copy per round.
+    ends = _lockstep([run(i) for i in live], lambda thetas: _negative_ll_and_score(
+        thetas, z if len(z) == 1 else z[np.array(live) // k]))
+    fits = []
+    for day, (r, mean, scale) in enumerate(zip(days, means, scales)):
+        own = ends[day * k : (day + 1) * k]
+        theta, best, iterations, _ = min(own, key=lambda end: end[1])
+        mu, omega, alpha1, beta1, gamma1 = (float(v) for v in _unpack(theta))
+        params = GarchParams(ModelKind.GJR, mean + scale * mu, scale * scale * omega, alpha1, beta1, gamma1)
+        converged = math.isfinite(best) and any(
+            success and value <= best + CONVERGENCE_TOL for _, value, _, success in own
+        )
+        fits.append(FitResult(params, -best - r.size * math.log(scale), converged, iterations, r.size))
+    return fits
 
 
 def _day_keys(days: list[TimeSeries]) -> list[str]:
@@ -516,21 +543,22 @@ def fit_per_day(days: list[TimeSeries]) -> FitBatch:
     """One GJR fit per trading day; every day lands in fits or excluded."""
     if not days:
         raise ValueError("empty input")
+    returns = dict(zip(_day_keys(days), map(as_values, days)))
+    reasons = {
+        key: f"series too short ({r.size} < {MIN_FIT_LENGTH})" if r.size < MIN_FIT_LENGTH
+        else "zero-variance returns" if float(np.var(r)) <= 0 else None
+        for key, r in returns.items()
+    }
+    fittable = [key for key, reason in reasons.items() if reason is None]
+    done = dict(zip(fittable, _fit_days([returns[key] for key in fittable])))
     fits: dict[str, FitResult] = {}
     excluded: dict[str, str] = {}
-    for key, day in zip(_day_keys(days), days):
-        r = as_values(day)
-        if r.size < MIN_FIT_LENGTH:
-            excluded[key] = f"series too short ({r.size} < {MIN_FIT_LENGTH})"
-            continue
-        if float(np.var(r)) <= 0:
-            excluded[key] = "zero-variance returns"
-            continue
-        fit = fit_gjr(day)
-        if fit.converged:
-            fits[key] = fit
+    # In input order: an unconverged day sits among the other exclusions.
+    for key, reason in reasons.items():
+        if reason is None and done[key].converged:
+            fits[key] = done[key]
         else:
-            excluded[key] = "optimizer did not converge"
+            excluded[key] = reason or "optimizer did not converge"
     return FitBatch(fits=fits, excluded=excluded)
 
 

@@ -174,10 +174,14 @@ class QcfCurve:
         values = frozen_array(self.values)
         if lags.ndim != 1 or values.ndim != 1 or lags.size != values.size or lags.size == 0:
             raise ValueError("lags and values must be nonempty arrays of equal length")
-        _check_increasing(lags)
+        # A cached lag grid is increasing and reaches |lag| = size // 2 by
+        # construction; only an array over immutable bytes can be one.
+        on_grid = isinstance(lags.base, bytes) and lags is _lag_grid(lags.size // 2)
+        if not on_grid:
+            _check_increasing(lags)
         if self.series_length < 2:
             raise ValueError("series_length must be at least 2")
-        if int(np.max(np.abs(lags))) >= self.series_length / 2:
+        if (lags.size // 2 if on_grid else int(np.max(np.abs(lags)))) >= self.series_length / 2:
             raise ValueError("every |lag| must be below series_length / 2")
         if np.any(np.abs(values) > 1.0 + VALUE_TOL):
             raise ValueError("correlation values must lie in [-1, 1] up to 1e-12")
@@ -293,7 +297,7 @@ def qcf_fast(x, alpha, beta, max_lag: int) -> QcfCurve:
 
 def _curves(x, pairs, max_lag: int) -> list[QcfCurve]:
     """qcf_fast of x at every (alpha, beta) in pairs, in order: one sort, one
-    rfft per distinct threshold and one irfft per pair."""
+    rfft of the rows of every distinct threshold and one irfft per pair."""
     values = as_values(x)
     levels = [(as_level(alpha), as_level(beta)) for alpha, beta in pairs]
     thresholds, index, counts = _filters(values, [level.p for pair in levels for level in pair])
@@ -303,7 +307,7 @@ def _curves(x, pairs, max_lag: int) -> list[QcfCurve]:
     rows = (values <= thresholds[:, None]) - (counts / T)[:, None]
     sumsq = [np.dot(row, row) for row in rows]
     n = _next_fast_len(T + max_lag)
-    spectra = [np.fft.rfft(row, n) for row in rows]
+    spectra = np.fft.rfft(rows, n, axis=1)
     curves = []
     for (a, b), i, j in zip(levels, index[::2], index[1::2]):
         same = a.p == b.p

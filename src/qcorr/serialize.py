@@ -31,7 +31,7 @@ import os
 import secrets
 from contextlib import contextmanager, suppress
 from functools import partial
-from itertools import compress
+from itertools import chain, compress, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -303,19 +303,29 @@ def write_files(pairs) -> None:
     """Write every (path, text) of pairs, in order, then rename them all into place.
 
     Each text goes to a temp file in its path's directory as its pair arrives,
-    so pairs may lay out each text only when it is due.  A path named twice or
-    held by a directory is refused.  If anything fails before the renames,
-    every temp file is removed; directories made for the outputs stay.  The
-    renames are not transactional: one that fails leaves those before it done.
+    so pairs may lay out each text only when it is due.  A path named twice,
+    held by a directory or inside another output's path is refused.  If
+    anything fails before the renames, every temp file is removed, and so is
+    every directory made for the outputs that is still empty, deepest first.
+    The renames are not transactional: one that fails leaves those before it
+    done.  An OSError names the output path, never a temp file.
     """
     targets: dict[str, tuple[Path, Path]] = {}  # absolute path -> (path, temp file)
+    made: list[Path] = []  # directories made for the outputs, each after its parent
     try:
         for path, text in pairs:
             path, key = Path(path), os.path.abspath(path)
             if key in targets or path.is_dir():
                 raise ValueError(f"output {path} is {'named twice' if key in targets else 'a directory'}")
             try:
-                path.parent.mkdir(parents=True, exist_ok=True)
+                # An earlier output's path is not on disk yet, so it would be made here.
+                fresh = list(takewhile(lambda d: not d.exists(), chain([path.parent], path.parent.parents)))
+                holder = next((d for d in fresh if os.path.abspath(d) in targets), None)
+                if holder:
+                    raise ValueError(f"output {path} is inside output {holder}")
+                for directory in reversed(fresh):
+                    directory.mkdir()
+                    made.append(directory)
                 tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
                 # Mode 0o666 less the umask, like any file the user creates (mkstemp's
                 # 0o600 would survive the rename); O_EXCL never opens an existing file.
@@ -327,11 +337,17 @@ def write_files(pairs) -> None:
                 raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
             del text  # so it is freed before the next one is laid out
         for path, tmp in targets.values():
-            os.replace(tmp, path)
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
     except BaseException:
         for _, tmp in targets.values():
             with suppress(OSError):  # a renamed temp file is gone already
                 os.unlink(tmp)
+        for directory in reversed(made):
+            with suppress(OSError):  # one that holds a file stays
+                directory.rmdir()
         raise
 
 

@@ -802,9 +802,17 @@ class TestErrorHandling:
              "sim.csv/avg.json", "cannot write"),
             (["fit", "-i", "sim.csv", "--out", "f.csv", "--excluded-out", "f.csv", "--params-out", "f.csv"],
              "f.csv", "is named twice"),
+            (["fit", "-i", "sim.csv", "--out", "g.csv", "--params-out", "g.csv/avg.json"],
+             "g.csv/avg.json", "inside output g.csv"),
+            (["fit", "-i", "sim.csv", "--out", "new/f.csv", "--params-out", "new/f.csv"],
+             "new/f.csv", "is named twice"),
+            (["fit", "-i", "sim.csv", "--out", "new/deep/f.csv", "--params-out", "new"],
+             "new", "is a directory"),
         ],
         ids=["qcf-curve-path-is-a-directory", "resim-series-path-is-a-directory",
-             "fit-params-under-a-file", "fit-one-path-three-times"],
+             "fit-params-under-a-file", "fit-one-path-three-times",
+             "fit-params-inside-the-fit-table", "fit-one-path-twice-in-a-new-directory",
+             "fit-params-at-a-directory-made-for-the-fit-table"],
     )
     def test_refused_outputs_write_nothing(self, tmp_path, capsys, monkeypatch, args, output, reason):
         # Each is refused only after earlier outputs of the run are laid out.

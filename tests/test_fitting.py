@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from qcorr import (
     resimulate_experiment,
     simulate,
 )
-from qcorr import fitting
+from qcorr import fitting, serialize
 from qcorr.garch import _BLOCK_SERIES
 from qcorr.fitting import (
-    START_POINTS, _bfgs, _lockstep, _negative_ll_and_score, _pack, _recursion, _unpack,
+    MIN_FIT_LENGTH, START_POINTS, _bfgs, _lockstep, _negative_ll_and_score, _pack, _recursion, _unpack,
     derived_seeds,
 )
 
@@ -303,10 +304,11 @@ class TestFitPerDay:
         assert "short" in batch.excluded and "const" in batch.excluded
 
     def test_unconverged_day_excluded(self, monkeypatch):
-        def unconverged(day):
-            return FitResult(GJR_UNIT, math.nan, converged=False, iterations=3, n_obs=len(day))
+        def unconverged(days, max_iter=3000):
+            return [FitResult(GJR_UNIT, math.nan, converged=False, iterations=3, n_obs=len(day))
+                    for day in days]
 
-        monkeypatch.setattr(fitting, "fit_gjr", unconverged)
+        monkeypatch.setattr(fitting, "_fit_days", unconverged)
         days = [TimeSeries(np.random.default_rng(2).standard_normal(370), label="stuck"),
                 TimeSeries(np.ones(100), label="const")]
         batch = fit_per_day(days)
@@ -321,6 +323,81 @@ class TestFitPerDay:
         same = simulate(RECOVERY_TRUE, length=400, seed=8).returns
         batch = fit_per_day([same, same])
         assert len(set(batch.fits) | set(batch.excluded)) == 2
+
+
+def _bits(fit: FitResult) -> str:
+    """Every field of a fit; repr spells each float exactly, sign of zero included."""
+    return repr(fit)
+
+
+@st.composite
+def _mixed_batches(draw):
+    """GJR days at 2-3 lengths, short and constant days among them, and a stack cap."""
+    lengths = draw(st.lists(st.integers(MIN_FIT_LENGTH, 400), min_size=2, max_size=3, unique=True))
+    days = []
+    for length in lengths:
+        for _ in range(draw(st.integers(1, 2))):
+            gamma1 = draw(st.floats(-0.05, 0.08))
+            params = GarchParams(kind="gjr", mu=0.0, omega=0.05, alpha1=0.06, beta1=0.88, gamma1=gamma1)
+            days.append(simulate(params, length=length, seed=draw(st.integers(0, 2**32 - 1))).returns)
+    days.append(TimeSeries(np.full(draw(st.sampled_from(lengths)), 0.25)))
+    days.append(TimeSeries(np.random.default_rng(0).standard_normal(draw(st.integers(10, 49)))))
+    cap = draw(st.sampled_from([fitting._STACK, 1, 600, 2000]))
+    return draw(st.permutations(days)), cap
+
+
+class TestBatchStack:
+    """fit_per_day fits each length's days in shared lockstep stacks; every
+    fit must be the fit of its day alone, bit for bit."""
+
+    @staticmethod
+    def _assert_stacked_equals_alone(days, batch):
+        keys = fitting._day_keys(days)
+        assert set(batch.fits) | set(batch.excluded) == set(keys)
+        for key, day in zip(keys, days):
+            if day.values.size < MIN_FIT_LENGTH or np.var(day.values) <= 0:
+                assert key in batch.excluded
+            elif (alone := fit_gjr(day)).converged:
+                assert _bits(batch.fits[key]) == _bits(alone)
+            else:
+                assert batch.excluded[key] == "optimizer did not converge"
+
+    @given(_mixed_batches())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_stacked_equals_alone(self, drawn):
+        days, cap = drawn
+        with mock.patch.object(fitting, "_STACK", cap):
+            batch = fit_per_day(days)
+        self._assert_stacked_equals_alone(days, batch)
+
+    def test_a_batch_across_the_stack_cap(self):
+        # Three T=20000 days take two stacks at the module's own cap.
+        length = 20_000
+        assert 2 * len(START_POINTS) * length <= fitting._STACK < 3 * len(START_POINTS) * length
+        days = [simulate(RECOVERY_TRUE, length=length, seed=s).returns for s in (31, 32, 33)]
+        self._assert_stacked_equals_alone(days, fit_per_day(days))
+
+    def test_exclusions_keep_input_order(self, monkeypatch):
+        days = [TimeSeries(np.random.default_rng(2).standard_normal(370), label="stuck"),
+                TimeSeries(np.ones(100), label="const"),
+                TimeSeries(simulate(RECOVERY_TRUE, length=370, seed=9).returns.values, label="good"),
+                TimeSeries(np.ones(20), label="short")]
+        good = fit_gjr(days[2])
+        # The first fittable day gets one BFGS iteration, so it cannot converge.
+        real = fitting._fit_days
+        monkeypatch.setattr(fitting, "_fit_days", lambda days: real(days[:1], 1) + real(days[1:]))
+        batch = fit_per_day(days)
+        assert list(batch.fits) == ["good"]
+        assert _bits(batch.fits["good"]) == _bits(good)
+        assert list(batch.excluded.items()) == [
+            ("stuck", "optimizer did not converge"),
+            ("const", "zero-variance returns"),
+            ("short", f"series too short (20 < {MIN_FIT_LENGTH})"),
+        ]
+        assert serialize.excluded_to_csv(batch) == (
+            "day,reason\nstuck,optimizer did not converge\nconst,zero-variance returns\n"
+            f"short,series too short (20 < {MIN_FIT_LENGTH})\n"
+        )
 
 
 class TestAverageParams:

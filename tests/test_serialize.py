@@ -453,6 +453,17 @@ class TestAtomicWrite:
             serialize.write_files(pairs)
         assert os.listdir(tmp_path) == ["b.csv"] and (tmp_path / "b.csv").read_text() == "kept\n"
 
+    def test_a_failed_rename_names_the_output(self, tmp_path):
+        def pairs():
+            yield tmp_path / "a.csv", "a\n"
+            (tmp_path / "a.csv").mkdir()  # taken by a directory after its text is written
+            yield tmp_path / "b.csv", "b\n"
+
+        with pytest.raises(OSError, match="cannot write .*a.csv: Is a directory") as refused:
+            serialize.write_files(pairs())
+        assert ".tmp" not in str(refused.value)
+        assert os.listdir(tmp_path) == ["a.csv"] and os.listdir(tmp_path / "a.csv") == []
+
 
 # Tiny fixed inputs whose writer output is pinned byte for byte below: a value
 # with a 17-digit tail (0.1 + 0.2), negatives, integer-valued floats and a fit
