@@ -174,14 +174,13 @@ class QcfCurve:
         values = frozen_array(self.values)
         if lags.ndim != 1 or values.ndim != 1 or lags.size != values.size or lags.size == 0:
             raise ValueError("lags and values must be nonempty arrays of equal length")
-        # A cached lag grid is increasing and reaches |lag| = size // 2 by
-        # construction; only an array over immutable bytes can be one.
-        on_grid = isinstance(lags.base, bytes) and lags is _lag_grid(lags.size // 2)
-        if not on_grid:
+        # A cached lag grid is increasing by construction; only an array over
+        # immutable bytes can be one.
+        if not (isinstance(lags.base, bytes) and lags is _lag_grid(lags.size // 2)):
             _check_increasing(lags)
         if self.series_length < 2:
             raise ValueError("series_length must be at least 2")
-        if (lags.size // 2 if on_grid else int(np.max(np.abs(lags)))) >= self.series_length / 2:
+        if max(-int(lags[0]), int(lags[-1])) >= self.series_length / 2:
             raise ValueError("every |lag| must be below series_length / 2")
         if np.any(np.abs(values) > 1.0 + VALUE_TOL):
             raise ValueError("correlation values must lie in [-1, 1] up to 1e-12")

@@ -324,8 +324,12 @@ def write_files(pairs) -> None:
                 if holder:
                     raise ValueError(f"output {path} is inside output {holder}")
                 for directory in reversed(fresh):
-                    directory.mkdir()
-                    made.append(directory)
+                    try:
+                        directory.mkdir()
+                        made.append(directory)
+                    except FileExistsError:  # another run made it first
+                        if not directory.is_dir():
+                            raise
                 tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
                 # Mode 0o666 less the umask, like any file the user creates (mkstemp's
                 # 0o600 would survive the rename); O_EXCL never opens an existing file.

@@ -325,11 +325,6 @@ class TestFitPerDay:
         assert len(set(batch.fits) | set(batch.excluded)) == 2
 
 
-def _bits(fit: FitResult) -> str:
-    """Every field of a fit; repr spells each float exactly, sign of zero included."""
-    return repr(fit)
-
-
 @st.composite
 def _mixed_batches(draw):
     """GJR days at 2-3 lengths, short and constant days among them, and a stack cap."""
@@ -358,7 +353,8 @@ class TestBatchStack:
             if day.values.size < MIN_FIT_LENGTH or np.var(day.values) <= 0:
                 assert key in batch.excluded
             elif (alone := fit_gjr(day)).converged:
-                assert _bits(batch.fits[key]) == _bits(alone)
+                # repr spells each float exactly, sign of zero included.
+                assert repr(batch.fits[key]) == repr(alone)
             else:
                 assert batch.excluded[key] == "optimizer did not converge"
 
@@ -388,7 +384,7 @@ class TestBatchStack:
         monkeypatch.setattr(fitting, "_fit_days", lambda days: real(days[:1], 1) + real(days[1:]))
         batch = fit_per_day(days)
         assert list(batch.fits) == ["good"]
-        assert _bits(batch.fits["good"]) == _bits(good)
+        assert repr(batch.fits["good"]) == repr(good)
         assert list(batch.excluded.items()) == [
             ("stuck", "optimizer did not converge"),
             ("const", "zero-variance returns"),

@@ -3,6 +3,7 @@ import json
 import os
 import stat
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -463,6 +464,32 @@ class TestAtomicWrite:
             serialize.write_files(pairs())
         assert ".tmp" not in str(refused.value)
         assert os.listdir(tmp_path) == ["a.csv"] and os.listdir(tmp_path / "a.csv") == []
+
+    def test_a_directory_made_meanwhile_by_another_run(self, tmp_path, monkeypatch):
+        # Another run makes study/ between the check and this run's mkdir.
+        real = Path.mkdir
+
+        def racing(self, *args, **kwargs):
+            if self.name == "study" and not self.exists():
+                real(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", racing)
+        serialize.write_files([(tmp_path / "study" / "s1" / "a.csv", "a\n")])
+        assert (tmp_path / "study" / "s1" / "a.csv").read_text() == "a\n"
+
+        (tmp_path / "study" / "s1" / "a.csv").unlink()
+        (tmp_path / "study" / "s1").rmdir()
+        (tmp_path / "study").rmdir()
+
+        def refused():
+            yield tmp_path / "study" / "s2" / "a.csv", "a\n"
+            raise ValueError("refused")
+
+        with pytest.raises(ValueError, match="refused"):
+            serialize.write_files(refused())
+        # s2 was made by this run and goes; study was not and stays.
+        assert os.listdir(tmp_path) == ["study"] and os.listdir(tmp_path / "study") == []
 
 
 # Tiny fixed inputs whose writer output is pinned byte for byte below: a value
