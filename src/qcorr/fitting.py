@@ -201,18 +201,17 @@ def _pack(mu, omega, alpha1, beta1, gamma1) -> np.ndarray:
     )
 
 
-def _negative_ll_and_score(theta, r):
-    """Negative log likelihood and its gradient with respect to theta.
+def _negative_ll_and_score(thetas, r):
+    """Negative log likelihood and its gradient with respect to theta, for
+    each row of a stack thetas (k, 5): (k,) values and (k, 5) scores.
 
-    theta is one point (5,), giving a float and a (5,) score, or a stack
-    (k, 5), giving (k,) values and (k, 5) scores.  With w_t = d(-ll)/d
-    sigma2_t, the adjoint z_t = w_t + beta1 z_{t+1} turns the derivative of
-    every sigma2_t into one sum over the recursion's drives: d(-ll)/dx =
-    sum_t z_t d(drive_t)/dx for each of (mu, omega, alpha1, beta1, gamma1),
-    where drive_t is sigma2_{t+1} - beta1 sigma2_t.  A point whose variance
-    path leaves the positive finite domain scores inf with a zero gradient.
+    With w_t = d(-ll)/d sigma2_t, the adjoint z_t = w_t + beta1 z_{t+1}
+    turns the derivative of every sigma2_t into one sum over the recursion's
+    drives: d(-ll)/dx = sum_t z_t d(drive_t)/dx for each of (mu, omega,
+    alpha1, beta1, gamma1), where drive_t is sigma2_{t+1} - beta1 sigma2_t.
+    A point whose variance path leaves the positive finite domain scores inf
+    with a zero gradient.
     """
-    thetas = np.atleast_2d(theta)
     with np.errstate(all="ignore"):
         mu, omega, alpha1, beta1, gamma1 = _unpack(thetas)
         eps = r - mu[:, None]
@@ -246,8 +245,6 @@ def _negative_ll_and_score(theta, r):
     bad = ~(np.isfinite(value) & np.all(np.isfinite(score), axis=1))
     value[bad] = np.inf
     score[bad] = 0.0
-    if np.ndim(theta) == 1:
-        return float(value[0]), score[0]
     return value, score
 
 
@@ -472,11 +469,16 @@ def fit_gjr(returns, max_iter: int = 3000) -> FitResult:
     it instead.  This is the one-day case of fit_per_day's batch.
     """
     r = as_values(returns)
-    if r.size < MIN_FIT_LENGTH:
-        raise ValueError(f"need at least {MIN_FIT_LENGTH} observations to fit, got {r.size}")
-    if float(np.var(r)) <= 0:
-        raise ValueError("zero-variance returns")
+    if reason := _unfittable(r):
+        raise ValueError(reason)
     return _fit_days([r], max_iter)[0]
+
+
+def _unfittable(r: np.ndarray) -> str | None:
+    """Why returns r cannot be fitted, or None: too short, or constant."""
+    if r.size < MIN_FIT_LENGTH:
+        return f"series too short ({r.size} < {MIN_FIT_LENGTH})"
+    return "zero-variance returns" if float(np.var(r)) <= 0 else None
 
 
 def _fit_days(days, max_iter: int = 3000) -> list[FitResult]:
@@ -548,11 +550,7 @@ def fit_per_day(days: list[TimeSeries]) -> FitBatch:
     if not days:
         raise ValueError("empty input")
     returns = dict(zip(_day_keys(days), map(as_values, days)))
-    reasons = {
-        key: f"series too short ({r.size} < {MIN_FIT_LENGTH})" if r.size < MIN_FIT_LENGTH
-        else "zero-variance returns" if float(np.var(r)) <= 0 else None
-        for key, r in returns.items()
-    }
+    reasons = {key: _unfittable(r) for key, r in returns.items()}
     fittable = [key for key, reason in reasons.items() if reason is None]
     done = dict(zip(fittable, _fit_days([returns[key] for key in fittable])))
     fits: dict[str, FitResult] = {}

@@ -6,6 +6,10 @@ divides the (T - l)-term lagged sum by T and normalizes with the
 full-series mean and population standard deviation of each binary series.
 Negative lags are defined through the swap identity
 qcf(-l; alpha, beta) = qcf(l; beta, alpha).
+
+A curve is its values on the signed lags -L..L, so its lag grid is derived
+from its length, never stored; a curve read from a file must carry exactly
+those lags (check_lag_grid).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import bisect
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,33 +159,29 @@ def filter_series(x, level: float | ProbabilityLevel) -> BinarySeries:
 
 @dataclass(frozen=True)
 class QcfCurve:
-    """Quantile-correlation values on a signed lag grid, plus metadata.
+    """Quantile-correlation values on the signed lags -L..L, plus metadata.
 
-    ci_half_width, when set, is one confidence half-width shared by every
-    lag (the band is built once per dataset from the (0.5, 0.5) reference).
-    n_averaged counts the per-series curves averaged into this one.
+    values[L + l] is the value at lag l, so values has the odd length 2L + 1,
+    and max_lag (L) and lags are derived from it, not stored.  ci_half_width,
+    when set, is one confidence half-width shared by every lag (the band is
+    built once per dataset from the (0.5, 0.5) reference).  n_averaged counts
+    the per-series curves averaged into this one.
     """
 
     alpha: ProbabilityLevel
     beta: ProbabilityLevel
-    lags: np.ndarray
     values: np.ndarray
     series_length: int
     ci_half_width: float | None = None
     n_averaged: int = 1
 
     def __post_init__(self):
-        lags = frozen_array(self.lags, int)
         values = frozen_array(self.values)
-        if lags.ndim != 1 or values.ndim != 1 or lags.size != values.size or lags.size == 0:
-            raise ValueError("lags and values must be nonempty arrays of equal length")
-        # A cached lag grid is increasing by construction; only an array over
-        # immutable bytes can be one.
-        if not (isinstance(lags.base, bytes) and lags is _lag_grid(lags.size // 2)):
-            _check_increasing(lags)
+        if values.ndim != 1 or values.size % 2 == 0:
+            raise ValueError("values must be a one-dimensional array of odd length, one per lag -L..L")
         if self.series_length < 2:
             raise ValueError("series_length must be at least 2")
-        if max(-int(lags[0]), int(lags[-1])) >= self.series_length / 2:
+        if values.size // 2 >= self.series_length / 2:
             raise ValueError("every |lag| must be below series_length / 2")
         if np.any(np.abs(values) > 1.0 + VALUE_TOL):
             raise ValueError("correlation values must lie in [-1, 1] up to 1e-12")
@@ -193,15 +194,23 @@ class QcfCurve:
         # lags mirror positive ones when both filters share the same bits)
         # rather than checked here, because equal levels do not imply equal
         # bits for externally supplied binary series (e.g. complements).
-        object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "series_length", int(self.series_length))
 
+    @property
+    def max_lag(self) -> int:
+        return self.values.size // 2
+
+    @property
+    def lags(self) -> np.ndarray:
+        """-max_lag..max_lag, a fresh array."""
+        return np.arange(-self.max_lag, self.max_lag + 1)
+
     def value_at(self, lag: int) -> float:
-        where = np.nonzero(self.lags == lag)[0]
-        if not where.size:
-            raise KeyError(f"lag {lag} not on this curve's grid")
-        return float(self.values[where[0]])
+        L = self.max_lag
+        if not isinstance(lag, numbers.Integral) or not -L <= lag <= L:
+            raise KeyError(f"lag {lag!r} not on this curve's grid -{L}..{L}")
+        return float(self.values[L + int(lag)])
 
     def with_ci(self, half_width: float) -> "QcfCurve":
         return dataclasses.replace(self, ci_half_width=float(half_width))
@@ -217,9 +226,12 @@ def _refuse_degenerate(ps, spreads) -> None:
             )
 
 
-def _check_increasing(lags: np.ndarray) -> None:
-    if np.any(np.diff(lags) <= 0):
-        raise ValueError("lags must be strictly increasing")
+def check_lag_grid(lags, size: int) -> None:
+    """Refuse lags other than the integers -L..L in order, one per value of a
+    curve of size values, L = size // 2: the one lag grid of every curve."""
+    lags = np.asarray(lags)
+    if lags.dtype.kind not in "iu" or not np.array_equal(lags, np.arange(-(size // 2), size // 2 + 1)):
+        raise ValueError("lags must be -L..L: every integer from -L to L once, in order, one per value")
 
 
 def _check_max_lag(max_lag: int, length: int, shown: str = "") -> int:
@@ -232,21 +244,14 @@ def _check_max_lag(max_lag: int, length: int, shown: str = "") -> int:
     return max_lag
 
 
-def _assemble(pos: np.ndarray, neg: np.ndarray | None, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack one-sided results into a grid -max_lag..max_lag.
+def _assemble(pos: np.ndarray, neg: np.ndarray | None) -> np.ndarray:
+    """Stack one-sided results into the values on lags -max_lag..max_lag.
 
     neg[l-1] is the value at lag -l; None mirrors pos (equal-bits case), which
     keeps the equal-level curve symmetric to the bit.
     """
     left = pos[1:][::-1] if neg is None else neg[::-1]
-    return _lag_grid(max_lag), np.concatenate([left, pos])
-
-
-@functools.lru_cache(maxsize=8)
-def _lag_grid(max_lag: int) -> np.ndarray:
-    """-max_lag..max_lag as one int64 array over immutable bytes, which no
-    caller can write, so every curve on that grid holds the same array."""
-    return np.frombuffer(np.arange(-max_lag, max_lag + 1, dtype=np.int64).tobytes(), dtype=np.int64)
+    return np.concatenate([left, pos])
 
 
 def qcf_from_filtered(a: BinarySeries, b: BinarySeries, max_lag: int) -> QcfCurve:
@@ -273,8 +278,7 @@ def qcf_from_filtered(a: BinarySeries, b: BinarySeries, max_lag: int) -> QcfCurv
         neg = np.empty(max_lag)
         for l in range(1, max_lag + 1):
             neg[l - 1] = np.dot(db[: T - l], da[l:]) / denom
-    lags, values = _assemble(pos, neg, max_lag)
-    return QcfCurve(alpha=a.level, beta=b.level, lags=lags, values=values, series_length=T)
+    return QcfCurve(alpha=a.level, beta=b.level, values=_assemble(pos, neg), series_length=T)
 
 
 def qcf(x, alpha, beta, max_lag: int) -> QcfCurve:
@@ -318,8 +322,7 @@ def _curves(x, pairs, max_lag: int) -> list[QcfCurve]:
         pos = corr[: max_lag + 1] / denom
         # corr[n - l] = sum_t db_t * da_{t+l}, the swap-identity value at -l.
         neg = None if same else corr[n - max_lag :][::-1] / denom
-        lags, out = _assemble(pos, neg, max_lag)
-        curves.append(QcfCurve(alpha=a, beta=b, lags=lags, values=out, series_length=T))
+        curves.append(QcfCurve(alpha=a, beta=b, values=_assemble(pos, neg), series_length=T))
     return curves
 
 
@@ -331,13 +334,12 @@ def average_curves(curves: list[QcfCurve]) -> QcfCurve:
     for c in curves[1:]:
         if c.alpha.p != first.alpha.p or c.beta.p != first.beta.p:
             raise ValueError("curves must share the same quantile pair")
-        if not np.array_equal(c.lags, first.lags):
+        if c.max_lag != first.max_lag:
             raise ValueError("curves must share an identical lag grid")
     stacked = np.vstack([c.values for c in curves])
     return QcfCurve(
         alpha=first.alpha,
         beta=first.beta,
-        lags=first.lags,
         values=stacked.mean(axis=0),
         series_length=min(c.series_length for c in curves),
         n_averaged=len(curves),
@@ -352,10 +354,10 @@ def confidence_band(reference: QcfCurve) -> float:
     """
     if reference.alpha.p != 0.5 or reference.beta.p != 0.5:
         raise ValueError("reference must be the (0.5, 0.5) curve of the same data")
-    nonzero = reference.lags != 0
-    if not np.any(nonzero):
+    L = reference.max_lag
+    if L == 0:
         raise ValueError("reference has only lag 0; no fluctuations to pool")
-    return Z_95 * float(np.sqrt(np.mean(reference.values[nonzero] ** 2)))
+    return Z_95 * float(np.sqrt(np.mean(np.delete(reference.values, L) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -394,27 +396,20 @@ def asymmetry(curve: QcfCurve, max_lag: int | None = None) -> AsymmetryReport:
 
 
 def asymmetry_from_arrays(lags, values, max_lag: int | None = None) -> AsymmetryReport:
-    lags = np.asarray(lags, dtype=int)
     values = np.asarray(values, dtype=float)
-    if lags.shape != values.shape or lags.ndim != 1:
-        raise ValueError("lags and values must be 1-d arrays of equal length")
-    _check_increasing(lags)
-    limit = int(np.max(np.abs(lags))) if lags.size else 0
-    if max_lag is not None:
-        if max_lag < 1 or max_lag > limit:
-            raise ValueError(f"max_lag must lie in [1, {limit}]")
-        limit = int(max_lag)
-    if limit < 1:
+    if values.ndim != 1:
+        raise ValueError("values must be a 1-d array")
+    check_lag_grid(lags, values.size)
+    L = values.size // 2
+    if L < 1:
         raise ValueError("curve must extend to at least lag 1")
-    pos_set = set(lags[(lags >= 1) & (lags <= limit)].tolist())
-    neg_set = set((-lags[(lags <= -1) & (lags >= -limit)]).tolist())
-    if pos_set != set(range(1, limit + 1)) or neg_set != set(range(1, limit + 1)):
-        raise ValueError("lag grid must cover -max_lag..max_lag symmetrically")
-    keep = (np.abs(lags) >= 1) & (np.abs(lags) <= limit)
+    if max_lag is not None and not 1 <= max_lag <= L:
+        raise ValueError(f"max_lag must lie in [1, {L}]")
+    limit = L if max_lag is None else int(max_lag)
     # sum both sides in increasing |lag| order so an exactly mirrored curve
     # yields exactly mirrored areas (identical summation order)
-    area_neg = float(np.abs(values[keep & (lags < 0)][::-1]).sum())
-    area_pos = float(np.abs(values[keep & (lags > 0)]).sum())
+    area_neg = float(np.abs(values[L - limit : L][::-1]).sum())
+    area_pos = float(np.abs(values[L + 1 : L + 1 + limit]).sum())
     return AsymmetryReport(area_neg, area_pos, limit)
 
 

@@ -40,7 +40,7 @@ from .errors import DataFormatError
 from .fitting import FitBatch
 from .garch import GENERATOR, PARAM_NAMES, GarchParams, SimulationResult
 from .ingest import DayRejection, TickGroup, TradingDay
-from .qcf import AsymmetryReport, PPGrid, QcfCurve
+from .qcf import AsymmetryReport, PPGrid, QcfCurve, check_lag_grid
 from .series import ProbabilityLevel
 
 CURVE_HEADER_CI = "lag,qcf,ci"
@@ -565,7 +565,7 @@ def curve_to_json(curve: QcfCurve) -> str:
     return _dump({
         "alpha": curve.alpha.p,
         "beta": curve.beta.p,
-        "lags": [int(l) for l in curve.lags],
+        "lags": curve.lags.tolist(),
         "values": [float(v) for v in curve.values],
         "ci_half_width": curve.ci_half_width,
         "series_length": curve.series_length,
@@ -574,15 +574,24 @@ def curve_to_json(curve: QcfCurve) -> str:
 
 
 def curve_from_json(text: str) -> QcfCurve:
+    """The curve in a JSON document.  Its lags must be -L..L (check_lag_grid),
+    and its lags and counts JSON integers: 1.5, 1.0 and true are refused, not
+    truncated."""
     with _load_object(text, "curve JSON") as doc:
+        values = np.array(doc["values"], dtype=float)
+        ints = {"lags": doc["lags"], "series_length": doc["series_length"],
+                "n_averaged": doc.get("n_averaged", 1)}
+        for name, value in ints.items():
+            for v in value if isinstance(value, list) else [value]:
+                if type(v) is not int:
+                    raise DataFormatError(f"curve JSON field {name!r} holds {v!r}, not an integer")
+        check_lag_grid(ints.pop("lags"), values.size)
         return QcfCurve(
             alpha=ProbabilityLevel(doc["alpha"]),
             beta=ProbabilityLevel(doc["beta"]),
-            lags=np.array(doc["lags"], dtype=int),
-            values=np.array(doc["values"], dtype=float),
-            series_length=int(doc["series_length"]),
+            values=values,
             ci_half_width=doc.get("ci_half_width"),
-            n_averaged=int(doc.get("n_averaged", 1)),
+            **ints,
         )
 
 

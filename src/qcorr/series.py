@@ -26,11 +26,7 @@ class ProbabilityLevel:
 
 def frozen_array(x, dtype=float) -> np.ndarray:
     """A read-only copy of x as a C-order array of dtype: how the value types
-    store their arrays.  Such an array over immutable bytes, which nothing
-    can write, is returned as it is."""
-    if (isinstance(x, np.ndarray) and isinstance(x.base, bytes)
-            and x.dtype == np.dtype(dtype) and x.flags.c_contiguous):
-        return x
+    store their arrays."""
     array = np.array(x, dtype=dtype, order="C")
     array.setflags(write=False)
     return array

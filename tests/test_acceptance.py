@@ -161,7 +161,7 @@ def test_criterion_05_gjr_asymmetry_direction():
 
     curve = QcfCurve(
         alpha=ProbabilityLevel(0.05), beta=ProbabilityLevel(0.95),
-        lags=lags, values=cross, series_length=5000, n_averaged=250,
+        values=cross, series_length=5000, n_averaged=250,
     )
     delta = asymmetry(curve).delta
     # gamma1 > 0 loads the response onto negative shocks, so the bigger area
@@ -180,7 +180,7 @@ def test_criterion_06_egarch_one_sidedness():
 
     reference = QcfCurve(
         alpha=ProbabilityLevel(0.5), beta=ProbabilityLevel(0.5),
-        lags=lags, values=curves[(0.5, 0.5)].mean(axis=0), series_length=1500, n_averaged=250,
+        values=curves[(0.5, 0.5)].mean(axis=0), series_length=1500, n_averaged=250,
     )
     band = confidence_band(reference)
     cross = curves[(0.05, 0.95)].mean(axis=0)
@@ -237,7 +237,7 @@ def test_criterion_08_averaging_cancellation():
         stack = np.vstack([qcf_fast(s.returns, 0.05, 0.95, 50).values for s in sims])
         curve = QcfCurve(
             alpha=ProbabilityLevel(0.05), beta=ProbabilityLevel(0.95),
-            lags=np.arange(-50, 51), values=stack.mean(axis=0),
+            values=stack.mean(axis=0),
             series_length=2000, n_averaged=100,
         )
         return asymmetry(curve).delta
@@ -254,13 +254,13 @@ def test_criterion_08_averaging_cancellation():
 
 
 def test_criterion_09_delta_a_calibration():
-    lags = np.arange(-4, 5)
+    # values on lags -4..4
     one_sided = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.3, 0.2, 0.1, 0.05])
 
     def curve(values):
         return QcfCurve(
             alpha=ProbabilityLevel(0.05), beta=ProbabilityLevel(0.95),
-            lags=lags, values=values, series_length=100,
+            values=values, series_length=100,
         )
 
     assert asymmetry(curve(one_sided)).delta == -1.0

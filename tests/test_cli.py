@@ -12,6 +12,10 @@ from qcorr.cli import build_parser, main
 from qcorr import serialize
 from qcorr.serialize import values_to_csv
 
+GRID_RULE = "lags must be -L..L: every integer from -L to L once, in order, one per value"
+CURVE_JSON = ('{"alpha": 0.05, "beta": 0.95, "lags": [-1, 0, 1], "values": [0.1, 1.0, 0.2], '
+              '"ci_half_width": null, "series_length": 10, "n_averaged": 1}')
+
 
 def run(args, capsys=None):
     code = main([str(a) for a in args])
@@ -225,11 +229,12 @@ class TestAsymCommand:
     @pytest.mark.parametrize(
         "rows, message",
         [
-            (["-1,0.1", "0,1", "1,0.2", "1,0.2"], "lags must be strictly increasing"),
-            (["1,0.2", "-1,0.1", "0,1"], "lags must be strictly increasing"),
-            (["-1,0.1", "0,1", "1,0.2", "2,0.3"], "lag grid must cover -max_lag..max_lag symmetrically"),
+            (["-1,0.1", "0,1", "1,0.2", "1,0.2"], GRID_RULE),
+            (["1,0.2", "-1,0.1", "0,1"], GRID_RULE),
+            (["-1,0.1", "0,1", "1,0.2", "2,0.3"], GRID_RULE),
+            (["-1,0.1", "1,0.2"], GRID_RULE),
         ],
-        ids=["repeated-lag", "unsorted-lags", "one-sided-lag"],
+        ids=["repeated-lag", "unsorted-lags", "one-sided-lag", "no-lag-0"],
     )
     def test_refused_curve_is_named_and_writes_nothing(self, tmp_path, capsys, rows, message):
         good = tmp_path / "in" / "a.csv"
@@ -662,6 +667,12 @@ class TestErrorHandling:
              '{"kind": "gjr", "mu": null, "omega": 1e-05, "alpha1": 0.05, "beta1": 0.9}',
              "wrong type"),
             ("asym", "curve.json", "[1, 2]", "must be an object"),
+            ("asym", "curve.json", CURVE_JSON.replace("[-1, 0, 1]", "[-1.5, 0, 1.9]"),
+             "curve JSON field 'lags' holds -1.5, not an integer"),
+            ("asym", "curve.json", CURVE_JSON.replace('"series_length": 10', '"series_length": 10.9'),
+             "curve JSON field 'series_length' holds 10.9, not an integer"),
+            ("asym", "curve.json", CURVE_JSON.replace('"n_averaged": 1', '"n_averaged": true'),
+             "curve JSON field 'n_averaged' holds True, not an integer"),
             ("asym", "curve.csv", "lag,qcf\n1.5,0.1\n", "line 2"),
             ("asym", "curve.csv", "lag,qcf\n0,1\n99999999999999999999999,0.5\n", "line 3"),
             ("qcf", "sim.csv", "t,return,variance\nx,0.1,1.0\n5,0.2,-3\n7,0.3,1\n2,0.1,1\nzz,0.5,abc\n",
@@ -673,7 +684,8 @@ class TestErrorHandling:
             ("ppgrid", "day.csv", "second,price\n0,10.0\n1,10.5\n2,11.0\n", "horizon 60 exceeds the 3-second grid"),
         ],
         ids=["sim-row-without-comma", "day-row-without-comma", "params-not-object",
-             "params-null-field", "curve-json-not-object", "curve-csv-fractional-lag",
+             "params-null-field", "curve-json-not-object", "curve-json-fractional-lag",
+             "curve-json-fractional-length", "curve-json-bool-count", "curve-csv-fractional-lag",
              "curve-csv-lag-beyond-int64", "sim-index-not-row-numbers", "day-index-out-of-order",
              "day-negative-price", "values-nan", "day-shorter-than-horizon"],
     )

@@ -143,7 +143,7 @@ class TestFitGjr:
         assert abs(fit.params.gamma1) < 0.02
 
     def test_short_series_rejected(self):
-        with pytest.raises(ValueError, match="at least 50"):
+        with pytest.raises(ValueError, match=r"series too short \(49 < 50\)"):
             fit_gjr(np.random.default_rng(0).standard_normal(49))
 
     def test_zero_variance_rejected(self):
@@ -213,13 +213,13 @@ class TestScoreAndOptimality:
         thetas.append(np.array([0.05, -2.0, 12.0, -1.0, -0.8]))  # persistence at the cap, gamma1 < 0
         thetas.append(np.array([-0.02, -3.0, 3.0, -0.5, -2.0]))  # alpha1 + gamma1 close to 0
         for theta in thetas:
-            _, score = _negative_ll_and_score(theta, r)
+            _, [score] = _negative_ll_and_score(theta[None], r)
             numeric = np.empty(5)
             for k in range(5):
                 step = np.zeros(5)
                 step[k] = 1e-5 * max(1.0, abs(theta[k]))
-                up = _negative_ll_and_score(theta + step, r)[0]
-                down = _negative_ll_and_score(theta - step, r)[0]
+                [up], _ = _negative_ll_and_score((theta + step)[None], r)
+                [down], _ = _negative_ll_and_score((theta - step)[None], r)
                 numeric[k] = (up - down) / (2.0 * step[k])
             scale = np.max(np.abs(numeric))
             assert np.max(np.abs(score - numeric)) <= 1e-6 * scale, _unpack(theta)
@@ -232,8 +232,8 @@ class TestScoreAndOptimality:
         values, scores = _negative_ll_and_score(thetas, r)
         assert values[5] == np.inf and not np.any(scores[5])
         for theta, value, score in zip(thetas, values, scores):
-            alone = _negative_ll_and_score(theta, r)
-            assert alone[0] == value and np.array_equal(alone[1], score)
+            [alone], [alone_score] = _negative_ll_and_score(theta[None], r)
+            assert alone == value and np.array_equal(alone_score, score)
 
     def test_every_fixed_day_converges(self, optimality_fits):
         assert len(optimality_fits) >= 50

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -52,11 +53,11 @@ def first_degenerate(xs, ps):
     return next((p for p in ps if oracle_quantile(xs, p) == max(xs)), None)
 
 
-def make_curve(lags, values, alpha=0.05, beta=0.95, series_length=1000, **kw):
+def make_curve(values, alpha=0.05, beta=0.95, series_length=1000, **kw):
+    """A curve on lags -L..L, L = len(values) // 2."""
     return QcfCurve(
         alpha=ProbabilityLevel(alpha),
         beta=ProbabilityLevel(beta),
-        lags=np.asarray(lags),
         values=np.asarray(values, dtype=float),
         series_length=series_length,
         **kw,
@@ -258,7 +259,7 @@ class TestQcfFast:
                 corr[0] = sumsq[0]
             denom = math.sqrt(sumsq[0] * sumsq[-1])
             neg = None if same else corr[n - max_lag :][::-1] / denom
-            _, expected = _assemble(corr[: max_lag + 1] / denom, neg, max_lag)
+            expected = _assemble(corr[: max_lag + 1] / denom, neg)
             assert np.array_equal(qcf_fast(x, alpha, beta, max_lag).values, expected), (alpha, beta)
 
 
@@ -319,47 +320,47 @@ class TestAverageCurves:
         assert avg.n_averaged == 1
 
     def test_cancellation(self):
-        a = make_curve([-1, 0, 1], [0.5, 0.2, -0.3])
-        b = make_curve([-1, 0, 1], [-0.5, -0.2, 0.3])
+        a = make_curve([0.5, 0.2, -0.3])
+        b = make_curve([-0.5, -0.2, 0.3])
         avg = average_curves([a, b])
         assert np.array_equal(avg.values, np.zeros(3))
         assert avg.n_averaged == 2
 
     def test_mean_of_three_constants(self):
-        curves = [make_curve([-1, 0, 1], [v] * 3) for v in (0.1, 0.2, 0.3)]
+        curves = [make_curve([v] * 3) for v in (0.1, 0.2, 0.3)]
         avg = average_curves(curves)
         assert np.allclose(avg.values, 0.2, atol=1e-15)
 
     def test_mismatched_pair_rejected(self):
-        a = make_curve([0, 1], [0.1, 0.1], alpha=0.05)
-        b = make_curve([0, 1], [0.1, 0.1], alpha=0.10)
+        a = make_curve([0.1] * 3, alpha=0.05)
+        b = make_curve([0.1] * 3, alpha=0.10)
         with pytest.raises(ValueError, match="quantile pair"):
             average_curves([a, b])
 
     def test_mismatched_grid_rejected(self):
-        a = make_curve([0, 1], [0.1, 0.1])
-        b = make_curve([0, 2], [0.1, 0.1])
+        a = make_curve([0.1] * 3)
+        b = make_curve([0.1] * 5)
         with pytest.raises(ValueError, match="lag grid"):
             average_curves([a, b])
 
 
 class TestConfidenceBand:
     def test_zero_reference(self):
-        ref = make_curve([-2, -1, 0, 1, 2], [0, 0, 1, 0, 0], alpha=0.5, beta=0.5)
+        ref = make_curve([0, 0, 1, 0, 0], alpha=0.5, beta=0.5)
         assert confidence_band(ref) == 0.0
 
     def test_alternating_values(self):
         c = 0.03
-        ref = make_curve([-2, -1, 0, 1, 2], [c, -c, 1, -c, c], alpha=0.5, beta=0.5)
+        ref = make_curve([c, -c, 1, -c, c], alpha=0.5, beta=0.5)
         assert confidence_band(ref) == pytest.approx(1.96 * c, rel=1e-12)
 
     def test_requires_median_pair(self):
-        ref = make_curve([-1, 0, 1], [0, 1, 0], alpha=0.05, beta=0.05)
+        ref = make_curve([0, 1, 0], alpha=0.05, beta=0.05)
         with pytest.raises(ValueError, match=r"\(0.5, 0.5\)"):
             confidence_band(ref)
 
     def test_lag_zero_only_rejected(self):
-        ref = make_curve([0], [1.0], alpha=0.5, beta=0.5)
+        ref = make_curve([1.0], alpha=0.5, beta=0.5)
         with pytest.raises(ValueError, match="only lag 0"):
             confidence_band(ref)
 
@@ -379,29 +380,28 @@ class TestConfidenceBand:
 
 class TestAsymmetry:
     def test_all_area_on_negative_lags(self):
-        curve = make_curve([-2, -1, 0, 1, 2], [0.2, 0.1, 1.0, 0.0, 0.0])
+        curve = make_curve([0.2, 0.1, 1.0, 0.0, 0.0])
         assert asymmetry(curve).delta == 1.0
 
     def test_symmetric_curve(self):
-        curve = make_curve([-2, -1, 0, 1, 2], [0.2, -0.1, 1.0, -0.1, 0.2])
+        curve = make_curve([0.2, -0.1, 1.0, -0.1, 0.2])
         report = asymmetry(curve)
         assert report.delta == 0.0
         assert not report.degenerate
 
     def test_ratio_half(self):
-        curve = make_curve([-2, -1, 0, 1, 2], [0.2, 0.1, 1.0, -0.1, 0.0])
+        curve = make_curve([0.2, 0.1, 1.0, -0.1, 0.0])
         assert asymmetry(curve).delta == pytest.approx(0.5, rel=1e-12)
 
     def test_mirror_negates_delta(self):
         rng = np.random.default_rng(4)
         values = rng.uniform(-0.5, 0.5, size=21)
-        lags = np.arange(-10, 11)
-        d = asymmetry(make_curve(lags, values)).delta
-        d_mirror = asymmetry(make_curve(lags, values[::-1])).delta
+        d = asymmetry(make_curve(values)).delta
+        d_mirror = asymmetry(make_curve(values[::-1])).delta
         assert d_mirror == pytest.approx(-d, abs=1e-15)
 
     def test_zero_area_degenerate(self):
-        curve = make_curve([-1, 0, 1], [0.0, 1.0, 0.0])
+        curve = make_curve([0.0, 1.0, 0.0])
         report = asymmetry(curve)
         assert report.delta == 0.0
         assert report.degenerate
@@ -415,16 +415,29 @@ class TestAsymmetry:
 
     @pytest.mark.parametrize("lags", [[-1, 0, 1, 1], [1, -1, 0]], ids=["repeated", "unsorted"])
     def test_lags_must_increase(self, lags):
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match=r"lags must be -L\.\.L"):
             asymmetry_from_arrays(lags, [0.2] * len(lags))
 
     def test_asymmetric_grid_rejected(self):
-        curve = make_curve([-1, 0, 1, 2], [0.1, 1.0, 0.1, 0.2])
-        with pytest.raises(ValueError, match="symmetrically"):
-            asymmetry(curve)
+        with pytest.raises(ValueError, match=r"lags must be -L\.\.L"):
+            asymmetry_from_arrays([-1, 0, 1, 2], [0.1, 1.0, 0.1, 0.2])
+
+    @pytest.mark.parametrize(
+        "lags",
+        [[-1, 1], [-2, -1, 1, 2], [-2, 0, 2], np.array([-1.0, 0.0, 1.0]), np.array([True, False, True])],
+        ids=["no-lag-0", "no-lag-0-sparse", "sparse", "float", "bool"],
+    )
+    def test_lags_must_be_the_grid(self, lags):
+        with pytest.raises(ValueError, match=r"lags must be -L\.\.L"):
+            asymmetry_from_arrays(lags, [0.2] * len(lags))
+
+    def test_grid_lags_accepted_in_any_integer_dtype(self):
+        values = [0.2, 1.0, 0.1]
+        for lags in ([-1, 0, 1], np.arange(-1, 2, dtype=np.int32), range(-1, 2)):
+            assert asymmetry_from_arrays(lags, values) == asymmetry(make_curve(values))
 
     def test_max_lag_truncation(self):
-        curve = make_curve([-2, -1, 0, 1, 2], [0.4, 0.1, 1.0, 0.1, 0.0])
+        curve = make_curve([0.4, 0.1, 1.0, 0.1, 0.0])
         assert asymmetry(curve, max_lag=1).delta == 0.0
         assert asymmetry(curve, max_lag=2).delta == pytest.approx(0.4 / 0.6, rel=1e-12)
         with pytest.raises(ValueError, match="max_lag"):
@@ -434,7 +447,7 @@ class TestAsymmetry:
         rng = np.random.default_rng(9)
         for _ in range(50):
             values = rng.uniform(-1, 1, size=11)
-            report = asymmetry(make_curve(np.arange(-5, 6), values))
+            report = asymmetry(make_curve(values))
             assert -1.0 <= report.delta <= 1.0
 
 
@@ -614,45 +627,52 @@ class TestBatches:
 
 
 class TestQcfCurveValidation:
-    def test_lags_strictly_increasing(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            make_curve([1, 1, 2], [0.1, 0.1, 0.1])
+    @pytest.mark.parametrize("values", [[0.1, 0.1], [], [[0.1, 1.0, 0.1]]], ids=["even", "empty", "2-d"])
+    def test_values_are_one_per_lag_of_a_grid(self, values):
+        with pytest.raises(ValueError, match="odd length"):
+            make_curve(values)
 
     def test_lag_bound(self):
+        make_curve([0.1] * 4 + [1.0] + [0.1] * 4, series_length=9)
         with pytest.raises(ValueError, match="series_length / 2"):
-            make_curve([-5, 0, 5], [0.1, 1.0, 0.1], series_length=10)
+            make_curve([0.1] * 5 + [1.0] + [0.1] * 5, series_length=10)
 
     def test_value_range(self):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            make_curve([0, 1], [1.0, 1.5])
+            make_curve([0.5, 1.0, 1.5])
 
     def test_with_ci(self):
-        curve = make_curve([-1, 0, 1], [0.1, 0.9, 0.1])
+        curve = make_curve([0.1, 0.9, 0.1])
         banded = curve.with_ci(0.05)
         assert banded.ci_half_width == 0.05
         assert curve.ci_half_width is None
         with pytest.raises(ValueError, match="nonnegative"):
             curve.with_ci(-0.1)
 
-    def test_value_at_missing_lag(self):
-        curve = make_curve([-1, 0, 1], [0.1, 0.9, 0.1])
-        with pytest.raises(KeyError):
-            curve.value_at(5)
+    def test_value_at_indexes_the_grid(self):
+        curve = make_curve([0.1, 0.2, 0.9, 0.3, 0.4])
+        assert [curve.value_at(lag) for lag in (-2, -1, 0, 1, np.int64(2))] == [0.1, 0.2, 0.9, 0.3, 0.4]
 
-    def test_estimated_curves_share_one_unwritable_lag_grid(self):
+    def test_value_at_missing_lag(self):
+        curve = make_curve([0.1, 0.9, 0.1])
+        for lag in (5, 2, -2, 1.0, 0.5, "1", None):
+            with pytest.raises(KeyError):
+                curve.value_at(lag)
+
+    def test_lag_grid_is_derived_from_the_values(self):
+        assert "lags" not in {f.name for f in dataclasses.fields(QcfCurve)}
         x = np.random.default_rng(3).standard_normal(400)
-        first, second = _curves(x, [(0.05, 0.95), (0.5, 0.5)], 20)
-        assert first.lags is second.lags is _curves(x[::-1], [(0.2, 0.8)], 20)[0].lags
-        with pytest.raises(ValueError):
-            first.lags.setflags(write=True)
-        assert average_curves([first, first]).lags is first.lags
+        for curve in _curves(x, [(0.05, 0.95), (0.5, 0.5)], 20):
+            assert curve.max_lag == 20
+            assert curve.lags.tolist() == list(range(-20, 21))
+            assert curve.lags is not curve.lags  # a fresh array: writing one changes no curve
+        assert make_curve([1.0]).lags.tolist() == [0]
 
     def test_arrays_passed_in_are_copied(self):
-        lags, values = np.arange(-1, 2), np.array([0.1, 0.9, 0.1])
-        lags.setflags(write=False)
-        curve = make_curve(lags, values)
-        assert not np.shares_memory(curve.lags, lags) and not np.shares_memory(curve.values, values)
-        assert not curve.lags.flags.writeable and not curve.values.flags.writeable
+        values = np.array([0.1, 0.9, 0.1])
+        curve = make_curve(values)
+        assert not np.shares_memory(curve.values, values)
+        assert not curve.values.flags.writeable
 
 
 class TestTimeSeries:

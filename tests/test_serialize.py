@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import stat
 from decimal import Decimal
@@ -20,6 +21,7 @@ from qcorr import (
     QcfCurve,
     TradingDay,
     DayRejection,
+    asymmetry,
     build_index,
     fit_gjr,
     pp_grid,
@@ -32,6 +34,7 @@ from qcorr import (
 from qcorr.cli import main
 from qcorr.fitting import FitResult
 from qcorr.garch import SimulationResult
+from qcorr.qcf import asymmetry_from_arrays
 from qcorr.series import TimeSeries
 from qcorr import serialize
 from qcorr.serialize import values_to_csv
@@ -68,6 +71,47 @@ class TestCurveSerialization:
     def test_csv_rejects_garbage(self):
         with pytest.raises(Exception, match="curve CSV"):
             serialize.curve_arrays_from_csv("foo,bar\n1,2\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(L=st.integers(1, 30), data=st.data())
+    def test_one_lag_grid_rule_for_curve_files(self, L, data):
+        values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * L + 1, max_size=2 * L + 1), label="values")
+        curve = QcfCurve(
+            ProbabilityLevel(0.05), ProbabilityLevel(0.95), np.array(values),
+            series_length=data.draw(st.integers(2 * L + 1, 10**6), label="series_length"),
+            ci_half_width=data.draw(st.none() | st.floats(0.0, 1.0), label="ci"),
+            n_averaged=data.draw(st.integers(1, 500), label="n_averaged"),
+        )
+        back = serialize.curve_from_json(serialize.curve_to_json(curve))
+        for name in ("alpha", "beta", "series_length", "ci_half_width", "n_averaged", "max_lag"):
+            assert getattr(back, name) == getattr(curve, name), name
+        assert np.array_equal(back.values, curve.values) and np.array_equal(back.lags, curve.lags)
+        via_csv = asymmetry_from_arrays(*serialize.curve_arrays_from_csv(serialize.curve_to_csv(curve))[:2])
+        assert repr(asymmetry(back)) == repr(via_csv) == repr(asymmetry(curve))  # repr spells every bit
+
+        # One edit takes the lags off -L..L; both readers must refuse the file.
+        lags = list(range(-L, L + 1))
+        i = data.draw(st.integers(0, 2 * L), label="i")
+        edit = data.draw(st.sampled_from(["drop lag 0", "repeat", "swap", "fractional", "outer"]), label="edit")
+        if edit == "drop lag 0":
+            del lags[L], values[L]
+        elif edit == "repeat":
+            lags.insert(i, lags[i])
+            values.insert(i, values[i])
+        elif edit == "swap":
+            j = (i + data.draw(st.integers(1, 2 * L), label="offset")) % (2 * L + 1)
+            lags[i], lags[j] = lags[j], lags[i]
+        elif edit == "fractional":
+            lags[i] += math.copysign(0.5, lags[i])  # truncation would give back the grid
+        else:
+            lags.append(L + 1)
+            values.append(0.0)
+        doc = json.loads(serialize.curve_to_json(curve)) | {"lags": lags, "values": values}
+        with pytest.raises((ValueError, DataFormatError)):
+            serialize.curve_from_json(json.dumps(doc))
+        csv_text = "lag,qcf\n" + "".join(f"{lag},{value!r}\n" for lag, value in zip(lags, values))
+        with pytest.raises((ValueError, DataFormatError)):
+            asymmetry_from_arrays(*serialize.curve_arrays_from_csv(csv_text)[:2])
 
     def test_seventeen_significant_digits(self):
         assert serialize.fmt(1.0 / 3.0) == "0.33333333333333331"
@@ -501,8 +545,8 @@ PINNED_SIM = SimulationResult(
     TimeSeries(np.array([TAIL, -1.5, 2.0])), np.array([1.0, 0.25, TAIL]),
     innovations_seed=7, burn_in=10,
 )
-PINNED_CURVE = QcfCurve(ProbabilityLevel(0.05), ProbabilityLevel(0.95), np.array([-1, 0, 1]),
-                        np.array([-0.5, 1.0, TAIL]), series_length=10)
+PINNED_CURVE = QcfCurve(ProbabilityLevel(0.05), ProbabilityLevel(0.95), np.array([-0.5, 1.0, TAIL]),
+                        series_length=10)
 PINNED_GRID = PPGrid(lag=2, levels=(0.05, 0.5), matrix=np.array([[1.0, -0.25], [TAIL, 0.5]]))
 PINNED_BATCH = FitBatch(
     fits={"d1": FitResult(PINNED_PARAMS, -123.0, True, 5, 10),
@@ -559,8 +603,7 @@ def _seeded_curve() -> QcfCurve:
     rng = np.random.default_rng(5)
     values = rng.normal(0.0, 0.02, 1201)
     values[600] = 1.0
-    curve = QcfCurve(ProbabilityLevel(0.05), ProbabilityLevel(0.95), np.arange(-600, 601), values,
-                     series_length=22140)
+    curve = QcfCurve(ProbabilityLevel(0.05), ProbabilityLevel(0.95), values, series_length=22140)
     return curve.with_ci(1.96 / np.sqrt(22140))
 
 
