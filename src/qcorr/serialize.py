@@ -534,7 +534,7 @@ def _load_object(text: str, what: str):
         yield doc
     except KeyError as exc:
         raise DataFormatError(f"{what} is missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond a double
         raise DataFormatError(f"{what} has a field of the wrong type or value: {exc}") from None
 
 
@@ -575,22 +575,27 @@ def curve_to_json(curve: QcfCurve) -> str:
 
 def curve_from_json(text: str) -> QcfCurve:
     """The curve in a JSON document.  Its lags must be -L..L (check_lag_grid),
-    and its lags and counts JSON integers: 1.5, 1.0 and true are refused, not
-    truncated."""
+    its lags and counts JSON integers, its levels JSON numbers and its
+    ci_half_width a number or null: 1.5, 1.0, true and "0.5" are refused where
+    they do not fit, not converted."""
     with _load_object(text, "curve JSON") as doc:
         values = np.array(doc["values"], dtype=float)
         ints = {"lags": doc["lags"], "series_length": doc["series_length"],
                 "n_averaged": doc.get("n_averaged", 1)}
-        for name, value in ints.items():
-            for v in value if isinstance(value, list) else [value]:
-                if type(v) is not int:
-                    raise DataFormatError(f"curve JSON field {name!r} holds {v!r}, not an integer")
+        levels = {"alpha": doc["alpha"], "beta": doc["beta"]}
+        ci = {"ci_half_width": doc.get("ci_half_width")}
+        for fields, kinds, noun in ((ints, (int,), "an integer"), (levels, (int, float), "a number"),
+                                    (ci, (int, float, type(None)), "a number or null")):
+            for name, value in fields.items():
+                for v in value if isinstance(value, list) else [value]:
+                    if type(v) not in kinds:
+                        raise DataFormatError(f"curve JSON field {name!r} holds {v!r}, not {noun}")
         check_lag_grid(ints.pop("lags"), values.size)
         return QcfCurve(
-            alpha=ProbabilityLevel(doc["alpha"]),
-            beta=ProbabilityLevel(doc["beta"]),
+            alpha=ProbabilityLevel(levels["alpha"]),
+            beta=ProbabilityLevel(levels["beta"]),
             values=values,
-            ci_half_width=doc.get("ci_half_width"),
+            **ci,
             **ints,
         )
 
@@ -691,8 +696,14 @@ def params_to_json(params: GarchParams) -> str:
 
 
 def params_from_json(text: str) -> GarchParams:
+    """The model in a JSON document; a missing gamma1 reads 0.0.  Every
+    parameter must be a JSON number: true, "1e-5" and null are refused, not
+    converted."""
     with _load_object(text, "params JSON") as doc:
         doc = {"gamma1": 0.0, **doc}
+        for name in PARAM_NAMES:
+            if type(doc[name]) not in (int, float):
+                raise TypeError(f"{name!r} holds {doc[name]!r}, not a number")
         return GarchParams(doc["kind"], *(float(doc[name]) for name in PARAM_NAMES))
 
 
@@ -747,9 +758,18 @@ def _ticks_width(header: list[str]) -> int:
     return len(header)
 
 
+def _column_codes(strings: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct strings in order of first appearance, and the index of
+    each string among them."""
+    index = {s: k for k, s in enumerate(dict.fromkeys(strings))}
+    return list(index), np.fromiter(map(index.__getitem__, strings), np.intp, len(strings))
+
+
 def _tick_columns(width: int, keys: dict, fields: list[str], row: int) -> tuple[np.ndarray, ...]:
     """(group code, time, price) of the kept rows among the tick fields; keys
-    numbers each new (date, instrument) in order of first appearance."""
+    numbers each new (date, instrument) in order of first appearance among
+    kept rows.  A row's group is coded from its date and instrument codes,
+    so no per-row tuple is made."""
     if width == 5:
         flags = fields[4::5]
         truth = {flag: flag.lower() in _REGULAR_TRUE for flag in set(flags)}
@@ -757,10 +777,19 @@ def _tick_columns(width: int, keys: dict, fields: list[str], row: int) -> tuple[
     else:
         keep = [True] * (len(fields) // 4)
     rows = sum(keep)
-    pairs = list(compress(zip(fields[0::width], fields[2::width]), keep))
-    for key in dict.fromkeys(pairs):
-        keys.setdefault(key, len(keys))
-    codes = np.fromiter(map(keys.__getitem__, pairs), np.intp, rows)
+    dates, date_codes = _column_codes(fields[0::width])
+    instruments, instrument_codes = _column_codes(fields[2::width])
+    n = len(instruments)
+    pairs = (date_codes * n + instrument_codes)[np.fromiter(keep, bool, len(keep))]
+    distinct, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+    names = [(dates[p // n], instruments[p % n]) for p in distinct.tolist()]
+    for k in np.argsort(first).tolist():
+        keys.setdefault(names[k], len(keys))
+    # Freed before the arrays the run returns are made, which then reuse
+    # their memory instead of raising the reader's peak RSS; for the same
+    # reason the codes are uint32, half the bytes of intp.
+    del date_codes, instrument_codes, pairs
+    codes = np.fromiter(map(keys.__getitem__, names), np.uint32, len(names))[inverse]
     try:
         times = np.fromiter(map(int, compress(fields[1::width], keep)), np.int64, rows)
     except OverflowError:  # beyond int64; the text names the run's first kept row
@@ -776,10 +805,13 @@ def _tick_columns(width: int, keys: dict, fields: list[str], row: int) -> tuple[
 def read_ticks_csv(text: str) -> dict[tuple[str, str], TickGroup]:
     """Parse tick CSV "date,time_seconds,instrument,price[,regular]".
 
-    Rows whose optional `regular` flag is not truthy are dropped here.
-    Returns one TickGroup per (date, instrument), in order of first
-    appearance; each keeps the file's row order, so unsorted data is still
-    detected downstream.
+    Rows whose optional `regular` flag is not truthy are dropped here, before
+    their time and price are parsed.  Returns one TickGroup per (date,
+    instrument), in order of first appearance among the kept rows, so a key
+    seen only on dropped rows forms no group; each keeps the file's row
+    order, so unsorted data is still detected downstream.  Each run of rows
+    codes its groups column by column (_tick_columns), and _group_ticks
+    gathers every group's rows with one stable sort of those codes.
     """
     keys: dict[tuple[str, str], int] = {}
 
@@ -794,8 +826,11 @@ def read_ticks_csv(text: str) -> dict[tuple[str, str], TickGroup]:
 
 
 def _group_ticks(keys: dict, codes, times, prices) -> dict[tuple[str, str], TickGroup]:
-    """One TickGroup per key, in the keys' order, each in row order."""
-    order = np.argsort(codes, kind="stable")
+    """One TickGroup per key, in the keys' order, each in row order.  The
+    codes are sorted in the narrowest unsigned type that holds them: a stable
+    sort of uint8 or uint16 is a radix sort, and every stable sort gives the
+    same order."""
+    order = np.argsort(codes.astype(np.min_scalar_type(len(keys))), kind="stable")
     ends = np.cumsum(np.bincount(codes, minlength=len(keys)))[:-1]
     groups = zip(keys, np.split(times[order], ends), np.split(prices[order], ends))
     return {key: TickGroup(key[1], t, p) for key, t, p in groups}

@@ -682,12 +682,31 @@ class TestErrorHandling:
             ("qcf", "day.csv", "second,price\n0,10.0\n1,-1.0\n2,11.0\n", "all prices must be positive"),
             ("qcf", "values.csv", "value\n0.1\nnan\n0.3\n", "values must all be finite"),
             ("ppgrid", "day.csv", "second,price\n0,10.0\n1,10.5\n2,11.0\n", "horizon 60 exceeds the 3-second grid"),
+            # JSON numbers only: true, false and "1e-5" are not converted.
+            ("resim", "params.json",
+             '{"kind": "gjr", "mu": true, "omega": 1e-05, "alpha1": 0.05, "beta1": 0.9, "gamma1": false}',
+             "'mu' holds True, not a number"),
+            ("resim", "params.json",
+             '{"kind": "gjr", "mu": 0.0, "omega": "1e-5", "alpha1": 0.05, "beta1": 0.9}',
+             "'omega' holds '1e-5', not a number"),
+            ("resim", "params.json",
+             '{"kind": "gjr", "mu": 0.0, "omega": 1e-05, "alpha1": 0.05, "beta1": 0.9, "gamma1": false}',
+             "'gamma1' holds False, not a number"),
+            ("resim", "params.json",
+             '{"kind": "gjr", "mu": 0.0, "omega": 1e-05, "alpha1": 0.05, "beta1": 0.9, "gamma1": 1' + "0" * 400 + "}",
+             "int too large to convert to float"),
+            ("asym", "curve.json", CURVE_JSON.replace('"alpha": 0.05', '"alpha": true'),
+             "curve JSON field 'alpha' holds True, not a number"),
+            ("asym", "curve.json", CURVE_JSON.replace('"ci_half_width": null', '"ci_half_width": true'),
+             "curve JSON field 'ci_half_width' holds True, not a number or null"),
         ],
         ids=["sim-row-without-comma", "day-row-without-comma", "params-not-object",
              "params-null-field", "curve-json-not-object", "curve-json-fractional-lag",
              "curve-json-fractional-length", "curve-json-bool-count", "curve-csv-fractional-lag",
              "curve-csv-lag-beyond-int64", "sim-index-not-row-numbers", "day-index-out-of-order",
-             "day-negative-price", "values-nan", "day-shorter-than-horizon"],
+             "day-negative-price", "values-nan", "day-shorter-than-horizon", "params-bool-field",
+             "params-string-field", "params-bool-gamma1", "params-integer-beyond-double",
+             "curve-json-bool-alpha", "curve-json-bool-ci"],
     )
     def test_malformed_input_reports_one_error(self, tmp_path, capsys, command, name, text, reason):
         src = tmp_path / name

@@ -344,6 +344,67 @@ class TestTickReaderPaths:
             assert outcome(read_ticks_csv, text) == outcome(reference_read_ticks, text)
 
 
+def interleaved_ticks():
+    """4 dates x 6 instruments, every date's rows interleaved by time, about a
+    tenth of them flagged non-regular."""
+    rng = np.random.default_rng(11)
+    rows = []
+    for date in ("2007-01-05", "2007-01-03", "2007-01-04", "2007-01-02"):
+        for t in range(120):
+            instrument = ("FFF", "BBB", "EEE", "AAA", "DDD", "CCC")[rng.integers(6)]
+            flag = "0" if rng.random() < 0.1 else "1"
+            rows.append(f"{date},{t},{instrument},{rng.uniform(5, 50):.4f},{flag}")
+    return with_rows(*rows)
+
+
+def one_row_per_group(n):
+    """n (date, instrument) groups of one row each; seven dates cycle within
+    each instrument, so that neither column alone orders the groups."""
+    return with_rows(*(f"2007-01-{1 + k % 7:02d},{k},I{k // 7},1.5,1" for k in range(n)))
+
+
+class TestTickGroupOrder:
+    """Groups come in order of first appearance among kept rows, whatever the
+    run length the bulk splitter cuts the file into."""
+
+    CASES = {
+        "interleaved": interleaved_ticks(),
+        # ZZZ is first seen on a non-regular row, so AAA's first kept row comes first.
+        "first-seen-non-regular": with_rows(
+            "2007-01-03,1,ZZZ,9.0,0", "2007-01-03,2,AAA,10.0,1", "2007-01-03,3,ZZZ,9.5,1",
+            "2007-01-03,4,AAA,10.5,1",
+        ),
+        # YYY appears on non-regular rows only and forms no group.
+        "non-regular-only": with_rows(
+            "2007-01-03,1,YYY,9.0,0", "2007-01-03,2,AAA,10.0,1", "2007-01-04,3,YYY,9.5,no",
+            "2007-01-04,4,AAA,10.5,1",
+        ),
+        "300-groups": one_row_per_group(300),
+        "70000-groups": one_row_per_group(70_000),
+    }
+    EXPECTED_KEYS = {
+        "first-seen-non-regular": [("2007-01-03", "AAA"), ("2007-01-03", "ZZZ")],
+        "non-regular-only": [("2007-01-03", "AAA"), ("2007-01-04", "AAA")],
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 64, serialize._CHUNK_CHARS], ids=["chunk-1", "chunk-64", "chunk-default"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_groups_match_the_reference(self, monkeypatch, case, chunk):
+        text = self.CASES[case]
+        monkeypatch.setattr(serialize, "_CHUNK_CHARS", chunk)
+        bulk = outcome(read_ticks_csv, text)
+        assert bulk == outcome(reference_read_ticks, text)
+        keys = [key for key, *_ in bulk]
+        assert keys == self.EXPECTED_KEYS.get(case, keys)
+
+    def test_cases_have_their_shape(self):
+        keys = [key for key, *_ in outcome(read_ticks_csv, self.CASES["interleaved"])]
+        assert len(keys) == 24 and len({date for date, _ in keys}) == 4
+        assert keys[:6] != sorted(keys[:6])  # first appearance, not sorted order
+        assert len(outcome(read_ticks_csv, self.CASES["300-groups"])) == 300
+        assert len(outcome(read_ticks_csv, self.CASES["70000-groups"])) == 70_000
+
+
 class TestTradingDayValidation:
     def test_positive_prices(self):
         with pytest.raises(ValueError, match="positive"):
