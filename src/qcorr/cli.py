@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     try:
         pairs, shown = args.func(args)
         serialize.write_files(pairs)
-    except (QcorrError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (QcorrError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     sys.stdout.write(shown)

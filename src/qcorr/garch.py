@@ -114,9 +114,7 @@ def unconditional_variance(params: GarchParams) -> float:
     """Stationary variance; for EGARCH, exp of the stationary mean log variance."""
     if params.kind is ModelKind.EGARCH:
         return math.exp(params.omega / (1.0 - params.beta1))
-    persistence = params.alpha1 + params.beta1 + params.gamma1 / 2.0  # gamma1 is 0 for GARCH
-    if persistence >= 1.0:  # unreachable for validated params; guarded anyway
-        raise ValueError("non-stationary parameters have no unconditional variance")
+    persistence = params.alpha1 + params.beta1 + params.gamma1 / 2.0  # below 1; gamma1 is 0 for GARCH
     return params.omega / (1.0 - persistence)
 
 

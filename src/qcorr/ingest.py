@@ -21,6 +21,12 @@ SESSION_TRIM_SECONDS = 600
 MIN_TRADED_SECONDS = 800
 
 
+def valid_prices(prices: np.ndarray) -> np.ndarray:
+    """Where prices are positive and finite: the one rule for a price, written
+    so that NaN fails it."""
+    return (prices > 0) & (prices < np.inf)
+
+
 @dataclass(frozen=True)
 class TickGroup:
     """One instrument-day of trades in file order: int64 seconds and their prices."""
@@ -59,8 +65,8 @@ class TradingDay:
         prices = frozen_array(self.prices)
         if prices.ndim != 1 or prices.size == 0:
             raise ValueError("prices must be a nonempty one-dimensional array")
-        if not np.all(prices > 0):
-            raise ValueError("all prices must be positive")
+        if not valid_prices(prices).all():
+            raise ValueError("all prices must be positive and finite")
         if self.traded_seconds < 1:
             raise ValueError("traded_seconds must be positive")
         object.__setattr__(self, "prices", prices)

@@ -165,7 +165,8 @@ class QcfCurve:
     and max_lag (L) and lags are derived from it, not stored.  ci_half_width,
     when set, is one confidence half-width shared by every lag (the band is
     built once per dataset from the (0.5, 0.5) reference).  n_averaged counts
-    the per-series curves averaged into this one.
+    the per-series curves averaged into this one.  alpha and beta may be
+    given as floats; they are stored as ProbabilityLevel.
     """
 
     alpha: ProbabilityLevel
@@ -181,10 +182,8 @@ class QcfCurve:
             raise ValueError("values must be a one-dimensional array of odd length, one per lag -L..L")
         if self.series_length < 2:
             raise ValueError("series_length must be at least 2")
-        if values.size // 2 >= self.series_length / 2:
-            raise ValueError("every |lag| must be below series_length / 2")
-        if np.any(np.abs(values) > 1.0 + VALUE_TOL):
-            raise ValueError("correlation values must lie in [-1, 1] up to 1e-12")
+        _check_max_lag(values.size // 2, self.series_length)
+        _check_correlations(values)
         if self.ci_half_width is not None and not self.ci_half_width >= 0:
             raise ValueError("ci_half_width must be nonnegative")
         if self.n_averaged < 1:
@@ -196,6 +195,8 @@ class QcfCurve:
         # bits for externally supplied binary series (e.g. complements).
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "series_length", int(self.series_length))
+        object.__setattr__(self, "alpha", as_level(self.alpha))
+        object.__setattr__(self, "beta", as_level(self.beta))
 
     @property
     def max_lag(self) -> int:
@@ -214,6 +215,13 @@ class QcfCurve:
 
     def with_ci(self, half_width: float) -> "QcfCurve":
         return dataclasses.replace(self, ci_half_width=float(half_width))
+
+
+def _check_correlations(values: np.ndarray) -> None:
+    """Refuse values that are not all in [-1, 1] up to VALUE_TOL: the one
+    rule for a correlation, written so that NaN fails it.  values is nonempty."""
+    if not np.abs(values).max() <= 1.0 + VALUE_TOL:
+        raise ValueError("correlation values must lie in [-1, 1] up to 1e-12")
 
 
 def _refuse_degenerate(ps, spreads) -> None:
@@ -371,7 +379,7 @@ class AsymmetryReport:
     max_lag: int
 
     def __post_init__(self):
-        if self.area_neg < 0 or self.area_pos < 0:
+        if not (self.area_neg >= 0 and self.area_pos >= 0):
             raise ValueError("areas are sums of absolute values; must be nonnegative")
         if self.max_lag < 1:
             raise ValueError("max_lag must be at least 1")
@@ -403,6 +411,7 @@ def asymmetry_from_arrays(lags, values, max_lag: int | None = None) -> Asymmetry
     L = values.size // 2
     if L < 1:
         raise ValueError("curve must extend to at least lag 1")
+    _check_correlations(values)
     if max_lag is not None and not 1 <= max_lag <= L:
         raise ValueError(f"max_lag must lie in [1, {L}]")
     limit = L if max_lag is None else int(max_lag)
@@ -430,8 +439,7 @@ class PPGrid:
         n = len(self.levels)
         if n == 0 or matrix.shape != (n, n):
             raise ValueError("matrix must be square with one row/column per level")
-        if np.abs(matrix).max() > 1.0 + VALUE_TOL:
-            raise ValueError("grid entries must lie in [-1, 1] up to 1e-12")
+        _check_correlations(matrix)
         if self.n_averaged < 1:
             raise ValueError("n_averaged must be positive")
         object.__setattr__(self, "matrix", matrix)

@@ -28,7 +28,6 @@ import io
 import json
 import math
 import os
-import secrets
 from contextlib import contextmanager, suppress
 from functools import partial
 from itertools import chain, compress, takewhile
@@ -39,9 +38,8 @@ import numpy as np
 from .errors import DataFormatError
 from .fitting import FitBatch
 from .garch import GENERATOR, PARAM_NAMES, GarchParams, SimulationResult
-from .ingest import DayRejection, TickGroup, TradingDay
+from .ingest import DayRejection, TickGroup, TradingDay, valid_prices
 from .qcf import AsymmetryReport, PPGrid, QcfCurve, check_lag_grid
-from .series import ProbabilityLevel
 
 CURVE_HEADER_CI = "lag,qcf,ci"
 CURVE_HEADER = "lag,qcf"
@@ -330,7 +328,7 @@ def write_files(pairs) -> None:
                     except FileExistsError:  # another run made it first
                         if not directory.is_dir():
                             raise
-                tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+                tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
                 # Mode 0o666 less the umask, like any file the user creates (mkstemp's
                 # 0o600 would survive the rename); O_EXCL never opens an existing file.
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -538,6 +536,20 @@ def _load_object(text: str, what: str):
         raise DataFormatError(f"{what} has a field of the wrong type or value: {exc}") from None
 
 
+# The types json.loads gives a JSON number; true and false are bools, not numbers.
+_NUMBER = (int, float)
+
+
+def _check_json_types(what: str, fields: dict, kinds: tuple, noun: str) -> None:
+    """Refuse a field, or an item of a list field, whose type is not one of
+    kinds: the one type rule of every JSON reader, so a value is refused,
+    not converted, where it does not fit."""
+    for name, value in fields.items():
+        for v in value if isinstance(value, list) else [value]:
+            if type(v) not in kinds:
+                raise DataFormatError(f"{what} field {name!r} holds {v!r}, not {noun}")
+
+
 def series_from_csv(text: str) -> tuple[str, np.ndarray]:
     """(kind, values) of a series CSV, the kind matched from SERIES_HEADERS."""
     columns = {header: ((column, float),) for header, (_, column) in SERIES_HEADERS.items()}
@@ -575,29 +587,20 @@ def curve_to_json(curve: QcfCurve) -> str:
 
 def curve_from_json(text: str) -> QcfCurve:
     """The curve in a JSON document.  Its lags must be -L..L (check_lag_grid),
-    its lags and counts JSON integers, its levels JSON numbers and its
-    ci_half_width a number or null: 1.5, 1.0, true and "0.5" are refused where
-    they do not fit, not converted."""
+    its lags and counts JSON integers, its levels and values JSON numbers and
+    its ci_half_width a number or null: 1.5, 1.0, true, null and "0.5" are
+    refused where they do not fit, not converted."""
     with _load_object(text, "curve JSON") as doc:
-        values = np.array(doc["values"], dtype=float)
         ints = {"lags": doc["lags"], "series_length": doc["series_length"],
                 "n_averaged": doc.get("n_averaged", 1)}
-        levels = {"alpha": doc["alpha"], "beta": doc["beta"]}
+        numbers = {"alpha": doc["alpha"], "beta": doc["beta"], "values": doc["values"]}
         ci = {"ci_half_width": doc.get("ci_half_width")}
-        for fields, kinds, noun in ((ints, (int,), "an integer"), (levels, (int, float), "a number"),
-                                    (ci, (int, float, type(None)), "a number or null")):
-            for name, value in fields.items():
-                for v in value if isinstance(value, list) else [value]:
-                    if type(v) not in kinds:
-                        raise DataFormatError(f"curve JSON field {name!r} holds {v!r}, not {noun}")
+        for fields, kinds, noun in ((ints, (int,), "an integer"), (numbers, _NUMBER, "a number"),
+                                    (ci, (*_NUMBER, type(None)), "a number or null")):
+            _check_json_types("curve JSON", fields, kinds, noun)
+        values = np.array(numbers.pop("values"), dtype=float)
         check_lag_grid(ints.pop("lags"), values.size)
-        return QcfCurve(
-            alpha=ProbabilityLevel(levels["alpha"]),
-            beta=ProbabilityLevel(levels["beta"]),
-            values=values,
-            **ci,
-            **ints,
-        )
+        return QcfCurve(values=values, **numbers, **ci, **ints)
 
 
 def curve_arrays_from_csv(text: str) -> tuple[np.ndarray, np.ndarray, float | None]:
@@ -701,9 +704,7 @@ def params_from_json(text: str) -> GarchParams:
     converted."""
     with _load_object(text, "params JSON") as doc:
         doc = {"gamma1": 0.0, **doc}
-        for name in PARAM_NAMES:
-            if type(doc[name]) not in (int, float):
-                raise TypeError(f"{name!r} holds {doc[name]!r}, not a number")
+        _check_json_types("params JSON", {name: doc[name] for name in PARAM_NAMES}, _NUMBER, "a number")
         return GarchParams(doc["kind"], *(float(doc[name]) for name in PARAM_NAMES))
 
 
@@ -797,8 +798,10 @@ def _tick_columns(width: int, keys: dict, fields: list[str], row: int) -> tuple[
     prices = np.fromiter(map(float, compress(fields[3::width], keep)), float, rows)
     if rows and times.min() < 0:
         raise ValueError(f"negative timestamp {times[times < 0][0]}")
-    if not np.all(prices > 0):
-        raise ValueError(f"nonpositive price {float(prices[~(prices > 0)][0])!r}")
+    valid = valid_prices(prices)
+    if not valid.all():
+        bad = float(prices[~valid][0])
+        raise ValueError(f"{'infinite' if bad == math.inf else 'nonpositive'} price {bad!r}")
     return codes, times, prices
 
 

@@ -47,13 +47,9 @@ class TimeSeries:
     label: str = ""
 
     def __post_init__(self):
-        values = frozen_array(self.values)
-        if values.ndim != 1:
-            raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
+        values = frozen_array(as_values(self.values))
         if values.size < 2:
             raise ValueError(f"a time series needs at least 2 observations, got {values.size}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must all be finite (no NaN/inf markers)")
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
@@ -61,7 +57,8 @@ class TimeSeries:
 
 
 def as_values(x: TimeSeries | np.ndarray | list) -> np.ndarray:
-    """Coerce a TimeSeries or array-like to a 1-d float array.
+    """Coerce a TimeSeries or array-like to a 1-d float array: the one rule
+    for a series, which TimeSeries validates through too.
 
     Raises ValueError("empty input") for empty inputs so callers get the
     documented error without constructing a TimeSeries first.

@@ -201,8 +201,9 @@ def reference_read_ticks(text):
             raise DataFormatError(f"line {number}: {exc}") from None
         if time < 0:
             raise DataFormatError(f"line {number}: negative timestamp {time}")
-        if not price > 0:
-            raise DataFormatError(f"line {number}: nonpositive price {price!r}")
+        if not 0 < price < math.inf:
+            kind = "infinite" if price == math.inf else "nonpositive"
+            raise DataFormatError(f"line {number}: {kind} price {price!r}")
         groups.setdefault((date, instrument), []).append((time, price))
     return {
         key: TickGroup(key[1], [time for time, _ in trades], [price for _, price in trades])

@@ -665,7 +665,7 @@ class TestErrorHandling:
             ("resim", "params.json", "[0.0, 1e-05, 0.05, 0.9]", "must be an object"),
             ("resim", "params.json",
              '{"kind": "gjr", "mu": null, "omega": 1e-05, "alpha1": 0.05, "beta1": 0.9}',
-             "wrong type"),
+             "params JSON field 'mu' holds None, not a number"),
             ("asym", "curve.json", "[1, 2]", "must be an object"),
             ("asym", "curve.json", CURVE_JSON.replace("[-1, 0, 1]", "[-1.5, 0, 1.9]"),
              "curve JSON field 'lags' holds -1.5, not an integer"),
@@ -699,6 +699,17 @@ class TestErrorHandling:
              "curve JSON field 'alpha' holds True, not a number"),
             ("asym", "curve.json", CURVE_JSON.replace('"ci_half_width": null', '"ci_half_width": true'),
              "curve JSON field 'ci_half_width' holds True, not a number or null"),
+            # Curve values are JSON numbers in [-1, 1], and prices positive and finite.
+            ("asym", "curve.json", CURVE_JSON.replace("[0.1, 1.0, 0.2]", "[0.1, null, 0.2]"),
+             "curve JSON field 'values' holds None, not a number"),
+            ("asym", "curve.json", CURVE_JSON.replace("[0.1, 1.0, 0.2]", '[0.1, 1.0, "0.5"]'),
+             "curve JSON field 'values' holds '0.5', not a number"),
+            ("asym", "curve.json", CURVE_JSON.replace("[0.1, 1.0, 0.2]", "[true, 1.0, 0.2]"),
+             "curve JSON field 'values' holds True, not a number"),
+            ("asym", "curve.csv", "lag,qcf\n-1,0.1\n0,nan\n1,0.2\n", "correlation values must lie in [-1, 1]"),
+            ("asym", "curve.csv", "lag,qcf\n-1,inf\n0,1\n1,0.2\n", "correlation values must lie in [-1, 1]"),
+            ("asym", "curve.csv", "lag,qcf\n-1,0.1\n0,5\n1,0.2\n", "correlation values must lie in [-1, 1]"),
+            ("qcf", "day.csv", "second,price\n0,10.0\n1,inf\n2,11.0\n", "all prices must be positive and finite"),
         ],
         ids=["sim-row-without-comma", "day-row-without-comma", "params-not-object",
              "params-null-field", "curve-json-not-object", "curve-json-fractional-lag",
@@ -706,7 +717,9 @@ class TestErrorHandling:
              "curve-csv-lag-beyond-int64", "sim-index-not-row-numbers", "day-index-out-of-order",
              "day-negative-price", "values-nan", "day-shorter-than-horizon", "params-bool-field",
              "params-string-field", "params-bool-gamma1", "params-integer-beyond-double",
-             "curve-json-bool-alpha", "curve-json-bool-ci"],
+             "curve-json-bool-alpha", "curve-json-bool-ci", "curve-json-null-value",
+             "curve-json-string-value", "curve-json-bool-value", "curve-csv-nan", "curve-csv-inf",
+             "curve-csv-beyond-one", "day-infinite-price"],
     )
     def test_malformed_input_reports_one_error(self, tmp_path, capsys, command, name, text, reason):
         src = tmp_path / name

@@ -274,6 +274,7 @@ class TestTickReaderPaths:
             (with_rows(TICK_ROWS[0], "2007-01-03,-1,AAA,1.0,1"), "line 3: negative timestamp -1"),
             (with_rows(TICK_ROWS[0], "2007-01-03,4,AAA,nan,1"), "line 3: nonpositive price nan"),
             (with_rows(TICK_ROWS[0], "2007-01-03,4,AAA,0,1"), "line 3: nonpositive price 0.0"),
+            (with_rows(TICK_ROWS[0], "2007-01-03,4,AAA,inf,1"), "line 3: infinite price inf"),
             (with_rows(TICK_ROWS[0], "2007-01-03,2,BBB,20.0"), "line 3: expected 5 fields, got 4"),
             (with_rows(TICK_ROWS[0], "2007-01-03,1_0,AAA,1_1.5,1", *TICK_ROWS[1:]),
              {("2007-01-03", "AAA"): [1, 10, 3], ("2007-01-03", "BBB"): [2]}),
@@ -292,7 +293,7 @@ class TestTickReaderPaths:
         ids=[
             "plain", "crlf", "quoted-field", "padded-fields", "blank-line", "no-final-newline",
             "header-only", "header-without-newline", "upper-case-header", "padded-header", "nonregular-xx",
-            "nonregular-negative", "bad-int", "negative-time", "nan-price", "zero-price",
+            "nonregular-negative", "bad-int", "negative-time", "nan-price", "zero-price", "inf-price",
             "field-count", "underscore-digits", "non-ascii-instrument", "empty", "bare-cr",
             "whitespace-line", "separator-in-field", "nul", "time-beyond-int64", "first-bad-line",
         ],

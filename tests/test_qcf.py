@@ -13,9 +13,11 @@ from qcorr import (
     BinarySeries,
     DegenerateLevelError,
     GarchParams,
+    PPGrid,
     ProbabilityLevel,
     QcfCurve,
     TimeSeries,
+    TradingDay,
     asymmetry,
     average_curves,
     confidence_band,
@@ -634,7 +636,7 @@ class TestQcfCurveValidation:
 
     def test_lag_bound(self):
         make_curve([0.1] * 4 + [1.0] + [0.1] * 4, series_length=9)
-        with pytest.raises(ValueError, match="series_length / 2"):
+        with pytest.raises(ValueError, match="max_lag 5 too large for series of length 10"):
             make_curve([0.1] * 5 + [1.0] + [0.1] * 5, series_length=10)
 
     def test_value_range(self):
@@ -686,3 +688,25 @@ class TestTimeSeries:
         ts = TimeSeries(np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             ts.values[0] = 5.0
+
+
+class TestNonFiniteValues:
+    @settings(max_examples=200, deadline=None)
+    @given(L=st.integers(1, 6), k=st.integers(1, 4), data=st.data())
+    def test_one_nan_or_infinity_is_refused_everywhere(self, L, k, data):
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="bad")
+        values = np.full(2 * L + 1, 0.25)  # a correlation and a price
+        values[data.draw(st.integers(0, 2 * L), label="position")] = bad
+        matrix = np.full((k, k), 0.25)
+        matrix.flat[data.draw(st.integers(0, k * k - 1), label="entry")] = bad
+        builders = {
+            "TimeSeries": lambda: TimeSeries(values),
+            "QcfCurve": lambda: QcfCurve(0.05, 0.95, values, series_length=1000),
+            "PPGrid": lambda: PPGrid(1, [(i + 1) / (k + 1) for i in range(k)], matrix),
+            "TradingDay": lambda: TradingDay("AAA", "2007-01-03", values, values.size),
+            "asymmetry_from_arrays": lambda: asymmetry_from_arrays(np.arange(-L, L + 1), values),
+        }
+        for name, build in builders.items():
+            with pytest.raises(ValueError):
+                build()
+                pytest.fail(f"{name} accepted {bad}")

@@ -68,6 +68,13 @@ class TestCurveSerialization:
         assert back.series_length == banded.series_length
         assert back.n_averaged == banded.n_averaged
 
+    def test_float_levels_are_coerced(self):
+        curve = QcfCurve(alpha=0.05, beta=0.95, values=np.array([0.1, 1.0, 0.2]), series_length=10)
+        assert (curve.alpha, curve.beta) == (ProbabilityLevel(0.05), ProbabilityLevel(0.95))
+        back = serialize.curve_from_json(serialize.curve_to_json(curve))
+        assert (back.alpha, back.beta) == (curve.alpha, curve.beta)
+        assert np.array_equal(back.values, curve.values)
+
     def test_csv_rejects_garbage(self):
         with pytest.raises(Exception, match="curve CSV"):
             serialize.curve_arrays_from_csv("foo,bar\n1,2\n")
