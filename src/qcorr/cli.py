@@ -211,7 +211,7 @@ def cmd_simulate(args) -> tuple[Iterable[tuple[Path, str]], str]:
     sim = simulate(params, args.length, resolve_seed(args), args.burn_in)
     [pair] = _output_pairs(args, {"sim": sim}, serialize.simulation_to_csv,
                            lambda s: serialize.simulation_to_json(s, params))
-    meta = (pair[0].with_suffix(".meta.json"), serialize.simulation_meta_json(sim, params))
+    meta = (pair[0].with_suffix(".meta.json"), serialize.provenance_json(params, [sim]))
     return [pair, meta] if pair[0].suffix == ".csv" else [pair], ""
 
 
@@ -230,10 +230,9 @@ def cmd_resim(args) -> tuple[Iterable[tuple[Path, str]], str]:
     params = _parse_file(args.params, serialize.params_from_json)
     seed = resolve_seed(args)
     sims = resimulate_experiment(params, args.n_series, args.length, seed, args.burn_in)
-    files = {f"sim_{i:04d}.csv": sim for i, sim in enumerate(sims)}
     out = Path(args.out)
-    manifest = (out / "manifest.json", serialize.resim_manifest_json(params, seed, files))
-    return chain(((out / name, serialize.simulation_to_csv(sim)) for name, sim in files.items()), [manifest]), ""
+    csvs = ((out / f"sim_{i:04d}.csv", serialize.simulation_to_csv(sim)) for i, sim in enumerate(sims))
+    return chain(csvs, [(out / "manifest.json", serialize.provenance_json(params, sims, seed))]), ""
 
 
 def _resample_groups(args):

@@ -184,8 +184,8 @@ class QcfCurve:
             raise ValueError("series_length must be at least 2")
         _check_max_lag(values.size // 2, self.series_length)
         _check_correlations(values)
-        if self.ci_half_width is not None and not self.ci_half_width >= 0:
-            raise ValueError("ci_half_width must be nonnegative")
+        if self.ci_half_width is not None and not 0 <= self.ci_half_width < math.inf:
+            raise ValueError("ci_half_width must be finite and nonnegative")
         if self.n_averaged < 1:
             raise ValueError("n_averaged must be positive")
         # Curves built from one series at alpha = beta are exactly symmetric
@@ -355,10 +355,13 @@ def average_curves(curves: list[QcfCurve]) -> QcfCurve:
 
 
 def confidence_band(reference: QcfCurve) -> float:
-    """95% half-width from the (0.5, 0.5) reference curve of the same data.
+    """Pointwise 95% half-width from the (0.5, 0.5) reference curve of the same data.
 
     The null is zero correlation, so the spread is the RMS of the reference
-    values around zero over all nonzero lags, scaled by 1.96.
+    values around zero over all nonzero lags, scaled by 1.96.  The band is
+    pointwise: under the null each nonzero lag lies inside it about 95% of
+    the time, so a null curve leaves it at about 5% of its lags, and the
+    whole curve lies inside it far less often than 95% of the time.
     """
     if reference.alpha.p != 0.5 or reference.beta.p != 0.5:
         raise ValueError("reference must be the (0.5, 0.5) curve of the same data")

@@ -645,41 +645,26 @@ def simulation_to_csv(sim: SimulationResult) -> str:
     return _table(SIM_HEADER, range(len(sim.returns)), sim.returns.values, sim.variances)
 
 
-def simulation_meta(sim: SimulationResult, params: GarchParams) -> dict:
-    return {
+def provenance_json(params: GarchParams, sims: list[SimulationResult], master_seed: int | None = None,
+                    **data) -> str:
+    """The one provenance layout of every simulation output: the params fields
+    flat, so the document is also a params document, then generator, burn_in,
+    length, master_seed (None when the seeds were not derived from one) and
+    seeds, where seeds[i] is the seed of sims[i], then data."""
+    return _dump({
         **params_to_dict(params),
-        "seed": sim.innovations_seed,
-        "burn_in": sim.burn_in,
-        "length": len(sim.returns),
         "generator": GENERATOR,
-    }
-
-
-def simulation_meta_json(sim: SimulationResult, params: GarchParams) -> str:
-    return _dump(simulation_meta(sim, params))
+        "burn_in": sims[0].burn_in,
+        "length": len(sims[0].returns),
+        "master_seed": master_seed,
+        "seeds": [sim.innovations_seed for sim in sims],
+        **data,
+    })
 
 
 def simulation_to_json(sim: SimulationResult, params: GarchParams) -> str:
-    """One document: the sidecar's metadata, then the returns and variances."""
-    return _dump({
-        **simulation_meta(sim, params),
-        "returns": sim.returns.values.tolist(),
-        "variances": sim.variances.tolist(),
-    })
-
-
-def resim_manifest_json(params: GarchParams, master_seed: int, files: dict[str, SimulationResult]) -> str:
-    """Provenance of simulations sharing params, length and burn-in, keyed by file name."""
-    sims = list(files.values())
-    return _dump({
-        "params": params_to_dict(params),
-        "master_seed": master_seed,
-        "n_series": len(sims),
-        "length": len(sims[0].returns),
-        "burn_in": sims[0].burn_in,
-        "seeds": [sim.innovations_seed for sim in sims],
-        "files": list(files),
-    })
+    """One document: the sidecar's provenance, then the returns and variances."""
+    return provenance_json(params, [sim], returns=sim.returns.values.tolist(), variances=sim.variances.tolist())
 
 
 def returns_from_sim_csv(text: str) -> np.ndarray:

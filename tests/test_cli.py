@@ -418,9 +418,46 @@ class TestFitResimCommands:
                     "--seed", 4, "--out", resim_dir])
         assert code == 0
         manifest = json.loads((resim_dir / "manifest.json").read_text())
-        assert manifest["n_series"] == 3 and len(manifest["seeds"]) == 3
+        assert manifest["master_seed"] == 4 and len(manifest["seeds"]) == 3
         returns = serialize.returns_from_sim_csv((resim_dir / "sim_0000.csv").read_text())
         assert returns.size == 370
+
+    def test_one_provenance_layout(self, tmp_path):
+        # The sidecar, the simulation JSON less its data and the resim
+        # manifest share one key list, and each reads back as the params
+        # that made it.
+        params = GarchParams(kind="egarch", mu=0.0, omega=-0.1, alpha1=0.15, beta1=0.95, gamma1=-0.08)
+        flags = ["--model", "egarch", *(x for name in ("mu", "omega", "alpha1", "beta1", "gamma1")
+                                        for x in (f"--{name}", getattr(params, name)))]
+        for out in ("sim.csv", "sim.json"):
+            assert run(["simulate", *flags, "--length", 50, "--seed", 3, "--out", tmp_path / out]) == 0
+        assert run(["resim", "--params", tmp_path / "sim.meta.json", "--n-series", 2, "--length", 50,
+                    "--out", tmp_path / "r"]) == 0
+        texts = [(tmp_path / name).read_text() for name in ("sim.meta.json", "sim.json", "r/manifest.json")]
+        sidecar, sim_json, manifest = map(json.loads, texts)
+        del sim_json["returns"], sim_json["variances"]
+        assert list(sidecar) == list(sim_json) == list(manifest)
+        assert sidecar == sim_json and sidecar["seeds"] == [3] and sidecar["master_seed"] is None
+        assert manifest["master_seed"] == 0 and len(manifest["seeds"]) == 2
+        assert [serialize.params_from_json(text) for text in texts] == [params] * 3
+
+    def test_manifest_replays_its_files(self, tmp_path):
+        # A sidecar and a manifest are params documents too.  resim run on a
+        # manifest with its master seed, series count, length and burn-in
+        # writes the same files, the manifest included, byte for byte.
+        assert run(["simulate", "--model", "gjr", "--gamma1", 0.06, "--length", 50, "--seed", 1,
+                    "--out", tmp_path / "sim.csv"]) == 0
+        r1, r2 = tmp_path / "r1", tmp_path / "r2"
+        assert run(["resim", "--params", tmp_path / "sim.meta.json", "--n-series", 3, "--length", 120,
+                    "--seed", 5, "--burn-in", 20, "--out", r1]) == 0
+        doc = json.loads((r1 / "manifest.json").read_text())
+        assert run(["resim", "--params", r1 / "manifest.json", "--seed", doc["master_seed"],
+                    "--n-series", len(doc["seeds"]), "--length", doc["length"], "--burn-in", doc["burn_in"],
+                    "--out", r2]) == 0
+        names = sorted(p.name for p in r1.iterdir())
+        assert names == ["manifest.json", "sim_0000.csv", "sim_0001.csv", "sim_0002.csv"]
+        assert names == sorted(p.name for p in r2.iterdir())
+        assert all((r1 / name).read_bytes() == (r2 / name).read_bytes() for name in names)
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -699,6 +736,12 @@ class TestErrorHandling:
              "curve JSON field 'alpha' holds True, not a number"),
             ("asym", "curve.json", CURVE_JSON.replace('"ci_half_width": null', '"ci_half_width": true'),
              "curve JSON field 'ci_half_width' holds True, not a number or null"),
+            # json.loads reads the non-JSON literals Infinity and NaN; a band
+            # half-width must be finite and nonnegative.
+            ("asym", "curve.json", CURVE_JSON.replace('"ci_half_width": null', '"ci_half_width": Infinity'),
+             "ci_half_width must be finite and nonnegative"),
+            ("asym", "curve.json", CURVE_JSON.replace('"ci_half_width": null', '"ci_half_width": NaN'),
+             "ci_half_width must be finite and nonnegative"),
             # Curve values are JSON numbers in [-1, 1], and prices positive and finite.
             ("asym", "curve.json", CURVE_JSON.replace("[0.1, 1.0, 0.2]", "[0.1, null, 0.2]"),
              "curve JSON field 'values' holds None, not a number"),
@@ -717,7 +760,8 @@ class TestErrorHandling:
              "curve-csv-lag-beyond-int64", "sim-index-not-row-numbers", "day-index-out-of-order",
              "day-negative-price", "values-nan", "day-shorter-than-horizon", "params-bool-field",
              "params-string-field", "params-bool-gamma1", "params-integer-beyond-double",
-             "curve-json-bool-alpha", "curve-json-bool-ci", "curve-json-null-value",
+             "curve-json-bool-alpha", "curve-json-bool-ci", "curve-json-infinite-ci",
+             "curve-json-nan-ci", "curve-json-null-value",
              "curve-json-string-value", "curve-json-bool-value", "curve-csv-nan", "curve-csv-inf",
              "curve-csv-beyond-one", "day-infinite-price"],
     )

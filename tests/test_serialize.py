@@ -257,8 +257,8 @@ class TestSimulationSerialization:
         assert len(lines) == 51
         back = serialize.returns_from_sim_csv(text)
         assert np.array_equal(back, sim.returns.values)
-        meta = json.loads(serialize.simulation_meta_json(sim, params))
-        assert meta["seed"] == 7 and meta["burn_in"] == 10
+        meta = json.loads(serialize.provenance_json(params, [sim]))
+        assert meta["seeds"] == [7] and meta["master_seed"] is None and meta["burn_in"] == 10
         assert meta["kind"] == "gjr" and meta["gamma1"] == 0.06
         assert "generator" in meta
 
@@ -724,26 +724,30 @@ PINNED_WRITERS = {
         '    [\n      1.0,\n      -0.25\n    ],\n    [\n      0.30000000000000004,\n      0.5\n    ]\n'
         '  ],\n  "n_averaged": 1\n}\n',
     ),
+    # One provenance layout: the params fields flat, then how the series were
+    # made; seeds[i] is the seed of the i-th series written.
     "sim-meta-json": (
-        lambda _: serialize.simulation_meta_json(PINNED_SIM, PINNED_PARAMS),
+        lambda _: serialize.provenance_json(PINNED_PARAMS, [PINNED_SIM]),
         '{\n  "kind": "gjr",\n  "mu": -0.5,\n  "omega": 0.30000000000000004,\n'
-        '  "alpha1": 0.05,\n  "beta1": 0.9,\n  "gamma1": 0.0,\n  "seed": 7,\n  "burn_in": 10,\n'
-        '  "length": 3,\n  "generator": "numpy.random.default_rng (PCG64)"\n}\n',
+        '  "alpha1": 0.05,\n  "beta1": 0.9,\n  "gamma1": 0.0,\n'
+        '  "generator": "numpy.random.default_rng (PCG64)",\n  "burn_in": 10,\n  "length": 3,\n'
+        '  "master_seed": null,\n  "seeds": [\n    7\n  ]\n}\n',
     ),
     "sim-json": (
         lambda _: serialize.simulation_to_json(PINNED_SIM, PINNED_PARAMS),
         '{\n  "kind": "gjr",\n  "mu": -0.5,\n  "omega": 0.30000000000000004,\n'
-        '  "alpha1": 0.05,\n  "beta1": 0.9,\n  "gamma1": 0.0,\n  "seed": 7,\n  "burn_in": 10,\n'
-        '  "length": 3,\n  "generator": "numpy.random.default_rng (PCG64)",\n'
+        '  "alpha1": 0.05,\n  "beta1": 0.9,\n  "gamma1": 0.0,\n'
+        '  "generator": "numpy.random.default_rng (PCG64)",\n  "burn_in": 10,\n  "length": 3,\n'
+        '  "master_seed": null,\n  "seeds": [\n    7\n  ],\n'
         '  "returns": [\n    0.30000000000000004,\n    -1.5,\n    2.0\n  ],\n'
         '  "variances": [\n    1.0,\n    0.25,\n    0.30000000000000004\n  ]\n}\n',
     ),
     "resim-manifest": (
-        lambda _: serialize.resim_manifest_json(PINNED_PARAMS, 3, {"sim_0000.csv": PINNED_SIM}),
-        '{\n  "params": {\n    "kind": "gjr",\n    "mu": -0.5,\n    "omega": 0.30000000000000004,\n'
-        '    "alpha1": 0.05,\n    "beta1": 0.9,\n    "gamma1": 0.0\n  },\n  "master_seed": 3,\n'
-        '  "n_series": 1,\n  "length": 3,\n  "burn_in": 10,\n  "seeds": [\n    7\n  ],\n'
-        '  "files": [\n    "sim_0000.csv"\n  ]\n}\n',
+        lambda _: serialize.provenance_json(PINNED_PARAMS, [PINNED_SIM], 3),
+        '{\n  "kind": "gjr",\n  "mu": -0.5,\n  "omega": 0.30000000000000004,\n'
+        '  "alpha1": 0.05,\n  "beta1": 0.9,\n  "gamma1": 0.0,\n'
+        '  "generator": "numpy.random.default_rng (PCG64)",\n  "burn_in": 10,\n  "length": 3,\n'
+        '  "master_seed": 3,\n  "seeds": [\n    7\n  ]\n}\n',
     ),
 }
 
