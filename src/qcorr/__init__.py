@@ -9,12 +9,12 @@ from .fitting import (
     fit_gjr,
     fit_per_day,
     gjr_log_likelihood,
-    resimulate_experiment,
 )
 from .garch import (
     GarchParams,
     ModelKind,
     SimulationResult,
+    resimulate_experiment,
     simulate,
     unconditional_variance,
     variance_path,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Iterable
@@ -21,8 +22,8 @@ from pathlib import Path
 
 from . import serialize
 from .errors import QcorrError
-from .fitting import average_params, fit_per_day, resimulate_experiment
-from .garch import PARAM_NAMES, GarchParams, simulate
+from .fitting import average_params, fit_per_day
+from .garch import PARAM_NAMES, GarchParams, resimulate_experiment, simulate
 from .ingest import (
     MIN_TRADED_SECONDS,
     SESSION_TRIM_SECONDS,
@@ -160,8 +161,9 @@ def _parse_levels(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError("--levels range must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValueError("--levels range must increase")
+        # step <= 0 is refused before it can divide; NaN fails the count test.
+        if step <= 0 or not 0 <= (stop - start) / step < math.inf:
+            raise ValueError("--levels range must increase in a finite number of steps")
         count = int(round((stop - start) / step))
         # rounding keeps 0.05:0.95:0.05 at exactly i/20, not 0.15000000000000002
         levels = [round(start + i * step, 12) for i in range(count + 1)]
@@ -403,7 +405,3 @@ def main(argv=None) -> int:
         return 2
     sys.stdout.write(shown)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

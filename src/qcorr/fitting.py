@@ -19,7 +19,8 @@ lockstep: each round evaluates every running start in one call.  A
 batch's days of one length share one lockstep stack, one row of returns
 per running start, capped at _STACK elements; each day's fit is
 bit-identical to fitting it alone, and fit_gjr is the one-day batch.
-Nothing here imports scipy.
+This module only estimates: simulating from the averaged fit,
+resimulate_experiment, is garch's.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .garch import PARAM_NAMES, GarchParams, ModelKind, SimulationResult, _simulate_seeds
+from .garch import PARAM_NAMES, GarchParams, ModelKind
 from .series import TimeSeries, as_values
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -575,23 +576,3 @@ def average_params(batch: FitBatch) -> GarchParams:
         raise ValueError("no converged fits to average")
     means = (sum(getattr(f.params, name) for f in converged) / len(converged) for name in PARAM_NAMES)
     return GarchParams(ModelKind.GJR, *means)
-
-
-def derived_seeds(seed: int, n_series: int) -> list[int]:
-    """Deterministic per-series seeds spawned from one master seed."""
-    state = np.random.SeedSequence(seed).generate_state(n_series, np.uint64)
-    return [int(s) for s in state]
-
-
-def resimulate_experiment(
-    params: GarchParams, n_series: int, length: int, seed: int, burn_in: int = 1000
-) -> list[SimulationResult]:
-    """n_series independent simulations with seeds derived from one master seed.
-
-    Series i is bit-identical to simulate(params, length,
-    derived_seeds(seed, n_series)[i], burn_in), but the series run
-    together in one variance recursion over rows of up to 256 values.
-    """
-    if n_series < 1:
-        raise ValueError("n_series must be positive")
-    return _simulate_seeds(params, length, derived_seeds(seed, n_series), burn_in)

@@ -13,12 +13,14 @@ normal innovations z_t.  The variance recursions:
 The recursion is seeded at the unconditional variance (the log-variance
 fixed point for EGARCH) and a burn-in prefix is discarded.
 
-`simulate` runs one series through the scalar loop in `variance_path`.
-`fitting.resimulate_experiment` runs many series through `_simulate_seeds`,
-one recursion over rows that hold one value per series.  It uses the
-same operations in the same order, and `math.exp` for EGARCH as the
-scalar loop does, so each of its series is bit-identical to `simulate`
-at that seed.
+Both simulation entry points live here.  `simulate` runs one series
+through the scalar loop in `variance_path`.  `resimulate_experiment` runs
+many series, with seeds derived from one master seed, through one
+recursion over rows that hold one value per series.  It uses the same
+operations in the same order, and `math.exp` for EGARCH as the scalar
+loop does, so each of its series is bit-identical to `simulate` at that
+seed.  An EGARCH variance beyond the largest float is refused by both
+with one text.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ _BLOCK_SERIES = 256
 
 # The real parameters of every model, in GarchParams field order.
 PARAM_NAMES = ("mu", "omega", "alpha1", "beta1", "gamma1")
+
+# The one refusal of both recursions when math.exp of an EGARCH log
+# variance overflows.
+EGARCH_OVERFLOW = "egarch conditional variance overflows a float"
 
 
 class ModelKind(str, enum.Enum):
@@ -138,27 +144,23 @@ class SimulationResult:
         object.__setattr__(self, "variances", variances)
 
 
-def variance_path(
-    params: GarchParams, innovations: np.ndarray, initial_variance: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the variance recursion over caller-supplied innovations.
+def variance_path(params: GarchParams, innovations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run the variance recursion over caller-supplied innovations from the
+    unconditional variance (log-variance fixed point for EGARCH).
 
-    Returns (eps, sigma2) with eps_t = sigma_t * z_t.  initial_variance
-    defaults to the unconditional variance (log-variance fixed point for
-    EGARCH).
+    Returns (eps, sigma2) with eps_t = sigma_t * z_t.
     """
     z = np.asarray(innovations, dtype=float)
     n = z.size
     eps = np.empty(n)
     sigma2 = np.empty(n)
     if params.kind is ModelKind.EGARCH:
-        logv = (
-            math.log(initial_variance)
-            if initial_variance is not None
-            else params.omega / (1.0 - params.beta1)
-        )
+        logv = params.omega / (1.0 - params.beta1)
         for t in range(n):
-            sigma2[t] = math.exp(logv)
+            try:
+                sigma2[t] = math.exp(logv)
+            except OverflowError:
+                raise ValueError(EGARCH_OVERFLOW) from None
             eps[t] = math.sqrt(sigma2[t]) * z[t]
             logv = (
                 params.omega
@@ -167,9 +169,7 @@ def variance_path(
                 + params.beta1 * logv
             )
         return eps, sigma2
-    v = initial_variance if initial_variance is not None else unconditional_variance(params)
-    if not v > 0:
-        raise ValueError("initial variance must be positive")
+    v = unconditional_variance(params)
     for t in range(n):  # GARCH runs as GJR with gamma1 = 0; adding 0.0 is exact
         sigma2[t] = v
         eps[t] = math.sqrt(v) * z[t]
@@ -217,7 +217,7 @@ def simulate(
 def _variance_rows(
     params: GarchParams, z: np.ndarray, burn_in: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """variance_path on every column of z at once, from its default start,
+    """variance_path on every column of z at once, from the same start,
     keeping only rows t >= burn_in: (eps, sigma2), each of shape
     (len(z) - burn_in, columns).
 
@@ -233,7 +233,10 @@ def _variance_rows(
             if t >= burn_in:
                 # math.exp as in variance_path: np.exp differs from it in the
                 # last bit on about 1 value in 20.
-                sigma2[t - burn_in] = np.fromiter(map(math.exp, logv.tolist()), float, width)
+                try:
+                    sigma2[t - burn_in] = np.fromiter(map(math.exp, logv.tolist()), float, width)
+                except OverflowError:
+                    raise ValueError(EGARCH_OVERFLOW) from None
             logv = omega + alpha1 * (np.abs(row) - E_ABS_NORMAL) + gamma1 * row + beta1 * logv
     else:
         v = np.full(width, unconditional_variance(params))
@@ -246,24 +249,36 @@ def _variance_rows(
     return np.sqrt(sigma2) * z[burn_in:], sigma2
 
 
-def _simulate_seeds(
-    params: GarchParams, length: int, seeds: list[int], burn_in: int
+def derived_seeds(seed: int, n_series: int) -> list[int]:
+    """Deterministic per-series seeds spawned from one master seed."""
+    state = np.random.SeedSequence(seed).generate_state(n_series, np.uint64)
+    return [int(s) for s in state]
+
+
+def resimulate_experiment(
+    params: GarchParams, n_series: int, length: int, seed: int, burn_in: int = 1000
 ) -> list[SimulationResult]:
-    """[simulate(params, length, s, burn_in) for s in seeds], bit for bit, with
-    the variance recursion run over all series at once, in blocks of
-    _BLOCK_SERIES."""
+    """n_series independent simulations with seeds derived from one master seed.
+
+    Series i is bit-identical to simulate(params, length,
+    derived_seeds(seed, n_series)[i], burn_in), but the variance recursion
+    runs over all series at once, in blocks of _BLOCK_SERIES.
+    """
+    if n_series < 1:
+        raise ValueError("n_series must be positive")
     _check_lengths(length, burn_in)
+    seeds = derived_seeds(seed, n_series)
     steps = burn_in + length
     results = []
-    for first in range(0, len(seeds), _BLOCK_SERIES):
+    for first in range(0, n_series, _BLOCK_SERIES):
         block = seeds[first : first + _BLOCK_SERIES]
         z = np.empty((steps, len(block)))  # one column of innovations per series
-        for column, seed in enumerate(block):
-            z[:, column] = np.random.default_rng(seed).standard_normal(steps)
+        for column, series_seed in enumerate(block):
+            z[:, column] = np.random.default_rng(series_seed).standard_normal(steps)
         eps, sigma2 = _variance_rows(params, z, burn_in)
         del z  # freed before the per-series copies below
         results += [
-            _result(params, seed, burn_in, eps[:, column], sigma2[:, column])
-            for column, seed in enumerate(block)
+            _result(params, series_seed, burn_in, eps[:, column], sigma2[:, column])
+            for column, series_seed in enumerate(block)
         ]
     return results

@@ -142,7 +142,9 @@ def compute_returns(day: TradingDay, horizon_seconds: int, stride_seconds: int =
     prices = day.prices
     if horizon > prices.size - 1:
         raise ValueError(f"horizon {horizon} exceeds the {prices.size}-second grid")
-    starts = np.arange(0, prices.size - horizon, stride)
+    # A stride past the grid leaves start 0 alone, and so does the grid's
+    # length, which np.arange can take where a stride beyond int64 fails.
+    starts = np.arange(0, prices.size - horizon, min(stride, prices.size))
     r = (prices[starts + horizon] - prices[starts]) / prices[starts]
     label = f"{day.instrument} {day.date} r{horizon}s/{stride}s".strip()
     return TimeSeries(r, label=label)

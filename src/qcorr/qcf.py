@@ -184,8 +184,7 @@ class QcfCurve:
             raise ValueError("series_length must be at least 2")
         _check_max_lag(values.size // 2, self.series_length)
         _check_correlations(values)
-        if self.ci_half_width is not None and not 0 <= self.ci_half_width < math.inf:
-            raise ValueError("ci_half_width must be finite and nonnegative")
+        check_ci_half_width(self.ci_half_width)
         if self.n_averaged < 1:
             raise ValueError("n_averaged must be positive")
         # Curves built from one series at alpha = beta are exactly symmetric
@@ -222,6 +221,14 @@ def _check_correlations(values: np.ndarray) -> None:
     rule for a correlation, written so that NaN fails it.  values is nonempty."""
     if not np.abs(values).max() <= 1.0 + VALUE_TOL:
         raise ValueError("correlation values must lie in [-1, 1] up to 1e-12")
+
+
+def check_ci_half_width(ci: float | None) -> None:
+    """Refuse a confidence half-width outside 0 <= ci < inf, None meaning no
+    band: the one rule for a band, in a curve object or a curve file, written
+    so that NaN fails it."""
+    if ci is not None and not 0 <= ci < math.inf:
+        raise ValueError("ci_half_width must be finite and nonnegative")
 
 
 def _refuse_degenerate(ps, spreads) -> None:

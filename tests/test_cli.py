@@ -753,6 +753,15 @@ class TestErrorHandling:
             ("asym", "curve.csv", "lag,qcf\n-1,inf\n0,1\n1,0.2\n", "correlation values must lie in [-1, 1]"),
             ("asym", "curve.csv", "lag,qcf\n-1,0.1\n0,5\n1,0.2\n", "correlation values must lie in [-1, 1]"),
             ("qcf", "day.csv", "second,price\n0,10.0\n1,inf\n2,11.0\n", "all prices must be positive and finite"),
+            # A CSV curve's ci column holds one finite, nonnegative half-width.
+            ("asym", "curve.csv", "lag,qcf,ci\n-1,0.1,nan\n0,1,nan\n1,0.2,nan\n",
+             "ci_half_width must be finite and nonnegative"),
+            ("asym", "curve.csv", "lag,qcf,ci\n-1,0.1,inf\n0,1,inf\n1,0.2,inf\n",
+             "ci_half_width must be finite and nonnegative"),
+            ("asym", "curve.csv", "lag,qcf,ci\n-1,0.1,-5\n0,1,-5\n1,0.2,-5\n",
+             "ci_half_width must be finite and nonnegative"),
+            ("asym", "curve.csv", "lag,qcf,ci\n-1,0.1,0.2\n0,1,0.3\n1,0.2,0.2\n",
+             "the ci column must hold one value on every row"),
         ],
         ids=["sim-row-without-comma", "day-row-without-comma", "params-not-object",
              "params-null-field", "curve-json-not-object", "curve-json-fractional-lag",
@@ -763,7 +772,8 @@ class TestErrorHandling:
              "curve-json-bool-alpha", "curve-json-bool-ci", "curve-json-infinite-ci",
              "curve-json-nan-ci", "curve-json-null-value",
              "curve-json-string-value", "curve-json-bool-value", "curve-csv-nan", "curve-csv-inf",
-             "curve-csv-beyond-one", "day-infinite-price"],
+             "curve-csv-beyond-one", "day-infinite-price", "curve-csv-nan-ci", "curve-csv-infinite-ci",
+             "curve-csv-negative-ci", "curve-csv-ci-differs-between-rows"],
     )
     def test_malformed_input_reports_one_error(self, tmp_path, capsys, command, name, text, reason):
         src = tmp_path / name
@@ -860,13 +870,29 @@ class TestErrorHandling:
             (["ppgrid", "-i", "x.csv", "--levels", "0.1:0.5"], "--levels range must be start:stop:step"),
             (["ppgrid", "-i", "x.csv", "--levels", "0.5:0.1:0.1"], "--levels range must increase"),
             (["ppgrid", "-i", "day.csv", "--stride", 7], "default lag 120s is not a multiple of stride 7"),
+            (["simulate", "--model", "egarch", "--omega", 800, "--alpha1", 0.1, "--beta1", 0.1, "--length", 10],
+             "egarch conditional variance overflows a float"),
+            (["resim", "--params", "egarch.json", "--n-series", 2, "--length", 10],
+             "egarch conditional variance overflows a float"),
+            (["qcf", "-i", "day.csv", "--stride", 10**20, "--max-lag", 5],
+             "day.csv: a time series needs at least 2 observations, got 1"),
+            (["ppgrid", "-i", "day.csv", "--stride", 10**20, "--lag", 1],
+             "day.csv: a time series needs at least 2 observations, got 1"),
+            (["fit", "-i", "day.csv", "--stride", 10**20],
+             "day.csv: a time series needs at least 2 observations, got 1"),
+            (["ppgrid", "-i", "x.csv", "--levels", "0.1:inf:0.1"], "--levels range must increase in a finite number of steps"),
         ],
         ids=["seed-not-integer", "directory-without-csv", "unpaired-levels", "levels-not-a-range",
-             "levels-decreasing", "day-lag-off-stride"],
+             "levels-decreasing", "day-lag-off-stride", "egarch-simulate-overflows", "egarch-resim-overflows",
+             "qcf-stride-beyond-int64", "ppgrid-stride-beyond-int64", "fit-stride-beyond-int64",
+             "levels-infinite-range"],
     )
     def test_refusals_write_nothing(self, tmp_path, capsys, monkeypatch, args, reason):
-        monkeypatch.setenv("QCORR_SEED", "1.5")
+        if reason.startswith("QCORR_SEED"):
+            monkeypatch.setenv("QCORR_SEED", "1.5")
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "egarch.json").write_text(serialize.params_to_json(
+            GarchParams(kind="egarch", mu=0.0, omega=800.0, alpha1=0.1, beta1=0.1)))
         (tmp_path / "empty").mkdir()
         (tmp_path / "empty" / "notes.txt").write_text("no data here\n")
         write_example_series(tmp_path / "x.csv")

@@ -22,10 +22,9 @@ from qcorr import (
     simulate,
 )
 from qcorr import fitting, serialize
-from qcorr.garch import _BLOCK_SERIES
+from qcorr.garch import _BLOCK_SERIES, derived_seeds
 from qcorr.fitting import (
     MIN_FIT_LENGTH, START_POINTS, _bfgs, _lockstep, _negative_ll_and_score, _pack, _recursion, _unpack,
-    derived_seeds,
 )
 
 GJR_UNIT = GarchParams(kind="gjr", mu=0.0, omega=1.0, alpha1=0.0, beta1=0.0, gamma1=0.0)
@@ -132,6 +131,12 @@ class TestLogLikelihood:
             )
         with pytest.raises(ValueError, match="zero-variance"):
             gjr_log_likelihood(np.full(20, 0.25), GJR_UNIT)
+
+    def test_overflowing_variance_is_refused(self):
+        huge = np.array([1e200, -1e200] * 10)  # their variance is beyond the largest float
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="left the positive domain"):
+                gjr_log_likelihood(huge, GJR_UNIT)
 
 
 class TestFitGjr:
@@ -268,6 +273,10 @@ class TestFitResultBatch:
     def test_converged_requires_finite_ll(self):
         with pytest.raises(ValueError, match="finite"):
             FitResult(GJR_UNIT, math.inf, converged=True, iterations=5, n_obs=100)
+
+    def test_counts_nonnegative(self):
+        with pytest.raises(ValueError, match="iterations must be >= 0"):
+            FitResult(GJR_UNIT, -10.0, converged=True, iterations=-1, n_obs=100)
 
     def test_batch_disjointness(self):
         fit = FitResult(GJR_UNIT, -10.0, converged=True, iterations=5, n_obs=100)
@@ -431,6 +440,14 @@ class TestAverageParams:
 
 
 class TestResimulate:
+    def test_simulation_lives_in_garch(self):
+        import qcorr
+        from qcorr import garch
+
+        assert qcorr.resimulate_experiment is garch.resimulate_experiment
+        assert not {"resimulate_experiment", "derived_seeds", "_simulate_seeds"} & set(vars(fitting))
+        assert not hasattr(garch, "_simulate_seeds")
+
     def test_single_series_matches_simulate_with_derived_seed(self):
         sims = resimulate_experiment(RECOVERY_TRUE, n_series=1, length=500, seed=42)
         expected = simulate(RECOVERY_TRUE, length=500, seed=derived_seeds(42, 1)[0])

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import oracle_gjr_sigma2
+from qcorr.garch import EGARCH_OVERFLOW
 from qcorr import (
     GarchParams,
     ModelKind,
     SimulationResult,
     TimeSeries,
     qcf_fast,
+    resimulate_experiment,
     simulate,
     unconditional_variance,
     variance_path,
@@ -71,20 +73,22 @@ class TestUnconditionalVariance:
 
 class TestVariancePath:
     def test_gjr_hand_unrolled(self):
-        # z = (+1, -1): sigma2 = 0.7 after the positive shock, then the
-        # indicator activates gamma: 0.1 + (0.1 + 0.2) * 0.7 + 0.5 * 0.7 = 0.66
-        params = GarchParams(kind="gjr", mu=0.0, omega=0.1, alpha1=0.1, beta1=0.5, gamma1=0.2)
-        eps, sigma2 = variance_path(params, np.array([1.0, -1.0, 0.5]), initial_variance=1.0)
+        # The path starts at the unconditional variance 0.25 / (1 - 0.75) = 1.
+        # z = (+1, -1): sigma2 = 0.25 + 0.125 + 0.5 = 0.875 after the positive
+        # shock, then the indicator activates gamma:
+        # 0.25 + (0.125 + 0.25) * 0.875 + 0.5 * 0.875 = 1.015625
+        params = GarchParams(kind="gjr", mu=0.0, omega=0.25, alpha1=0.125, beta1=0.5, gamma1=0.25)
+        eps, sigma2 = variance_path(params, np.array([1.0, -1.0, 0.5]))
         assert sigma2[0] == 1.0
-        assert sigma2[1] == pytest.approx(0.7, abs=1e-15)
-        assert sigma2[2] == pytest.approx(0.66, abs=1e-15)
+        assert sigma2[1] == pytest.approx(0.875, abs=1e-15)
+        assert sigma2[2] == pytest.approx(1.015625, abs=1e-15)
 
     def test_matches_oracle_recursion(self):
         params = GarchParams(kind="gjr", mu=0.0, omega=0.05, alpha1=0.08, beta1=0.85, gamma1=0.04)
         rng = np.random.default_rng(11)
         z = rng.standard_normal(200)
-        eps, sigma2 = variance_path(params, z, initial_variance=0.9)
-        expected = oracle_gjr_sigma2(eps.tolist(), 0.05, 0.08, 0.85, 0.04, 0.9)
+        eps, sigma2 = variance_path(params, z)
+        expected = oracle_gjr_sigma2(eps.tolist(), 0.05, 0.08, 0.85, 0.04, unconditional_variance(params))
         assert np.allclose(sigma2, expected, rtol=1e-12, atol=0.0)
 
     def test_egarch_fixed_point_initialization(self):
@@ -147,6 +151,19 @@ class TestSimulate:
         with pytest.raises(ValueError, match="burn_in"):
             simulate(params, length=10, seed=0, burn_in=-1)
 
+    @pytest.mark.parametrize("burn_in", [0, 1000])
+    @pytest.mark.parametrize(
+        "run",
+        [lambda p, b: simulate(p, 10, 1, b), lambda p, b: resimulate_experiment(p, 3, 10, 1, b)],
+        ids=["simulate", "resimulate_experiment"],
+    )
+    def test_egarch_overflow_is_one_refusal(self, run, burn_in):
+        # The log-variance fixed point 800 / 0.9 is beyond log(max float),
+        # so math.exp overflows in the scalar loop and in the row loop alike.
+        params = GarchParams(kind="egarch", mu=0.0, omega=800.0, alpha1=0.1, beta1=0.1)
+        with pytest.raises(ValueError, match=f"^{EGARCH_OVERFLOW}$"):
+            run(params, burn_in)
+
     def test_returns_carry_drift(self):
         params = GarchParams(kind="garch", mu=5.0, omega=0.01, alpha1=0.0, beta1=0.0)
         sim = simulate(params, length=20_000, seed=3)
@@ -163,6 +180,11 @@ class TestSimulationResult:
         returns = TimeSeries(np.array([0.1, -0.2]))
         with pytest.raises(ValueError, match="positive"):
             SimulationResult(returns, np.array([1.0, 0.0]), innovations_seed=0, burn_in=0)
+
+    def test_burn_in_nonnegative(self):
+        returns = TimeSeries(np.array([0.1, -0.2]))
+        with pytest.raises(ValueError, match="^burn_in must be nonnegative$"):
+            SimulationResult(returns, np.array([1.0, 1.0]), innovations_seed=0, burn_in=-1)
 
 
 class TestSignCorrelationNull:

@@ -62,6 +62,14 @@ class TestResampleDay:
         assert isinstance(result, DayRejection)
         assert "no price" in result.reason
 
+    def test_empty_group_rejected(self):
+        result = resample_day(TickGroup("X", [], []), SESSION_OPEN, SESSION_CLOSE, date="d")
+        assert result == DayRejection("X", "d", "no ticks")
+
+    def test_session_shorter_than_twice_the_trim(self):
+        with pytest.raises(ValueError, match="^session is shorter than twice the trim$"):
+            resample_day(tick_group([10, 20], 10.0), 0, 1200, date="d", trim_seconds=600)
+
     def test_unsorted_ticks_error(self):
         ticks = tick_group([10, 5], 10.0)
         with pytest.raises(DataFormatError, match="sorted"):
@@ -149,6 +157,12 @@ class TestComputeReturns:
         with pytest.raises(ValueError, match="positive"):
             compute_returns(day, 60, 0)
 
+    @pytest.mark.parametrize("stride", [22200, 10**20], ids=["grid-length", "beyond-int64"])
+    def test_stride_past_the_grid_leaves_one_return(self, stride):
+        # Only start 0 is left, and one return is not a series.
+        with pytest.raises(ValueError, match="^a time series needs at least 2 observations, got 1$"):
+            compute_returns(standard_day(), 60, stride)
+
 
 class TestBuildIndex:
     def test_single_stock_normalized_path(self):
@@ -183,6 +197,26 @@ class TestBuildIndex:
             build_index([])
         with pytest.raises(ValueError, match="date"):
             build_index([standard_day(date="a"), standard_day(date="b")])
+
+    def test_grid_lengths_must_match(self):
+        days = [TradingDay(k, "d", np.full(n, 10.0), traded_seconds=n) for k, n in (("A", 10), ("B", 11))]
+        with pytest.raises(ValueError, match="same grid length"):
+            build_index(days)
+
+
+class TestTradingDay:
+    @pytest.mark.parametrize(
+        "prices, traded_seconds, message",
+        [
+            ([], 1, "prices must be a nonempty one-dimensional array"),
+            ([[10.0, 10.5]], 2, "prices must be a nonempty one-dimensional array"),
+            ([10.0, 10.5], 0, "traded_seconds must be positive"),
+        ],
+        ids=["empty", "2-d", "no-traded-seconds"],
+    )
+    def test_refusals(self, prices, traded_seconds, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TradingDay("X", "d", np.array(prices), traded_seconds)
 
 
 class TestReadTicksCsv:
@@ -289,6 +323,8 @@ class TestTickReaderPaths:
              "line 3: timestamp 9223372036854775808 is out of range"),
             (with_rows(TICK_ROWS[0], "2007-01-03,2,AAA, 0 ,1", '2007-01-03,3,"A,A",1.0,1'),
              "line 3: nonpositive price 0.0"),
+            (with_rows(*TICK_ROWS, head="date,time_seconds,instrument,price,flag"),
+             "fifth ticks column must be 'regular', got 'flag'"),
         ],
         ids=[
             "plain", "crlf", "quoted-field", "padded-fields", "blank-line", "no-final-newline",
@@ -296,6 +332,7 @@ class TestTickReaderPaths:
             "nonregular-negative", "bad-int", "negative-time", "nan-price", "zero-price", "inf-price",
             "field-count", "underscore-digits", "non-ascii-instrument", "empty", "bare-cr",
             "whitespace-line", "separator-in-field", "nul", "time-beyond-int64", "first-bad-line",
+            "fifth-column-not-regular",
         ],
     )
     def test_paths_agree(self, text, expected):

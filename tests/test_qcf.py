@@ -20,6 +20,7 @@ from qcorr import (
     TradingDay,
     asymmetry,
     average_curves,
+    average_grids,
     confidence_band,
     empirical_quantile,
     filter_series,
@@ -31,6 +32,7 @@ from qcorr import (
 )
 from qcorr.cli import DEFAULT_PAIRS
 from qcorr.qcf import _assemble, _curves, _grids, _next_fast_len, asymmetry_from_arrays
+from qcorr.series import as_values
 
 LEVEL_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
 
@@ -710,3 +712,45 @@ class TestNonFiniteValues:
             with pytest.raises(ValueError):
                 build()
                 pytest.fail(f"{name} accepted {bad}")
+
+
+def one_level_grid(lag=1, level=0.5, **kw):
+    return PPGrid(lag, [level], np.full((1, 1), 0.1), **kw)
+
+
+class TestRefusals:
+    """Each refusal of the value types and estimators, with its exact text."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: pp_grid(np.arange(20.0), [], 1), "empty level grid"),
+            (lambda: BinarySeries(np.array([], np.uint8), ProbabilityLevel(0.5), 0.0),
+             "bits must be a nonempty one-dimensional array"),
+            (lambda: BinarySeries(np.array([[0, 1]]), ProbabilityLevel(0.5), 0.0),
+             "bits must be a nonempty one-dimensional array"),
+            (lambda: make_curve([1.0], series_length=1), "series_length must be at least 2"),
+            (lambda: make_curve([1.0], n_averaged=0), "n_averaged must be positive"),
+            (lambda: qcf_fast(np.arange(20.0), 0.5, 0.5, -1), "max_lag must be nonnegative"),
+            (lambda: average_curves([]), "empty input"),
+            (lambda: AsymmetryReport(-0.1, 0.2, 5), "areas are sums of absolute values; must be nonnegative"),
+            (lambda: AsymmetryReport(0.1, 0.2, 0), "max_lag must be at least 1"),
+            (lambda: asymmetry_from_arrays([-1, 0, 1], [[0.1, 1.0, 0.1]]), "values must be a 1-d array"),
+            (lambda: asymmetry_from_arrays([0], [1.0]), "curve must extend to at least lag 1"),
+            (lambda: PPGrid(1, [0.5], np.zeros((1, 2))), "matrix must be square with one row/column per level"),
+            (lambda: one_level_grid(n_averaged=0), "n_averaged must be positive"),
+            (lambda: average_grids([]), "empty input"),
+            (lambda: average_grids([one_level_grid(lag=1), one_level_grid(lag=2)]),
+             "grids must share the same lag"),
+            (lambda: average_grids([one_level_grid(level=0.5), one_level_grid(level=0.4)]),
+             "grids must share the same level grid"),
+            (lambda: as_values(np.zeros((2, 2))), "expected a one-dimensional series, got shape (2, 2)"),
+        ],
+        ids=["grid-without-levels", "bits-empty", "bits-2-d", "curve-length-1", "curve-averaged-0",
+             "negative-max-lag", "no-curves", "negative-area", "report-max-lag-0", "asymmetry-2-d",
+             "asymmetry-lag-0-only", "grid-not-square", "grid-averaged-0", "no-grids",
+             "grids-lags-differ", "grids-levels-differ", "series-2-d"],
+    )
+    def test_refusal_text(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -349,13 +350,15 @@ class TestColumnReaderPaths:
             ('second,price\n0,"1,5"\n', "line 2: field '1,5' holds a separator"),
             ("second,price\n0,1\n1,1\x00\n", "line 3: line contains NUL"),
             ('second,price\n0,"10.5\n"\n1,x\n', "line 2: field '10.5\\n' holds a separator"),
+            ('second,price\n0,10.5\n1,"' + "1" * (csv.field_size_limit() + 1) + '"\n',
+             f"line 3: field larger than field limit ({csv.field_size_limit()})"),
         ],
         ids=[
             "plain", "crlf", "padded", "blank-line", "no-final-newline", "leading-blank-line",
             "header-only", "header-without-newline", "underscore-and-nan", "non-ascii-value",
             "empty-value", "field-count", "unknown-header", "index-skips", "index-from-one",
             "index-leading-zero", "quoted-values", "bare-cr", "form-feed-in-a-line", "padded-bad-value",
-            "first-bad-line", "separator-in-field", "nul", "quoted-line-break",
+            "first-bad-line", "separator-in-field", "nul", "quoted-line-break", "field-beyond-size-limit",
         ],
     )
     def test_day_paths_agree(self, text, expected):
