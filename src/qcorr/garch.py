@@ -19,8 +19,8 @@ many series, with seeds derived from one master seed, through one
 recursion over rows that hold one value per series.  It uses the same
 operations in the same order, and `math.exp` for EGARCH as the scalar
 loop does, so each of its series is bit-identical to `simulate` at that
-seed.  An EGARCH variance beyond the largest float is refused by both
-with one text.
+seed.  An EGARCH variance beyond the largest float, at any step of the
+burn-in or after it, is refused by both with one text.
 """
 
 from __future__ import annotations
@@ -230,13 +230,15 @@ def _variance_rows(
     if params.kind is ModelKind.EGARCH:
         logv = np.full(width, omega / (1.0 - beta1))
         for t, row in enumerate(z):
+            # math.exp as in variance_path, and at every step as there, so a
+            # burn-in overflow is refused too: np.exp differs from it in the
+            # last bit on about 1 value in 20.
+            try:
+                variance = np.fromiter(map(math.exp, logv.tolist()), float, width)
+            except OverflowError:
+                raise ValueError(EGARCH_OVERFLOW) from None
             if t >= burn_in:
-                # math.exp as in variance_path: np.exp differs from it in the
-                # last bit on about 1 value in 20.
-                try:
-                    sigma2[t - burn_in] = np.fromiter(map(math.exp, logv.tolist()), float, width)
-                except OverflowError:
-                    raise ValueError(EGARCH_OVERFLOW) from None
+                sigma2[t - burn_in] = variance
             logv = omega + alpha1 * (np.abs(row) - E_ABS_NORMAL) + gamma1 * row + beta1 * logv
     else:
         v = np.full(width, unconditional_variance(params))

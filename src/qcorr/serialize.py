@@ -4,9 +4,9 @@ Data values are written with 17 significant digits so every IEEE double
 round-trips exactly: the bytes of format(v, ".17g"), laid out for whole
 blocks of rows by one vectorized pass that falls back to format() for each
 value whose rounding it cannot certify.  write_files writes every output of
-a run to a temp file before it renames any into place.  A string cell
-holding a comma, a quote or a line break is refused, not written.  The tick
-input format is read here too.
+a run to a temp file, with its blocks reserved first, before it renames any
+into place.  A string cell holding a comma, a quote or a line break is
+refused, not written.  The tick input format is read here too.
 
 The index column of a day or simulation CSV must read 0, 1, ..., n - 1; a
 simulation's variance column is never parsed.
@@ -300,13 +300,19 @@ def _dump(doc: dict) -> str:
 def write_files(pairs) -> None:
     """Write every (path, text) of pairs, in order, then rename them all into place.
 
-    Each text goes to a temp file in its path's directory as its pair arrives,
-    so pairs may lay out each text only when it is due.  A path named twice,
-    held by a directory or inside another output's path is refused.  If
-    anything fails before the renames, every temp file is removed, and so is
-    every directory made for the outputs that is still empty, deepest first.
-    The renames are not transactional: one that fails leaves those before it
-    done.  An OSError names the output path, never a temp file.
+    Each text goes, UTF-8 encoded, to a temp file in its path's directory as
+    its pair arrives, so pairs may lay out each text only when it is due.  The
+    temp file's blocks are reserved (posix_fallocate) before its bytes are
+    written, where the platform and filesystem allow: ext4 then has no delayed
+    allocation to flush when the rename replaces an existing file, a flush
+    that stalls for seconds under I/O load.  Nothing is fsynced, so after a
+    system crash an output renamed just before it may read as zeros.  A path
+    named twice, held by a directory or inside another output's path is
+    refused.  If anything fails before the renames, every temp file is
+    removed, and so is every directory made for the outputs that is still
+    empty, deepest first.  The renames are not transactional: one that fails
+    leaves those before it done.  An OSError names the output path, never a
+    temp file.
     """
     targets: dict[str, tuple[Path, Path]] = {}  # absolute path -> (path, temp file)
     made: list[Path] = []  # directories made for the outputs, each after its parent
@@ -328,16 +334,19 @@ def write_files(pairs) -> None:
                     except FileExistsError:  # another run made it first
                         if not directory.is_dir():
                             raise
+                data = text.encode()
                 tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
                 # Mode 0o666 less the umask, like any file the user creates (mkstemp's
                 # 0o600 would survive the rename); O_EXCL never opens an existing file.
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 targets[key] = path, tmp
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
+                with suppress(AttributeError, OSError):  # not on every platform or filesystem
+                    os.posix_fallocate(fd, 0, len(data))  # refused for 0 bytes
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
             except OSError as exc:  # its own text may name a temp file
                 raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
-            del text  # so it is freed before the next one is laid out
+            del text, data  # so they are freed before the next one is laid out
         for path, tmp in targets.values():
             try:
                 os.replace(tmp, path)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import EXAMPLE_SERIES, oracle_qcf
-from qcorr import GarchParams, TradingDay, asymmetry, confidence_band, qcf_fast, simulate
+from qcorr import GarchParams, TradingDay, asymmetry, confidence_band, qcf_fast, resimulate_experiment, simulate
 from qcorr.cli import build_parser, main
 from qcorr import serialize
 from qcorr.serialize import values_to_csv
@@ -458,6 +458,28 @@ class TestFitResimCommands:
         assert names == ["manifest.json", "sim_0000.csv", "sim_0001.csv", "sim_0002.csv"]
         assert names == sorted(p.name for p in r2.iterdir())
         assert all((r1 / name).read_bytes() == (r2 / name).read_bytes() for name in names)
+
+    def test_a_rerun_replaces_its_own_files(self, tmp_path, capsys):
+        # A rerun over its own outputs writes the same bytes and report and
+        # leaves no temp file; another seed's series replace them exactly.
+        gjr = GarchParams(kind="gjr", mu=0.0, omega=0.05, alpha1=0.05, beta1=0.9, gamma1=0.06)
+        params = tmp_path / "params.json"
+        params.write_text(serialize.params_to_json(gjr))
+        out = tmp_path / "r"
+
+        def resim(seed):
+            assert run(["resim", "--params", params, "--n-series", 3, "--length", 50, "--seed", seed,
+                        "--out", out]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr().out
+
+        first = resim(4)
+        assert sorted(first[0]) == ["manifest.json", "sim_0000.csv", "sim_0001.csv", "sim_0002.csv"]
+        assert resim(4) == first
+        third, _ = resim(5)
+        assert sorted(third) == sorted(first[0])
+        for i, sim in enumerate(resimulate_experiment(gjr, 3, 50, 5)):
+            name = f"sim_{i:04d}.csv"
+            assert third[name] == serialize.simulation_to_csv(sim).encode() != first[0][name]
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import oracle_gjr_sigma2
-from qcorr.garch import EGARCH_OVERFLOW
+from qcorr.garch import EGARCH_OVERFLOW, derived_seeds
 from qcorr import (
     GarchParams,
     ModelKind,
@@ -163,6 +163,17 @@ class TestSimulate:
         params = GarchParams(kind="egarch", mu=0.0, omega=800.0, alpha1=0.1, beta1=0.1)
         with pytest.raises(ValueError, match=f"^{EGARCH_OVERFLOW}$"):
             run(params, burn_in)
+
+    def test_egarch_burn_in_overflow_is_refused_by_both(self):
+        # The log variance starts at 700, inside a float, and alpha1 = 5 lifts
+        # it past log(max float) during the burn-in only: the two kept rows
+        # would be finite.  Series 0 is simulate at its derived seed, so both
+        # must refuse it with the one text.
+        params = GarchParams(kind="egarch", mu=0.0, omega=700.0, alpha1=5.0, beta1=0.0)
+        with pytest.raises(ValueError, match=f"^{EGARCH_OVERFLOW}$"):
+            simulate(params, 2, derived_seeds(3, 1)[0])
+        with pytest.raises(ValueError, match=f"^{EGARCH_OVERFLOW}$"):
+            resimulate_experiment(params, 1, 2, 3)
 
     def test_returns_carry_drift(self):
         params = GarchParams(kind="garch", mu=5.0, omega=0.01, alpha1=0.0, beta1=0.0)

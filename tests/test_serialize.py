@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -544,6 +545,42 @@ class TestAtomicWrite:
             serialize.write_files(refused())
         # s2 was made by this run and goes; study was not and stays.
         assert os.listdir(tmp_path) == ["study"] and os.listdir(tmp_path / "study") == []
+
+    def test_each_temp_file_reserves_exactly_its_bytes(self, tmp_path, monkeypatch):
+        # The reserved length is the UTF-8 length: "é" is two bytes.  A longer
+        # reservation would leave zeros after the text.
+        reserved, real = [], getattr(os, "posix_fallocate", None)
+
+        def spy(fd, offset, length):
+            reserved.append((offset, length))
+            if real is not None:
+                real(fd, offset, length)
+
+        monkeypatch.setattr(os, "posix_fallocate", spy, raising=False)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("an older and longer text\n")
+        serialize.write_files([(a, "é\n" * 3), (b, "b\n")])
+        assert reserved == [(0, 9), (0, 2)]
+        assert a.read_bytes() == "é\n".encode() * 3 and b.read_bytes() == b"b\n"
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]
+
+    @pytest.mark.parametrize("fallocate", ["missing", "refused", "real"])
+    def test_a_write_needs_no_reservation(self, tmp_path, monkeypatch, fallocate):
+        # Not every platform has posix_fallocate, not every filesystem takes
+        # it, and it refuses an empty text; each is written all the same.
+        def refuse(fd, offset, length):
+            raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
+
+        if fallocate == "missing":
+            monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        elif fallocate == "refused":
+            monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
+        a, empty = tmp_path / "a.csv", tmp_path / "empty.csv"
+        a.write_text("old\n")
+        empty.write_text("old\n")
+        serialize.write_files([(a, "new text\n"), (empty, "")])
+        assert a.read_text() == "new text\n" and empty.read_bytes() == b""
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "empty.csv"]
 
 
 # Tiny fixed inputs whose writer output is pinned byte for byte below: a value
