@@ -41,6 +41,10 @@ DEFAULT_PAIRS = [(0.05, 0.05), (0.5, 0.5), (0.95, 0.95), (0.05, 0.5), (0.5, 0.95
 DEFAULT_GRID_LEVELS = [i / 20 for i in range(1, 20)]  # 0.05 .. 0.95
 DEFAULT_SIM_GRID_LAGS = [2, 10]
 DEFAULT_DAY_GRID_LAG_SECONDS = [120, 600, 1200, 3600]
+# A grid of K levels holds K x K matrices per lag and input: at 1000 levels the
+# two default lags of one 22 140-return series raise peak memory by about
+# 50 MB, and the cost grows as K^2.
+MAX_GRID_LEVELS = 1000
 
 
 def resolve_seed(args) -> int:
@@ -164,11 +168,17 @@ def _parse_levels(text: str) -> list[float]:
         # step <= 0 is refused before it can divide; NaN fails the count test.
         if step <= 0 or not 0 <= (stop - start) / step < math.inf:
             raise ValueError("--levels range must increase in a finite number of steps")
-        count = int(round((stop - start) / step))
+        # At most one level beyond the bound is built, so 0.1:0.9:1e-300 is
+        # refused below without a list of 8e299 levels.
+        count = min(int(round((stop - start) / step)), MAX_GRID_LEVELS)
         # rounding keeps 0.05:0.95:0.05 at exactly i/20, not 0.15000000000000002
         levels = [round(start + i * step, 12) for i in range(count + 1)]
-        return [l for l in levels if l <= stop + 1e-12]
-    return [float(p) for p in text.split(",") if p.strip()]
+        levels = [l for l in levels if l <= stop + 1e-12]
+    else:
+        levels = [float(p) for p in text.split(",") if p.strip()]
+    if len(levels) > MAX_GRID_LEVELS:
+        raise ValueError(f"--levels asks for more than {MAX_GRID_LEVELS} levels")
+    return levels
 
 
 def cmd_ppgrid(args) -> tuple[Iterable[tuple[Path, str]], str]:

@@ -13,14 +13,15 @@ normal innovations z_t.  The variance recursions:
 The recursion is seeded at the unconditional variance (the log-variance
 fixed point for EGARCH) and a burn-in prefix is discarded.
 
-Both simulation entry points live here.  `simulate` runs one series
-through the scalar loop in `variance_path`.  `resimulate_experiment` runs
-many series, with seeds derived from one master seed, through one
-recursion over rows that hold one value per series.  It uses the same
-operations in the same order, and `math.exp` for EGARCH as the scalar
-loop does, so each of its series is bit-identical to `simulate` at that
-seed.  An EGARCH variance beyond the largest float, at any step of the
-burn-in or after it, is refused by both with one text.
+Both simulation entry points live here, and both run one variance
+recursion, `_variance_rows`.  `simulate` and `variance_path` give it one
+series, which it steps through Python floats.  `resimulate_experiment`
+gives it many series, with seeds derived from one master seed, one per
+column, which it steps through numpy rows.  Both paths run the same
+expressions in the same order, with `math.exp` for EGARCH, so each
+resimulated series is bit-identical to `simulate` at its seed.  An EGARCH
+variance beyond the largest float, at any step of the burn-in or after
+it, is refused by both with one text.
 """
 
 from __future__ import annotations
@@ -144,40 +145,63 @@ class SimulationResult:
         object.__setattr__(self, "variances", variances)
 
 
+def _variance_rows(
+    params: GarchParams, z: np.ndarray, burn_in: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The variance recursion over innovations z of shape (steps,), one
+    series, or (steps, width), one series per column, from the unconditional
+    variance, keeping only steps t >= burn_in: (eps, sigma2), each of shape
+    (steps - burn_in,) + z.shape[1:].
+
+    One series steps through Python floats and many through numpy rows, with
+    the same expressions in the same order, correctly rounded sqrt and
+    math.exp in both.  So every column is bit-identical to its own one-series
+    run.  EGARCH takes exp at every step, burn-in included, so an overflow
+    anywhere is refused.
+    """
+    omega, alpha1, beta1, gamma1 = params.omega, params.alpha1, params.beta1, params.gamma1
+    egarch = params.kind is ModelKind.EGARCH
+    start = omega / (1.0 - beta1) if egarch else unconditional_variance(params)
+    if z.ndim == 1:
+        rows, state, sqrt, exp = z.tolist(), start, math.sqrt, math.exp
+    else:
+        # math.exp over the row: np.exp differs from it in the last bit on
+        # about 1 value in 20.
+        rows, state, sqrt = z, np.full(z.shape[1], start), np.sqrt
+        def exp(logv):
+            return np.fromiter(map(math.exp, logv.tolist()), float, logv.size)
+    sigma2 = np.empty((len(z) - burn_in, *z.shape[1:]))
+    if egarch:
+        for t, row in enumerate(rows):
+            try:
+                variance = exp(state)
+            except OverflowError:
+                raise ValueError(EGARCH_OVERFLOW) from None
+            if t >= burn_in:
+                sigma2[t - burn_in] = variance
+            state = omega + alpha1 * (abs(row) - E_ABS_NORMAL) + gamma1 * row + beta1 * state
+    else:  # GARCH runs as GJR with gamma1 = 0; adding 0.0 is exact
+        for t, row in enumerate(rows):
+            if t >= burn_in:
+                sigma2[t - burn_in] = state
+            eps = sqrt(state) * row
+            # gamma1 * True is gamma1, and gamma1 * False is a zero of either
+            # sign, which adds nothing to alpha1.
+            state = omega + (alpha1 + gamma1 * (eps < 0.0)) * eps * eps + beta1 * state
+    return np.sqrt(sigma2) * z[burn_in:], sigma2
+
+
 def variance_path(params: GarchParams, innovations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run the variance recursion over caller-supplied innovations from the
-    unconditional variance (log-variance fixed point for EGARCH).
+    """Run the variance recursion over one series of caller-supplied
+    innovations from the unconditional variance (log-variance fixed point
+    for EGARCH).
 
     Returns (eps, sigma2) with eps_t = sigma_t * z_t.
     """
     z = np.asarray(innovations, dtype=float)
-    n = z.size
-    eps = np.empty(n)
-    sigma2 = np.empty(n)
-    if params.kind is ModelKind.EGARCH:
-        logv = params.omega / (1.0 - params.beta1)
-        for t in range(n):
-            try:
-                sigma2[t] = math.exp(logv)
-            except OverflowError:
-                raise ValueError(EGARCH_OVERFLOW) from None
-            eps[t] = math.sqrt(sigma2[t]) * z[t]
-            logv = (
-                params.omega
-                + params.alpha1 * (abs(z[t]) - E_ABS_NORMAL)
-                + params.gamma1 * z[t]
-                + params.beta1 * logv
-            )
-        return eps, sigma2
-    v = unconditional_variance(params)
-    for t in range(n):  # GARCH runs as GJR with gamma1 = 0; adding 0.0 is exact
-        sigma2[t] = v
-        eps[t] = math.sqrt(v) * z[t]
-        arch = params.alpha1
-        if eps[t] < 0.0:
-            arch += params.gamma1
-        v = params.omega + arch * eps[t] * eps[t] + params.beta1 * v
-    return eps, sigma2
+    if z.ndim != 1:
+        raise ValueError(f"variance_path takes one series, a 1-D array; got shape {z.shape}")
+    return _variance_rows(params, z, 0)
 
 
 def _check_lengths(length: int, burn_in: int) -> None:
@@ -208,47 +232,8 @@ def simulate(
     from numpy's default generator seeded with `seed`.
     """
     _check_lengths(length, burn_in)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(burn_in + length)
-    eps, sigma2 = variance_path(params, z)
-    return _result(params, seed, burn_in, eps[burn_in:], sigma2[burn_in:])
-
-
-def _variance_rows(
-    params: GarchParams, z: np.ndarray, burn_in: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """variance_path on every column of z at once, from the same start,
-    keeping only rows t >= burn_in: (eps, sigma2), each of shape
-    (len(z) - burn_in, columns).
-
-    Each step runs variance_path's operations in its order on a whole row,
-    so every column is bit-identical to variance_path on that column.
-    """
-    steps, width = z.shape
-    sigma2 = np.empty((steps - burn_in, width))
-    omega, alpha1, beta1, gamma1 = params.omega, params.alpha1, params.beta1, params.gamma1
-    if params.kind is ModelKind.EGARCH:
-        logv = np.full(width, omega / (1.0 - beta1))
-        for t, row in enumerate(z):
-            # math.exp as in variance_path, and at every step as there, so a
-            # burn-in overflow is refused too: np.exp differs from it in the
-            # last bit on about 1 value in 20.
-            try:
-                variance = np.fromiter(map(math.exp, logv.tolist()), float, width)
-            except OverflowError:
-                raise ValueError(EGARCH_OVERFLOW) from None
-            if t >= burn_in:
-                sigma2[t - burn_in] = variance
-            logv = omega + alpha1 * (np.abs(row) - E_ABS_NORMAL) + gamma1 * row + beta1 * logv
-    else:
-        v = np.full(width, unconditional_variance(params))
-        arch_negative = alpha1 + gamma1
-        for t, row in enumerate(z):
-            if t >= burn_in:
-                sigma2[t - burn_in] = v
-            eps = np.sqrt(v) * row
-            v = omega + np.where(eps < 0.0, arch_negative, alpha1) * eps * eps + beta1 * v
-    return np.sqrt(sigma2) * z[burn_in:], sigma2
+    z = np.random.default_rng(seed).standard_normal(burn_in + length)
+    return _result(params, seed, burn_in, *_variance_rows(params, z, burn_in))
 
 
 def derived_seeds(seed: int, n_series: int) -> list[int]:

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import EXAMPLE_SERIES, oracle_qcf
 from qcorr import GarchParams, TradingDay, asymmetry, confidence_band, qcf_fast, resimulate_experiment, simulate
-from qcorr.cli import build_parser, main
+from qcorr.cli import MAX_GRID_LEVELS, _parse_levels, build_parser, main
 from qcorr import serialize
 from qcorr.serialize import values_to_csv
 
@@ -521,6 +521,15 @@ class TestPpgridCommand:
         header = out.read_text().splitlines()[0]
         assert header.split(",")[1:] == ["0.1", "0.3", "0.5", "0.7", "0.9"]
 
+    def test_levels_bound_holds_for_both_spellings(self):
+        # 0.0005 + 999 * 0.001 = 0.9995 is the 1000th level; with step 0.000999
+        # the same stop is the 1001st.
+        assert len(_parse_levels("0.0005:0.9995:0.001")) == MAX_GRID_LEVELS
+        assert len(_parse_levels(",".join(["0.5"] * MAX_GRID_LEVELS))) == MAX_GRID_LEVELS
+        for text in ("0.0005:0.9995:0.000999", ",".join(["0.5"] * (MAX_GRID_LEVELS + 1))):
+            with pytest.raises(ValueError, match=f"^--levels asks for more than {MAX_GRID_LEVELS} levels$"):
+                _parse_levels(text)
+
     def test_default_range_matches_default_levels(self, tmp_path):
         sim = tmp_path / "sim.csv"
         run(["simulate", "--model", "garch", "--length", 500, "--seed", 6, "--out", sim])
@@ -903,11 +912,12 @@ class TestErrorHandling:
             (["fit", "-i", "day.csv", "--stride", 10**20],
              "day.csv: a time series needs at least 2 observations, got 1"),
             (["ppgrid", "-i", "x.csv", "--levels", "0.1:inf:0.1"], "--levels range must increase in a finite number of steps"),
+            (["ppgrid", "-i", "x.csv", "--levels", "0.1:0.9:1e-300"], "--levels asks for more than 1000 levels"),
         ],
         ids=["seed-not-integer", "directory-without-csv", "unpaired-levels", "levels-not-a-range",
              "levels-decreasing", "day-lag-off-stride", "egarch-simulate-overflows", "egarch-resim-overflows",
              "qcf-stride-beyond-int64", "ppgrid-stride-beyond-int64", "fit-stride-beyond-int64",
-             "levels-infinite-range"],
+             "levels-infinite-range", "levels-range-beyond-the-bound"],
     )
     def test_refusals_write_nothing(self, tmp_path, capsys, monkeypatch, args, reason):
         if reason.startswith("QCORR_SEED"):

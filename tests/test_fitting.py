@@ -457,14 +457,18 @@ class TestResimulate:
 
     @pytest.mark.parametrize("n_series", [1, 5, _BLOCK_SERIES + 3])
     @pytest.mark.parametrize("burn_in", [0, 1000])
-    @pytest.mark.parametrize("kind", ["garch", "gjr", "egarch"])
+    @pytest.mark.parametrize("kind", ["garch", "gjr", "egarch", "gjr-negative-gamma", "gjr-zero-alpha"])
     def test_every_series_is_simulate_bit_for_bit(self, kind, burn_in, n_series):
-        # The many-series recursion against the scalar loop.  The egarch
-        # parameters put exp on values where np.exp and math.exp disagree.
+        # The row path of the variance recursion against its one-series path.
+        # The egarch parameters put exp on values where np.exp and math.exp
+        # disagree; with gamma1 < 0 the indicator term of a positive eps is
+        # gamma1 * False = -0.0, and with alpha1 = 0 only gamma1 weighs eps.
         params = {
             "garch": GarchParams(kind="garch", mu=-0.002, omega=0.1, alpha1=0.1, beta1=0.85),
             "gjr": GarchParams(kind="gjr", mu=0.001, omega=0.05, alpha1=0.04, beta1=0.88, gamma1=0.1),
             "egarch": GarchParams(kind="egarch", mu=0.0, omega=-0.1, alpha1=0.15, beta1=0.95, gamma1=-0.08),
+            "gjr-negative-gamma": GarchParams(kind="gjr", mu=0.001, omega=0.05, alpha1=0.08, beta1=0.88, gamma1=-0.06),
+            "gjr-zero-alpha": GarchParams(kind="gjr", mu=0.001, omega=0.05, alpha1=0.0, beta1=0.88, gamma1=0.1),
         }[kind]
         sims = resimulate_experiment(params, n_series, length=200, seed=9, burn_in=burn_in)
         seeds = derived_seeds(9, n_series)

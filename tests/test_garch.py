@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,13 @@ class TestVariancePath:
         assert np.array_equal(var_pos, var_neg)
         assert np.array_equal(eps_pos, -eps_neg)
 
+    @pytest.mark.parametrize("shape", [(5, 2), (1, 5), ()])
+    def test_innovations_of_one_series_only(self, shape):
+        params = GarchParams(kind="gjr", mu=0.0, omega=0.25, alpha1=0.125, beta1=0.5, gamma1=0.25)
+        message = f"variance_path takes one series, a 1-D array; got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            variance_path(params, np.zeros(shape))
+
 
 class TestSimulate:
     def test_bit_identical_reproducibility(self):
@@ -159,7 +167,7 @@ class TestSimulate:
     )
     def test_egarch_overflow_is_one_refusal(self, run, burn_in):
         # The log-variance fixed point 800 / 0.9 is beyond log(max float),
-        # so math.exp overflows in the scalar loop and in the row loop alike.
+        # so math.exp overflows in the one-series path and in the row path alike.
         params = GarchParams(kind="egarch", mu=0.0, omega=800.0, alpha1=0.1, beta1=0.1)
         with pytest.raises(ValueError, match=f"^{EGARCH_OVERFLOW}$"):
             run(params, burn_in)

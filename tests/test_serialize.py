@@ -638,6 +638,8 @@ RESIM_PARAMS = {
     "garch": GarchParams(kind="garch", mu=0.0005, omega=2e-6, alpha1=0.08, beta1=0.9),
     "gjr": GarchParams(kind="gjr", mu=0.001, omega=0.05, alpha1=0.04, beta1=0.88, gamma1=0.1),
     "egarch": GarchParams(kind="egarch", mu=0.0, omega=-0.1, alpha1=0.15, beta1=0.95, gamma1=-0.08),
+    "gjr-negative-gamma": GarchParams(kind="gjr", mu=0.001, omega=0.05, alpha1=0.08, beta1=0.88, gamma1=-0.06),
+    "gjr-zero-alpha": GarchParams(kind="gjr", mu=0.001, omega=0.05, alpha1=0.0, beta1=0.88, gamma1=0.1),
 }
 
 
@@ -801,6 +803,8 @@ PINNED_WRITERS.update({
         ("garch", "sha256:9738a1db9aacfd6f2eec75f8e420e38fe490831317f09a1adccc8a77a33233c4"),
         ("gjr", "sha256:7c37fc72fcefa6c5e589518f8f56ae6c4e2c78785f736b16c24d65626a690fe2"),
         ("egarch", "sha256:1387feea922a02342485313595b0db2f52b47f2327e411a8c8ad3f9588d57a47"),
+        ("gjr-negative-gamma", "sha256:0f4571abaf559bb7b47b18b828dba8ff324bcb063f69947ece55516fce3c6c30"),
+        ("gjr-zero-alpha", "sha256:b7950657da1ea3664333daead67153cd085f0d420cb21a710b09c02940f1cf30"),
     ]},
     "curve-ci-1201": (lambda _: _sha256(serialize.curve_to_csv(_seeded_curve())), "sha256:fb124b2724c4df75f576c87f5e3a117dc42be957cbb48f95f1ac29b68b1b71de"),
     "grid-19-levels": (lambda _: _sha256(serialize.grid_to_csv(_seeded_grid())), "sha256:27afe832cbf3b1081898f048ae541f6e0ffc5886dadedf6e7a2ab241dd7ac04d"),
