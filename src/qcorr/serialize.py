@@ -16,7 +16,12 @@ rows skipped, fields stripped, a field holding a separator (a comma or a
 line break) or a line holding NUL refused, and the first bad line in file
 order named.  One bulk splitter reads every format, whole columns of
 ~256 KiB runs of lines at a time; text that is not plain already passes
-once through a normalizer that applies the rule.
+once through a normalizer that applies the rule.  Day, simulation and curve
+columns are converted from the split field strings with int() and float().
+Tick columns are read from each run's UTF-8 bytes and separator offsets, so
+no field becomes a Python string; a field that this byte pass cannot
+certify is read from its text by the same rule as before (int(), float(),
+the lower-cased flag), so the groups and bits are the same either way.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ import io
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager, suppress
 from functools import partial
-from itertools import chain, compress, takewhile
+from itertools import chain, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +76,9 @@ _CHUNK_CHARS = 1 << 18
 # 3.11), and every ASCII character other than "\n" that str.strip() acts on
 # or that ends a csv line.  The bulk splitter drops blank lines itself.
 _NOT_PLAIN = ('"', "\x00", "\r", " ", "\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f")
+# The bulk splitter's separators, as 0-d arrays: numpy compares an array
+# with one faster than with a Python int.
+_NEWLINE, _COMMA = np.array(ord("\n"), np.uint8), np.array(ord(","), np.uint8)
 # What no string cell written may hold.
 _CELL_SEPARATORS = (b",", b'"', b"\r", b"\n")
 
@@ -403,14 +412,13 @@ def _bulk_split(text: str, layout) -> tuple[str, list[np.ndarray]]:
     """The header line of a CSV and the columns of the nonblank lines after it.
 
     Text that is not plain goes once through _normalize first.
-    layout(header) gives the field count `width` and convert(fields, row),
-    which returns the columns of a run of rows, column k at fields[k::width],
-    whose first row is data row `row` (counted from 0), or raises ValueError.
-    Runs are whole lines of about _CHUNK_CHARS characters, each split once
-    with its blank lines dropped and its last line ended; their columns are
-    concatenated.  A run that fails is read one row at a time to name the
-    first bad line, so an error text of convert need only be right for a run
-    of one row.
+    layout(header) gives the field count `width` and convert(run, row),
+    which returns (columns, row count) for a run of whole lines whose first
+    is data row `row` (counted from 0), split by _split_run, or raises
+    ValueError.  Runs are whole lines of about _CHUNK_CHARS characters; their
+    columns are concatenated.  A run that fails is read one line at a time
+    to name the first bad line, so an error text of convert need only be
+    right for a run of one line.
     """
     error = None
     if not text.isascii() or any(map(text.__contains__, _NOT_PLAIN)):
@@ -419,11 +427,11 @@ def _bulk_split(text: str, layout) -> tuple[str, list[np.ndarray]]:
     start = text.find("\n", begin) + 1 or len(text)
     header = text[begin:start].removesuffix("\n")
     width, convert = layout(header)
-    parts, row = [convert([], 0)], 0  # the first part gives each column its dtype
+    parts, row = [convert("", 0)[0]], 0  # the first part gives each column its dtype
     while start < len(text):
         begin, start = start, text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
         try:
-            columns, rows = _split_run(text[begin:start], width, convert, row)
+            columns, rows = convert(text[begin:start], row)
         except ValueError:
             _name_bad_row(text, begin, start, width, convert, row)
         parts.append(columns)
@@ -433,52 +441,60 @@ def _bulk_split(text: str, layout) -> tuple[str, list[np.ndarray]]:
     return header, [np.concatenate(column) for column in zip(*parts)]
 
 
-def _split_run(run: str, width: int, convert, row: int) -> tuple[list[np.ndarray], int]:
-    """(columns, row count) that convert gives for run, whole lines from data
-    row `row` on, with its blank lines dropped and its last line ended;
-    ValueError if a line has other than `width` fields.
+def _split_run(run: str, width: int) -> tuple[str, bytes, np.ndarray]:
+    """(text, UTF-8 bytes, byte offset of each separator) of run, whole
+    lines with its blank lines dropped and its last line ended; ValueError if
+    a line has other than `width` fields.  Each converter splits its run
+    with it and keeps of the three only what it reads.
 
     Blank lines and a missing final newline are found on the newline mask the
-    split needs anyway, and only such a run is rebuilt: testing every run's
-    text for "\n\n" took 0.3 ms per run (2-core Xeon), about 3% of a bench
-    `ticks` pass.
+    separator offsets need anyway, and only such a run is rebuilt.  The
+    separators are checked as one bytes comparison, which costs a short run
+    less than an array comparison does.
     """
-    chars = np.frombuffer(run.encode(), dtype=np.uint8)
-    newline = chars == ord("\n")
-    if run and (newline[0] or not newline[-1] or (newline[1:] & newline[:-1]).any()):
-        return _split_run("".join(line + "\n" for line in run.split("\n") if line), width, convert, row)
-    seps = chars[(chars == ord(",")) | newline]
-    pattern = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
-    if seps.size % width or not (seps.reshape(-1, width) == pattern).all():
+    data = run.encode()
+    chars = np.frombuffer(data, dtype=np.uint8)
+    newline = chars == _NEWLINE
+    if data and (data.startswith(b"\n") or not data.endswith(b"\n") or np.count_nonzero(newline[1:] & newline[:-1])):
+        return _split_run("".join(line + "\n" for line in run.split("\n") if line), width)
+    cuts = ((chars == _COMMA) | newline).nonzero()[0]
+    if chars[cuts].tobytes() != _line_pattern(width) * (cuts.size // width):
         raise ValueError("a line has another field count")
-    del chars, newline, seps  # only the run and its fields stay alive during the split and conversion
-    fields = run.replace("\n", ",").split(",")
-    fields.pop()  # the empty string after the last newline
-    return convert(fields, row), len(fields) // width
+    return run, data, cuts
+
+
+@functools.cache
+def _line_pattern(width: int) -> bytes:
+    """The separators of a line of `width` fields."""
+    return b"," * (width - 1) + b"\n"
 
 
 def _name_bad_row(text: str, begin: int, end: int, width: int, convert, row: int):
     """Raise DataFormatError naming the first nonblank line of text[begin:end],
     data row `row` on, that has other than `width` fields or that convert
-    refuses."""
+    refuses as a run of one line."""
     for number, line in enumerate(text[begin:end].split("\n"), text.count("\n", 0, begin) + 1):
         if not line:
             continue
-        fields = line.split(",")
-        if len(fields) != width:
-            raise DataFormatError(f"line {number}: expected {width} fields, got {len(fields)}")
+        fields = line.count(",") + 1
+        if fields != width:
+            raise DataFormatError(f"line {number}: expected {width} fields, got {fields}")
         try:
-            convert(fields, row)
+            convert(line + "\n", row)
         except ValueError as exc:
             raise DataFormatError(f"line {number}: {exc}") from None
         row += 1
     raise AssertionError("a run of rows failed, but none of its rows")
 
 
-def _convert_columns(wanted, width: int, index: str | None, fields: list[str], row: int) -> list[np.ndarray]:
-    """The (column, type) arrays wanted from a run of rows.  A first column
-    named by index must read row, row + 1, ... as the writer spells them.
-    Error texts name the run's first row."""
+def _convert_columns(wanted, width: int, index: str | None, run: str, row: int) -> tuple[list[np.ndarray], int]:
+    """The (column, type) arrays wanted from a run of rows, each value
+    converted from its field's text, and the row count.  A first column named
+    by index must read row, row + 1, ... as the writer spells them.  Error
+    texts name the run's first row."""
+    run = _split_run(run, width)[0]  # only the run and its fields stay alive during the conversion
+    fields = run.replace("\n", ",").split(",")
+    fields.pop()  # the empty string after the last newline
     rows = len(fields) // width
     if index and fields[0::width] != _index_strings(row, row + rows):
         raise ValueError(f"{index} must be {row}, got {fields[0]!r}")
@@ -491,7 +507,7 @@ def _convert_columns(wanted, width: int, index: str | None, fields: list[str], r
             raise ValueError(f"{strings[0]!r} is not {'an integer' if kind is int else 'a number'}") from None
         except OverflowError:
             raise ValueError(f"{strings[0]!r} is out of range") from None
-    return arrays
+    return arrays, rows
 
 
 def _read_columns(text: str, columns: dict, what: str) -> tuple:
@@ -762,50 +778,198 @@ def _ticks_width(header: list[str]) -> int:
     return len(header)
 
 
-def _column_codes(strings: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct strings in order of first appearance, and the index of
-    each string among them."""
-    index = {s: k for k, s in enumerate(dict.fromkeys(strings))}
-    return list(index), np.fromiter(map(index.__getitem__, strings), np.intp, len(strings))
+# The tick reader converts each run from its UTF-8 bytes and the offsets of
+# its separators, behind _WINDOW zero bytes.  A field is read from a window
+# of 8, 16 or 24 bytes that ends at its separator, as uint64 words with the
+# bytes before the field's first masked off.  A flag, value or key that this
+# byte pass cannot certify is read from its text by its column's rule
+# (_fallback).  Constants that meet arrays are 0-d arrays of the arrays'
+# dtype, which numpy applies faster than Python numbers; no operation mixes
+# signed and unsigned integers, which numpy before 2.0 promotes to float64.
+_WINDOW = 24
+_ONE, _WINDOW_BYTES = np.array(1), np.array(_WINDOW)
+# A window's dtype by its uint64 words.
+_WINDOWS = {w: np.dtype(f"V{8 * w}") for w in (1, 2, 3)}
 
 
-def _tick_columns(width: int, keys: dict, fields: list[str], row: int) -> tuple[np.ndarray, ...]:
-    """(group code, time, price) of the kept rows among the tick fields; keys
-    numbers each new (date, instrument) in order of first appearance among
-    kept rows.  A row's group is coded from its date and instrument codes,
-    so no per-row tuple is made."""
-    if width == 5:
-        flags = fields[4::5]
-        truth = {flag: flag.lower() in _REGULAR_TRUE for flag in set(flags)}
-        keep = list(map(truth.__getitem__, flags))
-    else:
-        keep = [True] * (len(fields) // 4)
-    rows = sum(keep)
-    dates, date_codes = _column_codes(fields[0::width])
-    instruments, instrument_codes = _column_codes(fields[2::width])
-    n = len(instruments)
-    pairs = (date_codes * n + instrument_codes)[np.fromiter(keep, bool, len(keep))]
-    distinct, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
-    names = [(dates[p // n], instruments[p % n]) for p in distinct.tolist()]
-    for k in np.argsort(first).tolist():
+def _last_bytes(words: int, least: int) -> np.ndarray:
+    """By field length k up to _WINDOW, the mask that keeps the last
+    max(k, least) bytes of a window of `words` words (all of them at most),
+    on either byte order."""
+    keep = [min(max(k, least), 8 * words) for k in range(_WINDOW + 1)]
+    return np.frombuffer(b"".join(bytes(8 * words - n) + b"\xff" * n for n in keep), np.uint64).reshape(-1, words)
+
+
+_LAST_BYTES = {w: _last_bytes(w, 0) for w in (1, 2, 3)}
+# A number's mask keeps the last byte of an empty field, which is the comma
+# before it, so that an empty number is never certified.
+_NUMBER_BYTES_KEPT = {w: _last_bytes(w, 1) for w in (1, 2, 3)}
+# Whether a flag of one byte (or none) keeps its row, by its last byte; an
+# empty flag's is its separator, and no byte >= 0x80 is a whole UTF-8 field.
+_FLAG_BYTE_TRUE = np.array([b < 128 and chr(b).lower() in _REGULAR_TRUE for b in range(256)])
+# A date and an instrument are packed into two uint64 words each, their last
+# 16 bytes.  No field holds NUL, so the zero bytes before a shorter field
+# keep the packing one to one.  No UTF-8 text holds 0xff: a longer key is
+# packed as its number among the run's longer keys and three words of 0xff.
+_KEY_WORDS = 2
+_LONG_KEY = np.uint64(2**64 - 1)
+_LONG_TAIL = b"\xff" * 24
+# A number's bytes are xored with "0", which leaves a digit its value and
+# makes any other byte more than 9 (a point 30).  A time of at most 18
+# digits is below 2**63, and so is a price of at most 18 bytes read with its
+# point as a 0.
+_DIGIT_ZEROS = np.array(int.from_bytes(b"0" * 8, "little"), np.uint64)
+_NINE, _POINT = np.array(9, np.uint8), np.array(ord(".") ^ ord("0"), np.uint8)
+_NUMBER_BYTES = 18
+_POW10 = np.array([10**k if k < _NUMBER_BYTES else 0 for k in range(23, -1, -1)], dtype=np.int64)
+# By distance d from the separator, for a byte that is no digit: a point
+# (class 1) weighs 32 + d, any other byte (class 2) twice that, so a field's
+# class sum is 32 + j for one point at distance j, 0 for none and 64 or more
+# if the field is not digits[.digits].
+_CLASS_WEIGHTS = np.arange(32 + 24, 32, -1)
+# By class sum (0 or 32 + j; any other as 0, as no certified field has it):
+# 10**j, where the digits above the point start once the point reads as a 0
+# (10**18, above any such number, for no point); 9 * 10**(j - 1), which
+# times those digits is what the 0 added; and the price's divisor
+# 10**(j - 1).  All are exact.
+_POINT_AT = [0] * 33 + list(range(1, 25)) + [0] * (2 * int(_CLASS_WEIGHTS.sum()) - 56)
+_ABOVE_POINT = np.array([10 ** min(j, 18) if j else 10**18 for j in _POINT_AT], dtype=np.int64)
+_BELOW_POINT = np.array([9 * 10 ** min(j - 1, 17) if j else 0 for j in _POINT_AT], dtype=np.int64)
+_PRICE_SCALE = np.array([float(10 ** min(j - 1, 17)) if j else 1.0 for j in _POINT_AT])
+# Per number column (time, price): the greatest class sum (no point, one
+# point) and the least and greatest digit value certified.  A price of 1 or
+# more is positive, and both its operands are exact up to 2**53.
+_MAX_CLASS_SUM = np.array([0, 32 + 24])
+_MIN_MANTISSA = np.array([0, 1])
+_MAX_MANTISSA = np.array([10**18, 2**53])
+
+
+def _fallback(rule, data: bytes, ends: np.ndarray, lengths: np.ndarray, rows: np.ndarray) -> list:
+    """rule applied to the text data[end - length:end] of each field at rows:
+    how every field the byte pass cannot certify is read."""
+    return [rule(data[e - n : e].decode()) for e, n in zip(ends[rows].tolist(), lengths[rows].tolist())]
+
+
+def _regular(flag: str) -> bool:
+    return flag.lower() in _REGULAR_TRUE
+
+
+def _windows(padded: bytes, ends: np.ndarray, clipped: np.ndarray, words: int, masks, xor=None) -> np.ndarray:
+    """Per end, the 8 * words bytes before it (xored with xor) as `words`
+    uint64 words, masked by masks[words] at each field's length clipped to
+    _WINDOW."""
+    view = np.ndarray((len(padded) - _WINDOW + 1,), _WINDOWS[words], padded, _WINDOW - 8 * words, (1,))
+    windows = view[ends].view(np.uint64).reshape(*ends.shape, words)
+    if xor is not None:
+        windows ^= xor
+    windows &= masks[words].take(clipped, axis=0)
+    return windows
+
+
+def _key_names(records: bytes, long_keys: list) -> list[tuple[str, str]]:
+    """The (date, instrument) that each packed 32-byte record spells."""
+    names = []
+    for k in range(0, len(records), 32):
+        record = records[k : k + 32]
+        if record[8:] == _LONG_TAIL:
+            names.append(long_keys[int.from_bytes(record[:8], sys.byteorder)])
+        else:
+            names.append((record[:16].lstrip(b"\0").decode(), record[16:].lstrip(b"\0").decode()))
+    return names
+
+
+def _group_codes(keys: dict, data: bytes, padded: bytes, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The uint32 group code of each row's (date, instrument) fields; keys
+    numbers each new group in order of first appearance.  Rows are grouped by
+    one stable sort of their packed fields, and each group's name is decoded
+    once."""
+    clipped = np.minimum(lengths, _WINDOW_BYTES)
+    packed = _windows(padded, ends, clipped, _KEY_WORDS, _LAST_BYTES).reshape(-1, 2 * _KEY_WORDS)
+    long_keys: list[tuple[str, str]] = []
+    if np.maximum.reduce(clipped, axis=None, initial=0) > 8 * _KEY_WORDS:  # numbered by their text
+        longer = (clipped > 8 * _KEY_WORDS).any(axis=1).nonzero()[0]
+        numbers: dict[tuple[str, str], int] = {}
+        texts = zip(*(_fallback(str, data, ends[:, k], lengths[:, k], longer) for k in (0, 1)))
+        packed[longer, 0] = [numbers.setdefault(key, len(numbers)) for key in texts]
+        packed[longer, 1:] = _LONG_KEY
+        long_keys = list(numbers)
+    order = np.lexsort(packed.T)
+    ordered = packed[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    new[1:] = (ordered[1:] != ordered[:-1]).view(np.uint32)[:, 0]  # any of 4 words
+    names = _key_names(ordered[new].tobytes(), long_keys)
+    for k in order[new].argsort().tolist():
         keys.setdefault(names[k], len(keys))
-    # Freed before the arrays the run returns are made, which then reuse
-    # their memory instead of raising the reader's peak RSS; for the same
-    # reason the codes are uint32, half the bytes of intp.
-    del date_codes, instrument_codes, pairs
-    codes = np.fromiter(map(keys.__getitem__, names), np.uint32, len(names))[inverse]
-    try:
-        times = np.fromiter(map(int, compress(fields[1::width], keep)), np.int64, rows)
-    except OverflowError:  # beyond int64; the text names the run's first kept row
-        raise ValueError(f"timestamp {int(next(compress(fields[1::width], keep)))} is out of range") from None
-    prices = np.fromiter(map(float, compress(fields[3::width], keep)), float, rows)
-    if rows and times.min() < 0:
-        raise ValueError(f"negative timestamp {times[times < 0][0]}")
-    valid = valid_prices(prices)
-    if not valid.all():
-        bad = float(prices[~valid][0])
-        raise ValueError(f"{'infinite' if bad == math.inf else 'nonpositive'} price {bad!r}")
-    return codes, times, prices
+    codes = np.empty(len(order), dtype=np.uint32)
+    codes[order] = np.fromiter(chain((0,), map(keys.__getitem__, names)), np.uint32, len(names) + 1)[new.cumsum()]
+    return codes
+
+
+def _tick_numbers(padded: bytes, ends: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(mantissa, class sum, certified) of each row's (time, price) fields.
+
+    A field digits[.digits] spells the integer D, whose last j - 1 digits
+    follow its point, j being the point's distance from the separator (0 for
+    no point).  A certified time is D, with 1 to 18 digits and no point.  A
+    certified price is D / 10**(j - 1), with at most 18 bytes and 1 <= D <=
+    2**53: both operands are exact, so the quotient is float()'s correctly
+    rounded value (Clinger 1990).
+    """
+    clipped = np.minimum(lengths, _WINDOW_BYTES)
+    longest = int(np.maximum.reduce(clipped, axis=None, initial=1))
+    words = -(-min(longest, _NUMBER_BYTES) // 8)
+    digits = _windows(padded, ends, clipped, words, _NUMBER_BYTES_KEPT, _DIGIT_ZEROS).view(np.uint8)
+    other = digits > _NINE
+    kind = other.view(np.uint8) + other
+    kind -= digits == _POINT
+    digits *= ~other
+    classes = kind @ _CLASS_WEIGHTS[-8 * words :]
+    spelled = digits @ _POW10[-8 * words :]
+    mantissa = spelled - spelled // _ABOVE_POINT[classes] * _BELOW_POINT[classes]
+    certified = (classes <= _MAX_CLASS_SUM) & (mantissa >= _MIN_MANTISSA) & (mantissa <= _MAX_MANTISSA)
+    if longest > _NUMBER_BYTES:
+        certified &= clipped <= _NUMBER_BYTES
+    return mantissa, classes, certified
+
+
+def _tick_columns(width: int, keys: dict, run: str, row: int) -> tuple[tuple[np.ndarray, ...], int]:
+    """((group code, time, price) of the kept rows, row count) of a run, each
+    column read from the run's bytes; keys numbers each new (date,
+    instrument) in order of first appearance among kept rows."""
+    _, data, cuts = _split_run(run, width)
+    padded = bytes(_WINDOW) + data
+    lengths = cuts - _ONE
+    lengths[1:] -= cuts[:-1]
+    lengths[:1] += _ONE  # the first field follows no separator
+    ends, lengths = cuts.reshape(-1, width), lengths.reshape(-1, width)
+    if width == 5:
+        keep = _FLAG_BYTE_TRUE[np.frombuffer(padded, np.uint8, offset=_WINDOW - 1)[ends[:, 4]]]
+        other = (lengths[:, 4] > _ONE).nonzero()[0]
+        if other.size:
+            keep[other] = _fallback(_regular, data, ends[:, 4], lengths[:, 4], other)
+        kept = keep.nonzero()[0]
+        ends, lengths = ends.take(kept, axis=0), lengths.take(kept, axis=0)
+    codes = _group_codes(keys, data, padded, ends[:, 0:3:2], lengths[:, 0:3:2])
+    mantissa, classes, certified = _tick_numbers(padded, ends[:, 1::2], lengths[:, 1::2])
+    times = mantissa[:, 0].copy()
+    prices = mantissa[:, 1] / _PRICE_SCALE[classes[:, 1]]
+    if np.count_nonzero(certified) < certified.size:
+        other = (~certified[:, 0]).nonzero()[0]
+        exact = _fallback(int, data, ends[:, 1], lengths[:, 1], other)
+        beyond = next((t for t in exact if not -(2**63) <= t < 2**63), None)
+        if beyond is not None:
+            raise ValueError(f"timestamp {beyond} is out of range")
+        times[other] = exact
+        other = (~certified[:, 1]).nonzero()[0]
+        prices[other] = _fallback(float, data, ends[:, 3], lengths[:, 3], other)
+        if times.min() < 0:  # a certified time has no sign
+            raise ValueError(f"negative timestamp {times[times < 0][0]}")
+        valid = valid_prices(prices[other])  # a certified price is positive and finite
+        if not valid.all():
+            bad = float(prices[other][~valid][0])
+            raise ValueError(f"{'infinite' if bad == math.inf else 'nonpositive'} price {bad!r}")
+    return (codes, times, prices), cuts.size // width
 
 
 def read_ticks_csv(text: str) -> dict[tuple[str, str], TickGroup]:
@@ -815,9 +979,16 @@ def read_ticks_csv(text: str) -> dict[tuple[str, str], TickGroup]:
     their time and price are parsed.  Returns one TickGroup per (date,
     instrument), in order of first appearance among the kept rows, so a key
     seen only on dropped rows forms no group; each keeps the file's row
-    order, so unsorted data is still detected downstream.  Each run of rows
-    codes its groups column by column (_tick_columns), and _group_ticks
-    gathers every group's rows with one stable sort of those codes.
+    order, so unsorted data is still detected downstream.
+
+    Each run of rows is read from its bytes (_tick_columns): a time of 1 to
+    18 ASCII digits, a price digits[.digits] of at most 18 bytes whose digits
+    spell an integer from 1 to 2**53, a one-byte flag and keys of at most 16
+    bytes.  Every other field is read from its text with int(), float() or
+    the flag rule, one field at a time, so each value has float()'s and
+    int()'s bits and an error names the same line.  A run groups its rows with one stable sort
+    of their packed keys, and _group_ticks gathers every group's rows with
+    one stable sort of the group codes.
     """
     keys: dict[tuple[str, str], int] = {}
 
@@ -835,8 +1006,10 @@ def _group_ticks(keys: dict, codes, times, prices) -> dict[tuple[str, str], Tick
     """One TickGroup per key, in the keys' order, each in row order.  The
     codes are sorted in the narrowest unsigned type that holds them: a stable
     sort of uint8 or uint16 is a radix sort, and every stable sort gives the
-    same order."""
+    same order.  Each group's arrays are slices of the sorted columns, taken
+    in one loop: np.split costs some microseconds a group, which a file of
+    many small groups notices."""
     order = np.argsort(codes.astype(np.min_scalar_type(len(keys))), kind="stable")
-    ends = np.cumsum(np.bincount(codes, minlength=len(keys)))[:-1]
-    groups = zip(keys, np.split(times[order], ends), np.split(prices[order], ends))
-    return {key: TickGroup(key[1], t, p) for key, t, p in groups}
+    ends = np.cumsum(np.bincount(codes, minlength=len(keys))).tolist()
+    times, prices = times[order], prices[order]
+    return {key: TickGroup(key[1], times[a:b], prices[a:b]) for key, a, b in zip(keys, [0, *ends], ends)}

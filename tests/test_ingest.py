@@ -382,6 +382,109 @@ class TestTickReaderPaths:
             assert outcome(read_ticks_csv, text) == outcome(reference_read_ticks, text)
 
 
+# Rows at the limits of the tick reader's byte pass, each with the value of
+# one field replaced; the row goes between TICK_ROWS[0] and TICK_ROWS[1:].
+EDGE_FIELDS = {
+    "time-18-digits": (1, "123456789012345678"),
+    "time-19-digits": (1, "1234567890123456789"),
+    "time-leading-zeros": (1, "0000000000000000000000042"),
+    "time-18-bytes-leading-zeros": (1, "000000000000000042"),
+    "time-empty": (1, ""),
+    "time-plus": (1, "+5"),
+    "time-underscore": (1, "1_0"),
+    "time-with-point": (1, "5."),
+    "price-15-digits": (3, "123456789.012345"),
+    "price-16-digits": (3, "1234567.890123456"),
+    "price-17-digits-beyond-2**53": (3, "9007199254740993"),
+    # D / 10**k with D rounded to a double first would end in ...323.
+    "price-17-digits-with-point": (3, "747784910.27943236"),
+    "price-trailing-point": (3, "5."),
+    "price-leading-point": (3, ".5"),
+    "price-point-alone": (3, "."),
+    "price-exponent": (3, "1e3"),
+    "price-negative": (3, "-2.5"),
+    "price-nan": (3, "nan"),
+    "price-zero": (3, "0.000"),
+    "price-empty": (3, ""),
+    "price-18-bytes": (3, "0000000000000001.5"),
+    "price-19-bytes": (3, "00000000000000001.5"),
+    "date-longer-than-packed": (0, "2007-01-03T09:30:00-05:00"),
+    "instrument-longer-than-packed": (2, "ABCDEFGHIJKLMNOPQRS"),
+    "instrument-non-ascii": (2, "BÖRSE"),
+    "instrument-non-ascii-longer-than-packed": (2, "株式会社テスト"),
+    "flag-true": (4, "true"),
+    "flag-Yes": (4, "Yes"),
+    "flag-no": (4, "no"),
+}
+
+
+def with_field(column, value):
+    fields = TICK_ROWS[1].split(",")
+    fields[column] = value
+    return with_rows(TICK_ROWS[0], ",".join(fields), *TICK_ROWS[1:])
+
+
+CHUNKS = pytest.mark.parametrize("chunk", [1, 32, serialize._CHUNK_CHARS], ids=["chunk-1", "chunk-32", "chunk-default"])
+
+
+class TestTickBytePass:
+    """Each column is read from the run's bytes, and a field the byte pass
+    cannot certify from its text: either way the reference reader's groups,
+    bits or error text, at any run length."""
+
+    @CHUNKS
+    @pytest.mark.parametrize("case", list(EDGE_FIELDS))
+    def test_edge_fields_agree(self, monkeypatch, case, chunk):
+        text = with_field(*EDGE_FIELDS[case])
+        monkeypatch.setattr(serialize, "_CHUNK_CHARS", chunk)
+        assert outcome(read_ticks_csv, text) == outcome(reference_read_ticks, text)
+
+    @CHUNKS
+    def test_keys_sharing_their_packed_bytes_stay_apart(self, monkeypatch, chunk):
+        # The last 16 bytes of each pair of keys are equal.
+        rows = [f"{d},{t},{i},1.5,1" for t, (d, i) in enumerate([
+            ("x2007-01-03T09:30:00", "XABCDEFGHIJKLMNOP"), ("y2007-01-03T09:30:00", "YABCDEFGHIJKLMNOP"),
+            ("x2007-01-03T09:30:00", "YABCDEFGHIJKLMNOP"), ("x2007-01-03T09:30:00", "XABCDEFGHIJKLMNOP"),
+            ("d", "XABCDEFGHIJKLMNOP"), ("d", "ABCDEFGHIJKLMNOP"),
+        ])]
+        text = with_rows(*rows)
+        monkeypatch.setattr(serialize, "_CHUNK_CHARS", chunk)
+        bulk = outcome(read_ticks_csv, text)
+        assert bulk == outcome(reference_read_ticks, text)
+        assert [times for _, _, times, *_ in bulk] == [[0, 3], [1], [2], [4], [5]]
+
+    def test_keys_with_high_bytes_round_trip(self):
+        # Bytes >= 0x80 fill the top byte of a packed uint64 word.
+        keys = [("２００７-01-03", "ÉÉÉÉ"), ("２００７-01-03", "€"), ("2007-01-03", "ÿÿÿÿÿÿÿÿ"), ("2007-01-03", "ÉÉÉÉ")]
+        text = with_rows(*(f"{d},{t},{i},{t + 1}.25,1" for t, (d, i) in enumerate(keys * 2)))
+        groups = read_ticks_csv(text)
+        assert list(groups) == keys
+        assert [g.instrument for g in groups.values()] == [i for _, i in keys]
+        assert [g.times.tolist() for g in groups.values()] == [[0, 4], [1, 5], [2, 6], [3, 7]]
+        assert outcome(read_ticks_csv, text) == outcome(reference_read_ticks, text)
+
+    def test_plain_ticks_need_no_fallback(self, monkeypatch):
+        """A file shaped like the bench's tick fixture: every field certified."""
+        rng = np.random.default_rng(3)
+        rows = []
+        for date in ("2007-01-03", "2007-01-04"):
+            times = np.sort(rng.integers(0, 23401, 4000))
+            instruments = rng.choice(["AAA", "BBB", "CCC", "DDD"], times.size)
+            prices = np.char.mod("%.4f", rng.uniform(1.0, 200.0, times.size))
+            flags = np.where(rng.random(times.size) < 0.03, "0", "1")
+            rows += [f"{date},{t},{i},{p},{f}" for t, i, p, f in
+                     zip(times.tolist(), instruments.tolist(), prices.tolist(), flags.tolist())]
+        text = with_rows(*rows)
+        expected = outcome(reference_read_ticks, text)
+
+        def refuse(*args):
+            raise AssertionError("a field was read from its text")
+
+        monkeypatch.setattr(serialize, "_fallback", refuse)
+        assert outcome(read_ticks_csv, text) == expected
+        assert len(expected) == 8
+
+
 def interleaved_ticks():
     """4 dates x 6 instruments, every date's rows interleaved by time, about a
     tenth of them flagged non-regular."""
