@@ -410,7 +410,8 @@ def main(argv=None) -> int:
     try:
         pairs, shown = args.func(args)
         serialize.write_files(pairs)
-    except (QcorrError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    # json.JSONDecodeError is a ValueError; a MemoryError is a size no array can take
+    except (QcorrError, ValueError, OSError, MemoryError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     sys.stdout.write(shown)

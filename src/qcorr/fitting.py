@@ -15,9 +15,11 @@ first-order linear recursion with coefficient beta1, and so is the score:
 d sigma2_t / d(parameters) follows the same filter (Fiorentini, Calzolari
 & Panattoni 1996), and its adjoint, run backwards once, gives all five
 derivatives.  `_recursion` solves both in numpy.  The starts run in
-lockstep: each round evaluates every running start in one call.  A
-batch's days of one length share one lockstep stack, one row of returns
-per running start, capped at _STACK elements; each day's fit is
+lockstep: each round evaluates every running start in one call.
+_lockstep alone holds the set of running starts and tells the objective
+which they are.  A batch's days of one length share one lockstep stack,
+capped at _STACK elements, with one row of returns per running start,
+gathered again only when that set changes; each day's fit is
 bit-identical to fitting it alone, and fit_gjr is the one-day batch.
 This module only estimates: simulating from the averaged fit,
 resimulate_experiment, is garch's.  Nothing here imports scipy.
@@ -25,6 +27,7 @@ resimulate_experiment, is garch's.  Nothing here imports scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -442,15 +445,18 @@ def _lockstep(runs, objective):
     """Drive generator runs (such as _bfgs) to their ends, one objective call per round.
 
     Each round stacks the points of the runs still going, evaluates them
-    with one call objective(stack) -> (values, scores), and sends each run
-    its row.  A run that returns leaves the stack.  Returns the runs'
-    return values in order.
+    with one call objective(live, stack) -> (values, scores), where live is
+    the tuple of those runs' indices in stack order, and sends each run its
+    row.  A run that returns leaves the stack, and live with it: this is the
+    one record of which runs are going.  Returns the runs' return values in
+    order.
     """
     points = {i: next(run) for i, run in enumerate(runs)}
     results = [None] * len(runs)
     while points:
-        values, scores = objective(np.array(list(points.values())))
-        for i, value, score in zip(list(points), values, scores):
+        live = tuple(points)
+        values, scores = objective(live, np.array(list(points.values())))
+        for i, value, score in zip(live, values, scores):
             try:
                 points[i] = runs[i].send((value, score))
             except StopIteration as stop:
@@ -497,7 +503,11 @@ def _fit_days(days, max_iter: int = 3000) -> list[FitResult]:
 
 
 def _fit_stack(days, max_iter: int) -> list[FitResult]:
-    """One lockstep over the five starts of every day of one length."""
+    """One lockstep over the five starts of every day of one length.
+
+    The runs are _bfgs generators; _lockstep tells the objective which
+    of them are live, and each live run is scored on its own day's row of
+    standardized returns, gathered once per change of the live set."""
     means = [float(np.mean(r)) for r in days]
     # Fitting standardized returns makes the score, and so BFGS's stopping
     # test, independent of the data's location and scale.
@@ -506,21 +516,11 @@ def _fit_stack(days, max_iter: int) -> list[FitResult]:
     starts = [_pack(0.0, max(1.0 - (alpha1 + beta1 + gamma1 / 2.0), 1e-12), alpha1, beta1, gamma1)
               for alpha1, beta1, gamma1 in START_POINTS]
     k = len(starts)
-    live = list(range(k * len(days)))  # the runs still going, in stack order
-    # Each run's row of the stack is scored on its own day's returns.  The
-    # rows are gathered again only when a run ends, not every round: a
-    # gather copies the whole stack, about 7% of a round at T=50000 (on a
-    # 2-core Xeon).
-    rows = z[[i // k for i in live]]
-
-    def run(i):
-        nonlocal rows
-        end = yield from _bfgs(starts[i % k], max_iter)
-        live.remove(i)
-        rows = z[[j // k for j in live]]
-        return end
-
-    ends = _lockstep([run(i) for i in live], lambda thetas: _negative_ll_and_score(thetas, rows))
+    # Run i is start i % k on day i // k.  A gather copies the whole stack,
+    # so rows keeps the last one until the live set changes.
+    rows = functools.lru_cache(maxsize=1)(lambda live: z[np.array(live) // k])
+    ends = _lockstep([_bfgs(starts[i % k], max_iter) for i in range(k * len(days))],
+                     lambda live, thetas: _negative_ll_and_score(thetas, rows(live)))
     fits = []
     for day, (r, mean, scale) in enumerate(zip(days, means, scales)):
         own = ends[day * k : (day + 1) * k]

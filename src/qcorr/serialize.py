@@ -553,8 +553,12 @@ def _index_strings(start: int, stop: int) -> list[str]:
 
 @contextmanager
 def _load_object(text: str, what: str):
-    """The JSON object in text; a missing or malformed field raises DataFormatError."""
-    doc = json.loads(text)
+    """The JSON object in text; a missing or malformed field, or nesting too
+    deep for the parser, raises DataFormatError."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise DataFormatError(f"{what} is nested too deeply") from None
     if not isinstance(doc, dict):
         raise DataFormatError(f"{what} must be an object, got {type(doc).__name__}")
     try:

@@ -913,11 +913,28 @@ class TestErrorHandling:
              "day.csv: a time series needs at least 2 observations, got 1"),
             (["ppgrid", "-i", "x.csv", "--levels", "0.1:inf:0.1"], "--levels range must increase in a finite number of steps"),
             (["ppgrid", "-i", "x.csv", "--levels", "0.1:0.9:1e-300"], "--levels asks for more than 1000 levels"),
+            # Every size below asks numpy for more than 2**47 bytes (128 TiB),
+            # more than a 64-bit process can address, so the allocation fails
+            # before any memory is touched.
+            (["simulate", "--model", "gjr", "--length", 10**14], "Unable to allocate"),
+            (["simulate", "--model", "gjr", "--length", 10, "--burn-in", 10**14], "Unable to allocate"),
+            (["resim", "--params", "gjr.json", "--n-series", 10**14, "--length", 10], "Unable to allocate"),
+            (["resim", "--params", "gjr.json", "--n-series", 2, "--length", 10**14], "Unable to allocate"),
+            (["resim", "--params", "gjr.json", "--n-series", 2, "--length", 10, "--burn-in", 10**14],
+             "Unable to allocate"),
+            (["ingest", "-i", "ticks.csv", "--session-close", 10**17], "Unable to allocate"),
+            (["index", "-i", "ticks.csv", "--session-close", 10**17], "Unable to allocate"),
+            (["resim", "--params", "deep.json", "--n-series", 2, "--length", 10],
+             "deep.json: params JSON is nested too deeply"),
+            (["asym", "-i", "deep.json"], "deep.json: curve JSON is nested too deeply"),
         ],
         ids=["seed-not-integer", "directory-without-csv", "unpaired-levels", "levels-not-a-range",
              "levels-decreasing", "day-lag-off-stride", "egarch-simulate-overflows", "egarch-resim-overflows",
              "qcf-stride-beyond-int64", "ppgrid-stride-beyond-int64", "fit-stride-beyond-int64",
-             "levels-infinite-range", "levels-range-beyond-the-bound"],
+             "levels-infinite-range", "levels-range-beyond-the-bound",
+             "simulate-length-beyond-memory", "simulate-burn-in-beyond-memory", "resim-n-series-beyond-memory",
+             "resim-length-beyond-memory", "resim-burn-in-beyond-memory", "ingest-session-beyond-memory",
+             "index-session-beyond-memory", "resim-params-nested-too-deeply", "asym-curve-nested-too-deeply"],
     )
     def test_refusals_write_nothing(self, tmp_path, capsys, monkeypatch, args, reason):
         if reason.startswith("QCORR_SEED"):
@@ -925,6 +942,10 @@ class TestErrorHandling:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "egarch.json").write_text(serialize.params_to_json(
             GarchParams(kind="egarch", mu=0.0, omega=800.0, alpha1=0.1, beta1=0.1)))
+        (tmp_path / "gjr.json").write_text(serialize.params_to_json(
+            GarchParams(kind="gjr", mu=0.0, omega=0.05, alpha1=0.05, beta1=0.9, gamma1=0.02)))
+        (tmp_path / "deep.json").write_text("[" * 5000 + "]" * 5000)
+        make_tick_file(tmp_path / "ticks.csv", 900)
         (tmp_path / "empty").mkdir()
         (tmp_path / "empty" / "notes.txt").write_text("no data here\n")
         write_example_series(tmp_path / "x.csv")

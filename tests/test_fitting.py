@@ -80,7 +80,7 @@ class TestLockstepBfgs:
             [-1.2, 1.0, -0.5, 0.3, 2.0], [0.0] * 5, [2.0] * 5, [1.5, -0.5, 0.8, 1.1, 0.2],
             [-2.0, 3.0, 0.1, -1.0, 1.0])]
 
-        def objective(stack):
+        def objective(live, stack):
             return np.array([rosen(x) for x in stack]), np.array([rosen_der(x) for x in stack])
 
         ends = _lockstep([_bfgs(x, 3000) for x in starts], objective)
@@ -381,6 +381,38 @@ class TestBatchStack:
         assert 2 * len(START_POINTS) * length <= fitting._STACK < 3 * len(START_POINTS) * length
         days = [simulate(RECOVERY_TRUE, length=length, seed=s).returns for s in (31, 32, 33)]
         self._assert_stacked_equals_alone(days, fit_per_day(days))
+
+    def test_scored_rows_follow_the_live_runs(self, monkeypatch):
+        # Run i of a stack is start i % k on day i // k.  Every round scores
+        # each live run on its own day's standardized returns, in stack
+        # order, and the rows are gathered once per live set, not per round.
+        days = [simulate(RECOVERY_TRUE, length=369, seed=s).returns.values for s in (41, 42, 43)]
+        z = np.array([(r - float(np.mean(r))) / math.sqrt(float(np.var(r))) for r in days])
+        k = len(START_POINTS)
+        rounds = []
+        real_lockstep, real_score = fitting._lockstep, fitting._negative_ll_and_score
+
+        def lockstep(runs, objective):
+            def watched(live, stack):
+                rounds.append((live, len(stack)))
+                return objective(live, stack)
+            return real_lockstep(runs, watched)
+
+        def score(thetas, r):
+            rounds[-1] += (r,)
+            return real_score(thetas, r)
+
+        monkeypatch.setattr(fitting, "_lockstep", lockstep)
+        monkeypatch.setattr(fitting, "_negative_ll_and_score", score)
+        fitting._fit_days(days)
+        assert rounds[0][0] == tuple(range(k * len(days)))
+        for live, size, r in rounds:
+            assert len(live) == size
+            assert np.array_equal(r, z[[i // k for i in live]])
+        # Every array passed is still referenced by rounds, so ids are unique.
+        gathered = {id(r) for _, _, r in rounds}
+        assert len(gathered) == len({live for live, _, _ in rounds}) == len({size for _, size, _ in rounds})
+        assert len(gathered) < len(rounds)
 
     def test_exclusions_keep_input_order(self, monkeypatch):
         days = [TimeSeries(np.random.default_rng(2).standard_normal(370), label="stuck"),

@@ -277,6 +277,14 @@ class TestParamsSerialization:
             serialize.params_from_json('{"kind": "gjr", "mu": 0.0}')
 
 
+@pytest.mark.parametrize("read, what", [(serialize.params_from_json, "params JSON"),
+                                        (serialize.curve_from_json, "curve JSON")])
+def test_json_nested_beyond_the_parser_is_refused(read, what):
+    # json.loads raises RecursionError well before this depth.
+    with pytest.raises(DataFormatError, match=f"^{what} is nested too deeply$"):
+        read("[" * 5000 + "]" * 5000)
+
+
 class TestBatchSerialization:
     def test_csv_schema(self):
         params = GarchParams(kind="gjr", mu=0.0, omega=0.05, alpha1=0.05, beta1=0.9, gamma1=0.02)
