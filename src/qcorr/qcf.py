@@ -323,7 +323,9 @@ def _curves(x, pairs, max_lag: int) -> list[QcfCurve]:
     max_lag = _check_max_lag(max_lag, T)
     # bits - c / T is each 0/1 row minus its mean, exactly.
     rows = (values <= thresholds[:, None]) - (counts / T)[:, None]
-    sumsq = [np.dot(row, row) for row in rows]
+    # Sum over t of (bit - c / T)**2 is c * (1 - c / T): no BLAS sum, whose
+    # bits would depend on its thread count.
+    sumsq = counts * (1.0 - counts / T)
     n = _next_fast_len(T + max_lag)
     spectra = np.fft.rfft(rows, n, axis=1)
     curves = []
@@ -331,7 +333,7 @@ def _curves(x, pairs, max_lag: int) -> list[QcfCurve]:
         same = a.p == b.p
         corr = np.fft.irfft(np.conj(spectra[i]) * spectra[j], n)
         if same:
-            # Lag 0 from the np.dot sum the denominator uses, so it is exactly 1.
+            # Lag 0 from the sum the denominator uses, so it is exactly 1.
             corr[0] = sumsq[i]
         denom = math.sqrt(sumsq[i] * sumsq[j])
         pos = corr[: max_lag + 1] / denom

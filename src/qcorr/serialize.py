@@ -16,12 +16,15 @@ rows skipped, fields stripped, a field holding a separator (a comma or a
 line break) or a line holding NUL refused, and the first bad line in file
 order named.  One bulk splitter reads every format, whole columns of
 ~256 KiB runs of lines at a time; text that is not plain already passes
-once through a normalizer that applies the rule.  Day, simulation and curve
-columns are converted from the split field strings with int() and float().
-Tick columns are read from each run's UTF-8 bytes and separator offsets, so
-no field becomes a Python string; a field that this byte pass cannot
-certify is read from its text by the same rule as before (int(), float(),
-the lower-cased flag), so the groups and bits are the same either way.
+once through a normalizer that applies the rule.  Every column is read from
+each run's UTF-8 bytes and separator offsets, so no field becomes a Python
+string.  A day, simulation or curve number -?digits[.digits][e±dd[d]] of at
+most 24 bytes, its digits spelling an integer below 9 * 10**18, is read as
+N * 10**E in double-double and kept where its rounding is certain; a tick
+time of 1 to 18 digits and a tick price digits[.digits] are read exactly.
+Any field that a byte pass cannot certify ("+5", "1E5", "nan", a subnormal,
+a tie, more digits) is read from its text by int(), float() or the
+lower-cased flag, so the groups and bits are the same either way.
 """
 
 from __future__ import annotations
@@ -136,9 +139,10 @@ def _powers_of_ten() -> np.ndarray:
     return np.array(rows)
 
 
-def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a * 10**(16 - k) as a double-double (hi, lo) with |lo| <= ulp(hi) / 2:
-    the exact product of a and the power's hi, plus a times its lo."""
+def _scaled(a: np.ndarray, k: np.ndarray, tail=None) -> tuple[np.ndarray, np.ndarray]:
+    """(a + tail) * 10**(16 - k) as a double-double (hi, lo) with |lo| <=
+    ulp(hi) / 2: the exact product of a and the power's hi, plus a times its
+    lo and tail (at most ulp(a) / 2) times its hi."""
     b, b_hi, b_lo, b_tail = _powers_of_ten().take(16 - _S_MIN - k, axis=0).T
     product = a * b
     c = _SPLIT * a
@@ -146,6 +150,8 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a_lo = a - a_hi
     err = ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     err += a * b_tail
+    if tail is not None:
+        err += tail * b
     hi = product + err
     return hi, err - (hi - product)
 
@@ -416,8 +422,8 @@ def _bulk_split(text: str, layout) -> tuple[str, list[np.ndarray]]:
     which returns (columns, row count) for a run of whole lines whose first
     is data row `row` (counted from 0), split by _split_run, or raises
     ValueError.  Runs are whole lines of about _CHUNK_CHARS characters; their
-    columns are concatenated.  A run that fails is read one line at a time
-    to name the first bad line, so an error text of convert need only be
+    columns are concatenated.  A run that fails is halved until the first bad
+    line is found (_name_bad_row), so an error text of convert need only be
     right for a run of one line.
     """
     error = None
@@ -427,7 +433,7 @@ def _bulk_split(text: str, layout) -> tuple[str, list[np.ndarray]]:
     start = text.find("\n", begin) + 1 or len(text)
     header = text[begin:start].removesuffix("\n")
     width, convert = layout(header)
-    parts, row = [convert("", 0)[0]], 0  # the first part gives each column its dtype
+    parts, row = [], 0
     while start < len(text):
         begin, start = start, text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
         try:
@@ -438,14 +444,48 @@ def _bulk_split(text: str, layout) -> tuple[str, list[np.ndarray]]:
         row += rows
     if error:
         raise error
-    return header, [np.concatenate(column) for column in zip(*parts)]
+    if not parts:  # an empty run gives each column its dtype
+        parts.append(convert("", 0)[0])
+    return header, [column[0] if len(parts) == 1 else np.concatenate(column) for column in zip(*parts)]
 
 
-def _split_run(run: str, width: int) -> tuple[str, bytes, np.ndarray]:
-    """(text, UTF-8 bytes, byte offset of each separator) of run, whole
-    lines with its blank lines dropped and its last line ended; ValueError if
-    a line has other than `width` fields.  Each converter splits its run
-    with it and keeps of the three only what it reads.
+# Table and tick columns are converted from each run's UTF-8 bytes and the
+# offsets of its separators, behind _WINDOW zero bytes.  A field is read from
+# a window of 8, 16 or 24 bytes that ends at its separator, as uint64 words
+# with the bytes before the field's first masked off.  A field that this byte
+# pass cannot certify is read from its text by its column's rule
+# (_fallback).  Constants that meet arrays are 0-d arrays of the arrays'
+# dtype, which numpy applies faster than Python numbers; no operation mixes
+# signed and unsigned integers, which numpy before 2.0 promotes to float64.
+_WINDOW = 24
+_ONE, _WINDOW_BYTES = np.array(1), np.array(_WINDOW)
+# A window's dtype by its uint64 words.
+_WINDOWS = {w: np.dtype(f"V{8 * w}") for w in (1, 2, 3)}
+
+
+def _last_bytes(words: int, least: int) -> np.ndarray:
+    """By field length k up to _WINDOW, the mask that keeps the last
+    max(k, least) bytes of a window of `words` words (all of them at most),
+    on either byte order."""
+    keep = [min(max(k, least), 8 * words) for k in range(_WINDOW + 1)]
+    return np.frombuffer(b"".join(bytes(8 * words - n) + b"\xff" * n for n in keep), np.uint64).reshape(-1, words)
+
+
+_LAST_BYTES = {w: _last_bytes(w, 0) for w in (1, 2, 3)}
+# A number's mask keeps the last byte of an empty field, which is the comma
+# before it, so that an empty number is never certified.
+_NUMBER_BYTES_KEPT = {w: _last_bytes(w, 1) for w in (1, 2, 3)}
+# A number's bytes are xored with "0", which leaves a digit its value and
+# makes any other byte more than 9 (a point 30).
+_DIGIT_ZEROS = np.array(int.from_bytes(b"0" * 8, "little"), np.uint64)
+_NINE, _POINT = np.array(9, np.uint8), np.array(ord(".") ^ ord("0"), np.uint8)
+
+
+def _split_run(run: str, width: int) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """(UTF-8 bytes, and by row and field the byte offset of the field's
+    separator and the field's length) of run, whole lines with its blank
+    lines dropped and its last line ended; ValueError if a line has other
+    than `width` fields.
 
     Blank lines and a missing final newline are found on the newline mask the
     separator offsets need anyway, and only such a run is rebuilt.  The
@@ -460,7 +500,10 @@ def _split_run(run: str, width: int) -> tuple[str, bytes, np.ndarray]:
     cuts = ((chars == _COMMA) | newline).nonzero()[0]
     if chars[cuts].tobytes() != _line_pattern(width) * (cuts.size // width):
         raise ValueError("a line has another field count")
-    return run, data, cuts
+    lengths = cuts - _ONE
+    lengths[1:] -= cuts[:-1]
+    lengths[:1] += _ONE  # the first field follows no separator
+    return data, cuts.reshape(-1, width), lengths.reshape(-1, width)
 
 
 @functools.cache
@@ -469,45 +512,223 @@ def _line_pattern(width: int) -> bytes:
     return b"," * (width - 1) + b"\n"
 
 
+def _fallback(rule, data: bytes, ends: np.ndarray, lengths: np.ndarray, rows: np.ndarray) -> list:
+    """rule applied to the text data[end - length:end] of each field at rows:
+    how every field the byte pass cannot certify is read."""
+    return [rule(data[e - n : e].decode()) for e, n in zip(ends[rows].tolist(), lengths[rows].tolist())]
+
+
+def _windows(padded: bytes, ends: np.ndarray, clipped: np.ndarray, words: int, masks, xor=None) -> np.ndarray:
+    """Per end, the 8 * words bytes before it (xored with xor) as `words`
+    uint64 words, masked by masks[words] at each field's length clipped to
+    _WINDOW."""
+    view = np.ndarray((len(padded) - _WINDOW + 1,), _WINDOWS[words], padded, _WINDOW - 8 * words, (1,))
+    windows = view[ends].view(np.uint64).reshape(*ends.shape, words)
+    if xor is not None:
+        windows ^= xor
+    windows &= masks[words].take(clipped, axis=0)
+    return windows
+
+
 def _name_bad_row(text: str, begin: int, end: int, width: int, convert, row: int):
     """Raise DataFormatError naming the first nonblank line of text[begin:end],
     data row `row` on, that has other than `width` fields or that convert
-    refuses as a run of one line."""
-    for number, line in enumerate(text[begin:end].split("\n"), text.count("\n", 0, begin) + 1):
-        if not line:
-            continue
-        fields = line.count(",") + 1
-        if fields != width:
-            raise DataFormatError(f"line {number}: expected {width} fields, got {fields}")
+    refuses as a run of one line.
+
+    The run is cut at a line boundary near its middle; convert reads the
+    first part, and the search goes on in that part if it is refused, else in
+    the rest.  A run of n lines so takes about log2(n) conversions.
+    """
+    while True:
+        half = (begin + end) // 2
+        cut = text.find("\n", half, end - 1) + 1 or text.rfind("\n", begin, half) + 1
+        if not cut:  # one line
+            break
         try:
-            convert(line + "\n", row)
-        except ValueError as exc:
-            raise DataFormatError(f"line {number}: {exc}") from None
-        row += 1
+            _, rows = convert(text[begin:cut], row)
+        except ValueError:
+            end = cut
+        else:
+            begin, row = cut, row + rows
+    number = text.count("\n", 0, begin) + 1
+    line = text[begin:end].removesuffix("\n")
+    fields = line.count(",") + 1
+    if fields != width:
+        raise DataFormatError(f"line {number}: expected {width} fields, got {fields}")
+    try:
+        convert(line + "\n", row)
+    except ValueError as exc:
+        raise DataFormatError(f"line {number}: {exc}") from None
     raise AssertionError("a run of rows failed, but none of its rows")
 
 
 def _convert_columns(wanted, width: int, index: str | None, run: str, row: int) -> tuple[list[np.ndarray], int]:
-    """The (column, type) arrays wanted from a run of rows, each value
-    converted from its field's text, and the row count.  A first column named
-    by index must read row, row + 1, ... as the writer spells them.  Error
-    texts name the run's first row."""
-    run = _split_run(run, width)[0]  # only the run and its fields stay alive during the conversion
-    fields = run.replace("\n", ",").split(",")
-    fields.pop()  # the empty string after the last newline
-    rows = len(fields) // width
-    if index and fields[0::width] != _index_strings(row, row + rows):
-        raise ValueError(f"{index} must be {row}, got {fields[0]!r}")
+    """The (column, type) arrays wanted from a run of rows, and the row count.
+
+    Each field is read from the run's bytes (_decimals): an int field
+    -?digits, a float field -?digits[.digits][e±dd[d]].  Every field that
+    pass cannot certify is converted from its text with int() or float(), so
+    each value has their bits.  A first column named by index must read row,
+    row + 1, ... as the writer spells them: digits only, no leading zero.
+    Error texts name the run's first row.
+    """
+    data, ends, lengths = _split_run(run, width)
+    rows = len(ends)
+    if not rows:
+        return [np.empty(0, kind) for _, kind in wanted], 0
+    columns = [0] * bool(index) + [column for column, _ in wanted]
+    ends, lengths = ends.T[columns], lengths.T[columns]  # one row per column read
+    digits, exponents, negative, whole, certified = _decimals(bytes(_WINDOW) + data, ends, lengths)
+    if index:
+        spelled = whole[0] & (digits[0] >= _LEAST_OF_LENGTH.take(lengths[0], mode="clip"))
+        if not (spelled & (digits[0] == np.arange(row, row + rows))).all():
+            raise ValueError(f"{index} must be {row}, got {_fallback(str, data, ends[0], lengths[0], [0])[0]!r}")
     arrays = []
-    for column, kind in wanted:
-        strings = fields[column::width]
-        try:  # int() takes any size, the int64 array does not
-            arrays.append(np.fromiter(map(kind, strings), kind, rows))
-        except ValueError:
-            raise ValueError(f"{strings[0]!r} is not {'an integer' if kind is int else 'a number'}") from None
-        except OverflowError:
-            raise ValueError(f"{strings[0]!r} is out of range") from None
+    for i, (_, kind) in enumerate(wanted, bool(index)):
+        if kind is int:
+            values, read = np.where(negative[i], -digits[i], digits[i]), whole[i]
+        else:
+            values, read = _decimal_floats(digits[i], exponents[i], negative[i], certified[i])
+        if not read.all():
+            other = (~read).nonzero()[0]
+            text = _fallback(str, data, ends[i], lengths[i], other[:1])[0]  # named if a field fails
+            try:
+                values[other] = _fallback(kind, data, ends[i], lengths[i], other)
+            except ValueError:
+                raise ValueError(f"{text!r} is not {'an integer' if kind is int else 'a number'}") from None
+            except OverflowError:  # int() takes any size, the int64 array does not
+                raise ValueError(f"{text!r} is out of range") from None
+        arrays.append(values)
     return arrays, rows
+
+
+# A decimal field's digits and points are found as bit masks of its window,
+# bit d - 1 for the byte at distance d from the separator, and its other
+# bytes must sit where the form -?digits[.digits][e±dd[d]] puts them.  Its
+# digits, each other byte read as a 0, give one integer per 8-byte word by
+# three SWAR steps, in place on the little-endian words: pairs, fours, then
+# eights of digits.  Temporaries are few and narrow: on a long run a fresh
+# array costs more in page faults than the arithmetic on it.
+_MINUS = np.array(ord("-"), np.uint8)
+_SWAR_STEPS = [(np.array(m, np.uint64), np.array(s, np.uint64), np.array(k, np.uint64)) for m, s, k in (
+    (10 << 8 | 1, 8, 0x00FF00FF00FF00FF), (100 << 16 | 1, 16, 0x0000FFFF0000FFFF), (10000 << 32 | 1, 32, 2**64 - 1))]
+_E8 = np.array(10**8)
+# A row's 24 flags pack to 3 bytes, read with the next row's first as one
+# big-endian uint32.
+_BYTE, _ALL_BITS = np.array(8, np.uint32), np.array(2**_WINDOW - 1, np.uint32)
+
+
+def _signed_tail(t: int) -> np.ndarray:
+    """By an "e" and its sign, xored with "0", as a little-endian uint16 at
+    distance t and t - 1: the exponent's length t with its sign, else 0."""
+    table = np.zeros(2**16, np.int8)
+    for sign in "+-":
+        table[(ord(sign) ^ ord("0")) << 8 | ord("e") ^ ord("0")] = t if sign == "+" else -t
+    return table
+
+
+# An exponent has 2 or 3 digits; a run without an "e" has none.
+_SIGNED_TAIL = {t: _signed_tail(t) for t in (4, 5)}
+_NO_TAIL = np.array(0, np.int8)
+# By field length L: its bits, the top one that of a leading minus, and the
+# least index that is L digits long (none beyond 18 digits).
+_FIELD_BITS = np.array([2**n - 1 for n in range(_WINDOW + 1)], np.uint32)
+_LEAD_BIT = np.array([2 ** (n - 1) if n else 0 for n in range(_WINDOW + 1)], np.uint32)
+_LEAST_OF_LENGTH = np.array([0 if n == 1 else 10 ** (n - 1) if 1 < n <= 18 else 2**63 - 1 for n in range(_WINDOW + 1)])
+# By exponent length t (0, 4 or 5): the bits of "e" and its sign; the power
+# that splits the exponent's digits off the low word; the power that moves
+# the 16 upper digits above the rest, which must stay below the limit so that
+# the digits' integer is below 9 * 10**18.
+_TAIL_BITS = np.array([3 << (t - 2) if t > 1 else 0 for t in range(6)], np.uint32)
+_SHIFT_DOWN = np.array([10**t for t in range(6)])
+_SHIFT_UP = np.array([10 ** (8 - t) for t in range(6)])
+_UPPER_LIMIT = np.array([9 * 10 ** (10 + t) for t in range(6)])
+# 2**k mod 37 differs for each k < 36: by a mask of points mod 37, the
+# distance r of its one point (0 for none), and by r that point's bit.
+_MOD = np.array(37, np.uint32)
+_POINT_DISTANCE = np.zeros(37, np.intp)
+_POINT_DISTANCE[[2**k % 37 for k in range(_WINDOW)]] = range(1, _WINDOW + 1)
+_BIT_AT = np.array([0] + [2**k for k in range(_WINDOW)], np.uint32)
+# By the point's distance r from the exponent's "e" (or the separator), 0 for
+# no point: 10**r, where the digits above the point start once it reads as a
+# 0; 9 * 10**(r - 1), which times those digits is what the 0 added (0 where no
+# digit can be above it); and the digits after the point.
+_ABOVE = np.array([10**r if 0 < r <= 18 else 1 for r in range(_WINDOW + 1)])
+_BELOW = np.array([9 * 10 ** (r - 1) if 0 < r <= 18 else 0 for r in range(_WINDOW + 1)])
+_AFTER = np.array([max(r - 1, 0) for r in range(_WINDOW + 1)])
+
+
+def _decimals(padded: bytes, ends: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(N, E, negative, whole, certified) of each field, each of ends' shape.
+
+    A certified field is -?digits[.digits][e±dd[d]] with at most 24 bytes,
+    whose digits, the point read as a 0, spell an integer below 9 * 10**18:
+    it spells (-1)**negative * N * 10**E.  A whole one has no point and no
+    exponent, so that E is 0.
+    """
+    shape, n = ends.shape, ends.size
+    ends, lengths = ends.ravel(), lengths.ravel()
+    clipped = np.minimum(lengths, _WINDOW_BYTES)
+    negative = np.frombuffer(padded, np.uint8, offset=_WINDOW)[ends - lengths] == _MINUS
+    words = _windows(padded, ends, clipped, 3, _NUMBER_BYTES_KEPT, _DIGIT_ZEROS)
+    signed = _NO_TAIL
+    if b"e" in padded:
+        signed = sum(_SIGNED_TAIL[t][np.ndarray((n,), "<u2", words, _WINDOW - t, (_WINDOW,))] for t in (4, 5))
+    tail = np.abs(signed).view(np.uint8)
+    window = words.view(np.uint8)
+    flags = np.zeros(2 * n * _WINDOW + 8, bool)
+    is_digit = flags[: n * _WINDOW].reshape(n, _WINDOW)
+    np.less_equal(window, _NINE, out=is_digit)
+    np.equal(window, _POINT, out=flags[n * _WINDOW : -8].reshape(n, _WINDOW))
+    digit_bits, point_bits = np.ndarray((2, n), ">u4", np.packbits(flags), 0, (3 * n, 3)) >> _BYTE
+    point_bits >>= tail  # a point within the exponent is no point
+    window *= is_digit.view(np.uint8)
+    r = _POINT_DISTANCE.take(point_bits % _MOD)
+    lead = _LEAD_BIT.take(clipped) * negative
+    certified = (digit_bits ^ (_BIT_AT.take(r) << tail | lead | _TAIL_BITS.take(tail))) == _ALL_BITS
+    whole = (digit_bits ^ lead) == _ALL_BITS
+    certified &= (digit_bits & _FIELD_BITS.take(clipped)) >> tail != 0  # a digit before the exponent
+    if n and int(lengths.max()) > _WINDOW:
+        certified &= lengths <= _WINDOW_BYTES
+    words = words.view("<u8")
+    for scale, shift, keep in _SWAR_STEPS:
+        words *= scale
+        words >>= shift
+        words &= keep
+    upper, middle, lower = words.view("<i8").T
+    upper = upper * _E8
+    upper += middle
+    certified &= upper < _UPPER_LIMIT.take(tail)
+    rest, exponents = np.divmod(lower, _SHIFT_DOWN.take(tail))
+    upper *= _SHIFT_UP.take(tail)
+    upper += rest
+    digits = upper - upper // _ABOVE.take(r) * _BELOW.take(r)
+    exponents *= np.sign(signed)
+    exponents -= _AFTER.take(r)
+    whole &= certified
+    return tuple(a.reshape(shape) for a in (digits, exponents, negative, whole, certified))
+
+
+# Exponents E for which N * 10**E is read as a double-double: the powers
+# _scaled has, and N * 10**E < 9 * 10**307 stays below the largest double.
+_E_MIN, _E_MAX = _S_MIN, 289
+# hi is float()'s value when hi + lo, within 2**-100 of the exact value, lies
+# more than 2**-30 of a gap from the halfway point to either neighbour.
+_HALFWAY_MARGIN = 1.0 + 2.0**-29
+
+
+def _decimal_floats(digits, exponents, negative, certified) -> tuple[np.ndarray, np.ndarray]:
+    """(values, certified) of the fields (-1)**negative * N * 10**E that
+    _decimals read: N * 10**E as a double-double hi + lo (_scaled, with N
+    split into a double and the integer it leaves), and certified where hi
+    is float()'s correctly rounded value."""
+    a = digits.astype(float)
+    tail = (digits - a.astype(np.int64)).astype(float)
+    bounded = np.minimum(np.maximum(exponents, _E_MIN), _E_MAX)
+    hi, lo = _scaled(a, 16 - bounded, tail)
+    certified = certified & (bounded == exponents) & (hi + lo * _HALFWAY_MARGIN == hi)
+    np.negative(hi, out=hi, where=negative)
+    return hi, certified
 
 
 def _read_columns(text: str, columns: dict, what: str) -> tuple:
@@ -528,27 +749,6 @@ def _read_columns(text: str, columns: dict, what: str) -> tuple:
 
     header, arrays = _bulk_split(text, layout)
     return (header, *arrays)
-
-
-_INDEX_BLOCK = 4096
-
-
-@functools.lru_cache(maxsize=16)
-def _index_block(b: int) -> list[str]:
-    """Row indices b * _INDEX_BLOCK, ... of the next _INDEX_BLOCK rows, as the
-    writer spells them.  Cached by block, not by table length, so a run that
-    reads table after table reuses them while a long table keeps at most 16
-    blocks alive."""
-    return list(map(str, range(b * _INDEX_BLOCK, (b + 1) * _INDEX_BLOCK)))
-
-
-def _index_strings(start: int, stop: int) -> list[str]:
-    """The row indices start, ..., stop - 1 as the writer spells them."""
-    strings = []
-    for b in range(start // _INDEX_BLOCK, -(-stop // _INDEX_BLOCK)):
-        base = b * _INDEX_BLOCK
-        strings += _index_block(b)[max(start - base, 0) : stop - base]
-    return strings
 
 
 @contextmanager
@@ -782,32 +982,6 @@ def _ticks_width(header: list[str]) -> int:
     return len(header)
 
 
-# The tick reader converts each run from its UTF-8 bytes and the offsets of
-# its separators, behind _WINDOW zero bytes.  A field is read from a window
-# of 8, 16 or 24 bytes that ends at its separator, as uint64 words with the
-# bytes before the field's first masked off.  A flag, value or key that this
-# byte pass cannot certify is read from its text by its column's rule
-# (_fallback).  Constants that meet arrays are 0-d arrays of the arrays'
-# dtype, which numpy applies faster than Python numbers; no operation mixes
-# signed and unsigned integers, which numpy before 2.0 promotes to float64.
-_WINDOW = 24
-_ONE, _WINDOW_BYTES = np.array(1), np.array(_WINDOW)
-# A window's dtype by its uint64 words.
-_WINDOWS = {w: np.dtype(f"V{8 * w}") for w in (1, 2, 3)}
-
-
-def _last_bytes(words: int, least: int) -> np.ndarray:
-    """By field length k up to _WINDOW, the mask that keeps the last
-    max(k, least) bytes of a window of `words` words (all of them at most),
-    on either byte order."""
-    keep = [min(max(k, least), 8 * words) for k in range(_WINDOW + 1)]
-    return np.frombuffer(b"".join(bytes(8 * words - n) + b"\xff" * n for n in keep), np.uint64).reshape(-1, words)
-
-
-_LAST_BYTES = {w: _last_bytes(w, 0) for w in (1, 2, 3)}
-# A number's mask keeps the last byte of an empty field, which is the comma
-# before it, so that an empty number is never certified.
-_NUMBER_BYTES_KEPT = {w: _last_bytes(w, 1) for w in (1, 2, 3)}
 # Whether a flag of one byte (or none) keeps its row, by its last byte; an
 # empty flag's is its separator, and no byte >= 0x80 is a whole UTF-8 field.
 _FLAG_BYTE_TRUE = np.array([b < 128 and chr(b).lower() in _REGULAR_TRUE for b in range(256)])
@@ -818,12 +992,8 @@ _FLAG_BYTE_TRUE = np.array([b < 128 and chr(b).lower() in _REGULAR_TRUE for b in
 _KEY_WORDS = 2
 _LONG_KEY = np.uint64(2**64 - 1)
 _LONG_TAIL = b"\xff" * 24
-# A number's bytes are xored with "0", which leaves a digit its value and
-# makes any other byte more than 9 (a point 30).  A time of at most 18
-# digits is below 2**63, and so is a price of at most 18 bytes read with its
-# point as a 0.
-_DIGIT_ZEROS = np.array(int.from_bytes(b"0" * 8, "little"), np.uint64)
-_NINE, _POINT = np.array(9, np.uint8), np.array(ord(".") ^ ord("0"), np.uint8)
+# A time of at most 18 digits is below 2**63, and so is a price of at most
+# 18 bytes read with its point as a 0.
 _NUMBER_BYTES = 18
 _POW10 = np.array([10**k if k < _NUMBER_BYTES else 0 for k in range(23, -1, -1)], dtype=np.int64)
 # By distance d from the separator, for a byte that is no digit: a point
@@ -848,26 +1018,8 @@ _MIN_MANTISSA = np.array([0, 1])
 _MAX_MANTISSA = np.array([10**18, 2**53])
 
 
-def _fallback(rule, data: bytes, ends: np.ndarray, lengths: np.ndarray, rows: np.ndarray) -> list:
-    """rule applied to the text data[end - length:end] of each field at rows:
-    how every field the byte pass cannot certify is read."""
-    return [rule(data[e - n : e].decode()) for e, n in zip(ends[rows].tolist(), lengths[rows].tolist())]
-
-
 def _regular(flag: str) -> bool:
     return flag.lower() in _REGULAR_TRUE
-
-
-def _windows(padded: bytes, ends: np.ndarray, clipped: np.ndarray, words: int, masks, xor=None) -> np.ndarray:
-    """Per end, the 8 * words bytes before it (xored with xor) as `words`
-    uint64 words, masked by masks[words] at each field's length clipped to
-    _WINDOW."""
-    view = np.ndarray((len(padded) - _WINDOW + 1,), _WINDOWS[words], padded, _WINDOW - 8 * words, (1,))
-    windows = view[ends].view(np.uint64).reshape(*ends.shape, words)
-    if xor is not None:
-        windows ^= xor
-    windows &= masks[words].take(clipped, axis=0)
-    return windows
 
 
 def _key_names(records: bytes, long_keys: list) -> list[tuple[str, str]]:
@@ -941,12 +1093,9 @@ def _tick_columns(width: int, keys: dict, run: str, row: int) -> tuple[tuple[np.
     """((group code, time, price) of the kept rows, row count) of a run, each
     column read from the run's bytes; keys numbers each new (date,
     instrument) in order of first appearance among kept rows."""
-    _, data, cuts = _split_run(run, width)
+    data, ends, lengths = _split_run(run, width)
     padded = bytes(_WINDOW) + data
-    lengths = cuts - _ONE
-    lengths[1:] -= cuts[:-1]
-    lengths[:1] += _ONE  # the first field follows no separator
-    ends, lengths = cuts.reshape(-1, width), lengths.reshape(-1, width)
+    rows = len(ends)
     if width == 5:
         keep = _FLAG_BYTE_TRUE[np.frombuffer(padded, np.uint8, offset=_WINDOW - 1)[ends[:, 4]]]
         other = (lengths[:, 4] > _ONE).nonzero()[0]
@@ -973,7 +1122,7 @@ def _tick_columns(width: int, keys: dict, run: str, row: int) -> tuple[tuple[np.
         if not valid.all():
             bad = float(prices[other][~valid][0])
             raise ValueError(f"{'infinite' if bad == math.inf else 'nonpositive'} price {bad!r}")
-    return (codes, times, prices), cuts.size // width
+    return (codes, times, prices), rows
 
 
 def read_ticks_csv(text: str) -> dict[tuple[str, str], TickGroup]:

@@ -255,7 +255,7 @@ class TestQcfFast:
             rows = [(x <= empirical_quantile(x, p)).astype(float) for p in (alpha, beta)]
             for row in rows:
                 row -= row.mean()
-            sumsq = [np.dot(row, row) for row in rows]
+            sumsq = [c * (1.0 - c / T) for c in (np.count_nonzero(x <= empirical_quantile(x, p)) for p in (alpha, beta))]
             n = scipy.fft.next_fast_len(T + max_lag)
             fa_hat = scipy.fft.rfft(rows[0], n)
             corr = scipy.fft.irfft(np.conj(fa_hat) * scipy.fft.rfft(rows[-1], n), n)

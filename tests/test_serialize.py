@@ -5,6 +5,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -329,6 +331,31 @@ def columns_outcome(read, text, columns):
     return header, [(a.dtype, a.tobytes()) for a in arrays]
 
 
+# Prices at the edges of the byte pass, each on the third line of a day CSV:
+# forms it certifies, and forms it leaves to float(), which reads or refuses
+# them.  Then index fields that are numbers but not the writer's spelling.
+CRAFTED_PRICES = [
+    "-0", "0.0", "5.", ".5", "1E5", "1e5", "1e+05", "1e-05", "+1.5", "00.5", "9007199254740993",
+    "0.1000000000000000055511151231257827", "2.4703282292062328e-324", "1e-320", "1.7976931348623157e308",
+    "1e309", "123456789012345678901", "-", "e5", "1e", "1.2.3", "--1",
+]
+
+
+def _crafted_price(field):
+    try:
+        expected = [10.5, float(field)]
+    except ValueError:
+        expected = f"line 3: {field!r} is not a number"
+    return f"second,price\n0,10.5\n1,{field}\n", expected
+
+
+CRAFTED_CASES = [_crafted_price(field) for field in CRAFTED_PRICES] + [
+    ("second,price\n0,10.5\n+1,11.0\n", "line 3: second must be 1, got '+1'"),
+    ("second,price\n0,10.5\n1.0,11.0\n", "line 3: second must be 1, got '1.0'"),
+]
+CRAFTED_IDS = [f"price-{field}" for field in CRAFTED_PRICES] + ["index-plus", "index-with-point"]
+
+
 class TestColumnReaderPaths:
     """_read_columns and the reference reader give the same arrays or error."""
 
@@ -361,6 +388,7 @@ class TestColumnReaderPaths:
             ('second,price\n0,"10.5\n"\n1,x\n', "line 2: field '10.5\\n' holds a separator"),
             ('second,price\n0,10.5\n1,"' + "1" * (csv.field_size_limit() + 1) + '"\n',
              f"line 3: field larger than field limit ({csv.field_size_limit()})"),
+            *CRAFTED_CASES,
         ],
         ids=[
             "plain", "crlf", "padded", "blank-line", "no-final-newline", "leading-blank-line",
@@ -368,6 +396,7 @@ class TestColumnReaderPaths:
             "empty-value", "field-count", "unknown-header", "index-skips", "index-from-one",
             "index-leading-zero", "quoted-values", "bare-cr", "form-feed-in-a-line", "padded-bad-value",
             "first-bad-line", "separator-in-field", "nul", "quoted-line-break", "field-beyond-size-limit",
+            *CRAFTED_IDS,
         ],
     )
     def test_day_paths_agree(self, text, expected):
@@ -421,6 +450,63 @@ class TestColumnReaderPaths:
             assert columns_outcome(serialize._read_columns, text, columns) == columns_outcome(
                 reference_read_columns, text, columns
             )
+
+
+def _bench_like_tables() -> dict[str, tuple[str, callable, np.ndarray]]:
+    """CSVs shaped like the bench's, as the writers lay them out: a day of
+    per-second prices with four decimals and its index day, a GJR simulation
+    and a curve with a band; by name, (text, reader, values it must read)."""
+    rng = np.random.default_rng(5)
+    prices = np.round(50.0 * np.exp(np.cumsum(rng.normal(0.0, 2e-4, 23401))), 4)
+    day = TradingDay("AAA", "2007-01-03", prices, traded_seconds=prices.size)
+    index = build_index([day, TradingDay("BBB", "2007-01-03", prices[::-1].copy(), traded_seconds=prices.size)])
+    gjr = GarchParams(kind="gjr", mu=0.0, omega=1e-6, alpha1=0.05, beta1=0.9, gamma1=0.06)
+    sim = resimulate_experiment(gjr, n_series=1, length=20000, seed=3)[0]
+    curve = qcf_fast(sim.returns.values, 0.05, 0.95, 600).with_ci(0.0123)
+    read_curve = lambda text: np.concatenate(serialize.curve_arrays_from_csv(text)[:2])
+    return {
+        "day": (serialize.day_to_csv(day), serialize.prices_from_day_csv, prices),
+        "index": (serialize.day_to_csv(index), serialize.prices_from_day_csv, index.prices),
+        "sim": (serialize.simulation_to_csv(sim), serialize.returns_from_sim_csv, sim.returns.values),
+        "curve": (serialize.curve_to_csv(curve), read_curve, np.concatenate([curve.lags, curve.values])),
+    }
+
+
+class TestDecimalBytePass:
+    """Day, simulation and curve columns are read from their bytes, with
+    float()'s and int()'s bits, and a bad line is found by halving runs."""
+
+    def test_million_random_bit_patterns(self):
+        bits = np.random.default_rng(20261021).integers(0, 2**64, 1_000_000, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]  # a series is finite
+        sim = SimulationResult(TimeSeries(values), np.ones(values.size), innovations_seed=0, burn_in=0)
+        text = serialize.simulation_to_csv(sim)
+        expected = np.array([float(line.split(",")[1]) for line in text.splitlines()[1:]])
+        assert serialize.returns_from_sim_csv(text).tobytes() == expected.tobytes()
+
+    def test_plain_tables_need_no_fallback(self, monkeypatch):
+        tables = _bench_like_tables()
+
+        def refuse(*args):
+            raise AssertionError("a field was read from its text")
+
+        monkeypatch.setattr(serialize, "_fallback", refuse)
+        for name, (text, read, values) in tables.items():
+            assert read(text).tobytes() == values.tobytes(), name
+
+    @pytest.mark.parametrize("lines", [1, 2, 3, 1000, 23401])
+    def test_a_bad_last_line_is_found_by_halving(self, monkeypatch, lines):
+        rows = [f"{i},{50.0 + i / 8}" for i in range(lines)]
+        rows[-1] = f"{lines - 1},x"
+        text = "\n".join(["second,price", *rows]) + "\n"
+        calls = []
+        convert = serialize._convert_columns
+        monkeypatch.setattr(serialize, "_convert_columns", lambda *args: calls.append(args) or convert(*args))
+        monkeypatch.setattr(serialize, "_CHUNK_CHARS", len(text))
+        with pytest.raises(DataFormatError, match=f"^line {lines + 1}: 'x' is not a number$"):
+            serialize.prices_from_day_csv(text)
+        assert len(calls) <= 2 * math.log2(lines) + 3
 
 
 def restyle(rows, newline, padded, quoted, blanks):
@@ -695,16 +781,26 @@ def _seeded_cent_day_csvs() -> list[str]:
     return [serialize.day_to_csv(TradingDay("AAA", "", p, traded_seconds=p.size)) for p in prices]
 
 
-def _cli_outputs(tmp_path, texts: list[str], command: list[str]) -> str:
-    """sha256 of the names and bytes of every file a `qcorr` command writes,
-    run through main over the input CSVs at its default levels, pairs and lags."""
+def _inputs(tmp_path, texts: list[str]) -> Path:
+    """A directory holding the input CSVs."""
     inputs = tmp_path / "in"
     inputs.mkdir()
     for i, text in enumerate(texts):
         (inputs / f"s{i}.csv").write_text(text)
-    out = tmp_path / "out"
-    assert main([*command, "-i", str(inputs), "--out", str(out)]) == 0
+    return inputs
+
+
+def _outputs_digest(out: Path) -> str:
+    """sha256 of the names and bytes of every file in out."""
     return _sha256("".join(p.name + p.read_text() for p in sorted(out.iterdir())))
+
+
+def _cli_outputs(tmp_path, texts: list[str], command: list[str]) -> str:
+    """sha256 of the names and bytes of every file a `qcorr` command writes,
+    run through main over the input CSVs at its default levels, pairs and lags."""
+    out = tmp_path / "out"
+    assert main([*command, "-i", str(_inputs(tmp_path, texts)), "--out", str(out)]) == 0
+    return _outputs_digest(out)
 
 
 PINNED_WRITERS = {
@@ -824,9 +920,9 @@ PINNED_WRITERS.update({
     # The FFT path of `qcorr qcf`: T + max-lag is 2200 on the sims, and 25 799,
     # padded to 25 872, on the days.
     "qcf-cli-gjr-sims": (lambda tmp: _cli_outputs(tmp, _seeded_gjr_sim_csvs(), ["qcf", "--max-lag", "200"]),
-                         "sha256:330d8c8d4803d92f1a3d6005566f7405afc2a6961fe9aa87c3368dda640ceaf4"),
+                         "sha256:7102ddbbc4b80fab95934a4209c039d68b05d86d96876c3e807c231d53b7ecd1"),
     "qcf-cli-cent-days": (lambda tmp: _cli_outputs(tmp, _seeded_cent_day_csvs(), ["qcf", "--max-lag", "3600"]),
-                          "sha256:81abde447c460ce4a86277d48a795a27301798800b4592abdadb15735c49fa7f"),
+                          "sha256:e34b2eb371677bf411c151121568b6578c62b45e4a98bb1db3144dfa688ab273"),
 })
 
 
@@ -834,3 +930,17 @@ PINNED_WRITERS.update({
 def test_writer_bytes_pinned(tmp_path, writer):
     write, expected = PINNED_WRITERS[writer]
     assert write(tmp_path) == expected
+
+
+def test_qcf_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The qcf-cli-cent-days curves, whose series are longer than the length
+    at which OpenBLAS splits a dot product across threads, written by `qcorr
+    qcf` with one BLAS thread and with two."""
+    inputs = _inputs(tmp_path, _seeded_cent_day_csvs())
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        subprocess.run([sys.executable, "-m", "qcorr", "qcf", "-i", str(inputs), "--max-lag", "3600", "--out", str(out)],
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": threads}, check=True, capture_output=True)
+        digests.append(_outputs_digest(out))
+    assert digests == [PINNED_WRITERS["qcf-cli-cent-days"][1]] * 2
