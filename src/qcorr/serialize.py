@@ -3,10 +3,11 @@
 Data values are written with 17 significant digits so every IEEE double
 round-trips exactly: the bytes of format(v, ".17g"), laid out for whole
 blocks of rows by one vectorized pass that falls back to format() for each
-value whose rounding it cannot certify.  write_files writes every output of
-a run to a temp file, with its blocks reserved first, before it renames any
-into place.  A string cell holding a comma, a quote or a line break is
-refused, not written.  The tick input format is read here too.
+value whose rounding it cannot certify, and each run of equal values in a
+column formatted once.  write_files writes every output of a run to a temp
+file, with its blocks reserved first, before it renames any into place.  A
+string cell holding a comma, a quote or a line break is refused, not
+written.  The tick input format is read here too.
 
 The index column of a day or simulation CSV must read 0, 1, ..., n - 1; a
 simulation's variance column is never parsed.
@@ -20,11 +21,13 @@ once through a normalizer that applies the rule.  Every column is read from
 each run's UTF-8 bytes and separator offsets, so no field becomes a Python
 string.  A day, simulation or curve number -?digits[.digits][e±dd[d]] of at
 most 24 bytes, its digits spelling an integer below 9 * 10**18, is read as
-N * 10**E in double-double and kept where its rounding is certain; a tick
-time of 1 to 18 digits and a tick price digits[.digits] are read exactly.
-Any field that a byte pass cannot certify ("+5", "1E5", "nan", a subnormal,
-a tie, more digits) is read from its text by int(), float() or the
-lower-cased flag, so the groups and bits are the same either way.
+N * 10**E in double-double and kept where its rounding is certain.  Tick
+times, tick prices and the index column of a day or simulation are read by
+one word reader: a field digits[.digits] of 1 to 18 bytes as the integer
+its digits spell and the power of ten after its point, exactly.  Any field
+that a byte pass cannot certify ("+5", "1E5", "nan", a subnormal, a tie,
+more digits) is read from its text by int(), float() or the lower-cased
+flag, so the groups and bits are the same either way.
 """
 
 from __future__ import annotations
@@ -278,7 +281,10 @@ def _table(header: str, *columns) -> str:
     A column is a float array, each value written as format(v, ".17g"), the
     row index range(n), a sequence of str, or one str for every row.  Rows
     are laid out in blocks of about _CHUNK_CHARS bytes, every float of a
-    block in one _format_g17 call.
+    block in one _format_g17 call.  A float equal in its bits to the one in
+    the row above (a day grid repeats its last price) is not formatted
+    again: its text is gathered from the first of its run.  Bits, not
+    values, as 0.0 and -0.0 print differently.
     """
     columns = [c if isinstance(c, (np.ndarray, range, str)) else list(c) for c in columns]
     floats = [j for j, c in enumerate(columns) if isinstance(c, np.ndarray)]
@@ -289,9 +295,14 @@ def _table(header: str, *columns) -> str:
         stop = min(n, start + step)
         cells = {}
         if floats:
-            block = np.stack([np.asarray(columns[j][start:stop], dtype=float) for j in floats], axis=1)
-            text = _format_g17(block.ravel()).reshape(stop - start, len(floats), _WIDTH)
-            cells = {j: text[:, i] for i, j in enumerate(floats)}
+            block = np.stack([np.asarray(columns[j][start:stop], dtype=float) for j in floats])
+            bits = block.view(np.uint64)
+            first = np.ones(block.shape, dtype=bool)  # of a run of equal bits in its column
+            np.not_equal(bits[:, 1:], bits[:, :-1], out=first[:, 1:])
+            text = _format_g17(block[first])
+            if len(text) < first.size:  # some run is longer than one value
+                text = text.take(np.cumsum(first) - _ONE, axis=0)
+            cells = dict(zip(floats, text.reshape(len(floats), stop - start, _WIDTH)))
         for j, column in enumerate(columns):
             if isinstance(column, range):
                 cells[j] = _row_index(len(column))[start:stop]
@@ -472,8 +483,8 @@ def _last_bytes(words: int, least: int) -> np.ndarray:
 
 
 _LAST_BYTES = {w: _last_bytes(w, 0) for w in (1, 2, 3)}
-# A number's mask keeps the last byte of an empty field, which is the comma
-# before it, so that an empty number is never certified.
+# A number's mask keeps the last byte of an empty field, which is the
+# separator before it, so that an empty number is never certified.
 _NUMBER_BYTES_KEPT = {w: _last_bytes(w, 1) for w in (1, 2, 3)}
 # A number's bytes are xored with "0", which leaves a digit its value and
 # makes any other byte more than 9 (a point 30).
@@ -518,15 +529,15 @@ def _fallback(rule, data: bytes, ends: np.ndarray, lengths: np.ndarray, rows: np
     return [rule(data[e - n : e].decode()) for e, n in zip(ends[rows].tolist(), lengths[rows].tolist())]
 
 
-def _windows(padded: bytes, ends: np.ndarray, clipped: np.ndarray, words: int, masks, xor=None) -> np.ndarray:
+def _windows(padded: bytes, ends: np.ndarray, lengths: np.ndarray, words: int, masks, xor=None) -> np.ndarray:
     """Per end, the 8 * words bytes before it (xored with xor) as `words`
-    uint64 words, masked by masks[words] at each field's length clipped to
-    _WINDOW."""
+    uint64 words, masked by masks[words] at each field's length, taken as
+    _WINDOW beyond it."""
     view = np.ndarray((len(padded) - _WINDOW + 1,), _WINDOWS[words], padded, _WINDOW - 8 * words, (1,))
     windows = view[ends].view(np.uint64).reshape(*ends.shape, words)
     if xor is not None:
         windows ^= xor
-    windows &= masks[words].take(clipped, axis=0)
+    windows &= masks[words].take(lengths, axis=0, mode="clip")
     return windows
 
 
@@ -569,22 +580,25 @@ def _convert_columns(wanted, width: int, index: str | None, run: str, row: int) 
     -?digits, a float field -?digits[.digits][e±dd[d]].  Every field that
     pass cannot certify is converted from its text with int() or float(), so
     each value has their bits.  A first column named by index must read row,
-    row + 1, ... as the writer spells them: digits only, no leading zero.
-    Error texts name the run's first row.
+    row + 1, ... as the writer spells them, digits only and no leading zero,
+    which _digit_words checks from ceil(longest / 8) words.  Error texts name
+    the run's first row.
     """
     data, ends, lengths = _split_run(run, width)
     rows = len(ends)
     if not rows:
         return [np.empty(0, kind) for _, kind in wanted], 0
-    columns = [0] * bool(index) + [column for column, _ in wanted]
-    ends, lengths = ends.T[columns], lengths.T[columns]  # one row per column read
-    digits, exponents, negative, whole, certified = _decimals(bytes(_WINDOW) + data, ends, lengths)
+    padded = bytes(_WINDOW) + data
     if index:
-        spelled = whole[0] & (digits[0] >= _LEAST_OF_LENGTH.take(lengths[0], mode="clip"))
-        if not (spelled & (digits[0] == np.arange(row, row + rows))).all():
-            raise ValueError(f"{index} must be {row}, got {_fallback(str, data, ends[0], lengths[0], [0])[0]!r}")
+        digits, tens = _digit_words(padded, ends[:, 0], lengths[:, 0])
+        spelled = (tens == _ZERO) & (digits >= _LEAST_OF_LENGTH.take(lengths[:, 0], mode="clip"))
+        if not (spelled & (digits == np.arange(row, row + rows))).all():
+            raise ValueError(f"{index} must be {row}, got {_fallback(str, data, ends[:, 0], lengths[:, 0], [0])[0]!r}")
+    columns = [column for column, _ in wanted]
+    ends, lengths = ends.T[columns], lengths.T[columns]  # one row per column read
+    digits, exponents, negative, whole, certified = _decimals(padded, ends, lengths)
     arrays = []
-    for i, (_, kind) in enumerate(wanted, bool(index)):
+    for i, (_, kind) in enumerate(wanted):
         if kind is int:
             values, read = np.where(negative[i], -digits[i], digits[i]), whole[i]
         else:
@@ -610,9 +624,85 @@ def _convert_columns(wanted, width: int, index: str | None, run: str, row: int) 
 # eights of digits.  Temporaries are few and narrow: on a long run a fresh
 # array costs more in page faults than the arithmetic on it.
 _MINUS = np.array(ord("-"), np.uint8)
-_SWAR_STEPS = [(np.array(m, np.uint64), np.array(s, np.uint64), np.array(k, np.uint64)) for m, s, k in (
-    (10 << 8 | 1, 8, 0x00FF00FF00FF00FF), (100 << 16 | 1, 16, 0x0000FFFF0000FFFF), (10000 << 32 | 1, 32, 2**64 - 1))]
+# (scale, shift, mask) of each step, on int64 words: a mask clears the sign
+# bits that a shift copies, and the last step, whose sum stays below 2**31,
+# needs none.
+_SWAR_STEPS = [(np.array(m), np.array(s), k if k is None else np.array(k))
+               for m, s, k in ((10 << 8 | 1, 8, 0x00FF00FF00FF00FF), (100 << 16 | 1, 16, 0x0000FFFF0000FFFF),
+                               (10000 << 32 | 1, 32, None))]
 _E8 = np.array(10**8)
+
+
+def _spell(words: np.ndarray) -> np.ndarray:
+    """In place, each little-endian int64 word of 8 digit values, its first
+    byte the most significant, as the integer they spell."""
+    for scale, shift, keep in _SWAR_STEPS:
+        words *= scale
+        words >>= shift
+        if keep is not None:
+            words &= keep
+    return words
+
+
+# Tick times, tick prices and the index column of a day or simulation CSV
+# are read by one word reader, _digit_words.  A field is read from the last
+# ceil(longest / 8) words before its separator, at most 3, xored with "0" as
+# for _decimals.  Each byte's class (2 a digit, 0 a point, 1 any other
+# byte) gives one class word per word; its points are zeroed, and a point is
+# dropped by moving the bytes before it one byte on within its word:
+# w + (w & below) * 255 moves the bytes of w under the mask below.  Then
+# _spell sums each word's digits, and each word is joined to those before it
+# by 10**8, or 10**7 if it held the point.
+_NUMBER_BYTES = 18
+_LITTLE_I64 = np.dtype("<i8")
+_ZERO, _BYTE_MOVE = np.array(0), np.array(255)
+# A class word mod 555 tells the nine words of no point or one point from
+# every other: 555 is the least modulus under which no other class word
+# leaves one of their residues.  By residue: 10**(7 - p) for a point at byte
+# p, the digits after it (0 for no point, -1 for any other word); the mask
+# of the bytes before the point; and the power that joins the word to the
+# words before it.
+_MOD_CLASS = np.array(555)
+_DIGIT_CLASSES = 0x0202020202020202
+_POINT_RESIDUES = [(_DIGIT_CLASSES ^ 2 << 8 * p) % 555 for p in range(8)]
+_TENS_OF = np.full(555, -1)
+_TENS_OF[[_DIGIT_CLASSES % 555, *_POINT_RESIDUES]] = [0, *(10 ** (7 - p) for p in range(8))]
+_BELOW_OF = np.zeros(555, np.int64)
+_BELOW_OF[_POINT_RESIDUES] = [256**p - 1 for p in range(8)]
+_JOIN = np.where(_TENS_OF > 0, 10**7, 10**8)
+
+
+def _digit_words(padded: bytes, ends: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, T) of each field, each of ends' shape.
+
+    A field digits[.digits] of 1 to 18 bytes spells the integer N, its point
+    dropped, and T = 10**(digits after its point), 0 without a point.  T is
+    -1 for any other field, whose N means nothing.
+    """
+    longest = int(np.maximum.reduce(lengths, axis=None, initial=1))
+    count = -(-min(longest, _NUMBER_BYTES) // 8)
+    words = _windows(padded, ends, lengths, count, _NUMBER_BYTES_KEPT, _DIGIT_ZEROS).view(_LITTLE_I64)
+    window = words.view(np.uint8)
+    no_point = window != _POINT
+    residues = np.add(no_point, window <= _NINE, dtype=np.uint8).view(_LITTLE_I64) % _MOD_CLASS
+    window *= no_point
+    below = _BELOW_OF.take(residues)
+    below &= words
+    below *= _BYTE_MOVE
+    words += below
+    values = _spell(words)
+    tens_words = _TENS_OF.take(residues)
+    digits, tens = values[..., 0], tens_words[..., 0]
+    for k in range(1, count):
+        digits = digits * _JOIN.take(residues[..., k]) + values[..., k]
+        tens = tens * _E8 + tens_words[..., k]
+    if count > 1:  # every word read, and a point in one at most
+        tens[(tens_words.min(axis=-1) < _ZERO) | (np.count_nonzero(tens_words, axis=-1) > _ONE)] = -1
+    if longest > _NUMBER_BYTES:
+        tens[lengths > _NUMBER_BYTES] = -1
+    return digits, tens
+
+
 # A row's 24 flags pack to 3 bytes, read with the next row's first as one
 # big-endian uint32.
 _BYTE, _ALL_BITS = np.array(8, np.uint32), np.array(2**_WINDOW - 1, np.uint32)
@@ -690,12 +780,7 @@ def _decimals(padded: bytes, ends: np.ndarray, lengths: np.ndarray) -> tuple[np.
     certified &= (digit_bits & _FIELD_BITS.take(clipped)) >> tail != 0  # a digit before the exponent
     if n and int(lengths.max()) > _WINDOW:
         certified &= lengths <= _WINDOW_BYTES
-    words = words.view("<u8")
-    for scale, shift, keep in _SWAR_STEPS:
-        words *= scale
-        words >>= shift
-        words &= keep
-    upper, middle, lower = words.view("<i8").T
+    upper, middle, lower = _spell(words.view(_LITTLE_I64)).T
     upper = upper * _E8
     upper += middle
     certified &= upper < _UPPER_LIMIT.take(tail)
@@ -992,30 +1077,14 @@ _FLAG_BYTE_TRUE = np.array([b < 128 and chr(b).lower() in _REGULAR_TRUE for b in
 _KEY_WORDS = 2
 _LONG_KEY = np.uint64(2**64 - 1)
 _LONG_TAIL = b"\xff" * 24
-# A time of at most 18 digits is below 2**63, and so is a price of at most
-# 18 bytes read with its point as a 0.
-_NUMBER_BYTES = 18
-_POW10 = np.array([10**k if k < _NUMBER_BYTES else 0 for k in range(23, -1, -1)], dtype=np.int64)
-# By distance d from the separator, for a byte that is no digit: a point
-# (class 1) weighs 32 + d, any other byte (class 2) twice that, so a field's
-# class sum is 32 + j for one point at distance j, 0 for none and 64 or more
-# if the field is not digits[.digits].
-_CLASS_WEIGHTS = np.arange(32 + 24, 32, -1)
-# By class sum (0 or 32 + j; any other as 0, as no certified field has it):
-# 10**j, where the digits above the point start once the point reads as a 0
-# (10**18, above any such number, for no point); 9 * 10**(j - 1), which
-# times those digits is what the 0 added; and the price's divisor
-# 10**(j - 1).  All are exact.
-_POINT_AT = [0] * 33 + list(range(1, 25)) + [0] * (2 * int(_CLASS_WEIGHTS.sum()) - 56)
-_ABOVE_POINT = np.array([10 ** min(j, 18) if j else 10**18 for j in _POINT_AT], dtype=np.int64)
-_BELOW_POINT = np.array([9 * 10 ** min(j - 1, 17) if j else 0 for j in _POINT_AT], dtype=np.int64)
-_PRICE_SCALE = np.array([float(10 ** min(j - 1, 17)) if j else 1.0 for j in _POINT_AT])
-# Per number column (time, price): the greatest class sum (no point, one
-# point) and the least and greatest digit value certified.  A price of 1 or
-# more is positive, and both its operands are exact up to 2**53.
-_MAX_CLASS_SUM = np.array([0, 32 + 24])
-_MIN_MANTISSA = np.array([0, 1])
-_MAX_MANTISSA = np.array([10**18, 2**53])
+# Per number column (time, price), the greatest T (-1, for a field
+# _digit_words cannot read, is above any as uint64) and the least and
+# greatest N certified.  A time has no point.  A price D / T has 1 <= D <=
+# 2**53: both operands are exact, so the quotient is float()'s correctly
+# rounded value (Clinger 1990).
+_MOST_TENS = np.array([0, 10**17], np.uint64)
+_LEAST_DIGITS = np.array([0, 1])
+_DIGITS_SPAN = np.array([2**63 - 1, 2**53 - 1], np.uint64)
 
 
 def _regular(flag: str) -> bool:
@@ -1062,33 +1131,6 @@ def _group_codes(keys: dict, data: bytes, padded: bytes, ends: np.ndarray, lengt
     return codes
 
 
-def _tick_numbers(padded: bytes, ends: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(mantissa, class sum, certified) of each row's (time, price) fields.
-
-    A field digits[.digits] spells the integer D, whose last j - 1 digits
-    follow its point, j being the point's distance from the separator (0 for
-    no point).  A certified time is D, with 1 to 18 digits and no point.  A
-    certified price is D / 10**(j - 1), with at most 18 bytes and 1 <= D <=
-    2**53: both operands are exact, so the quotient is float()'s correctly
-    rounded value (Clinger 1990).
-    """
-    clipped = np.minimum(lengths, _WINDOW_BYTES)
-    longest = int(np.maximum.reduce(clipped, axis=None, initial=1))
-    words = -(-min(longest, _NUMBER_BYTES) // 8)
-    digits = _windows(padded, ends, clipped, words, _NUMBER_BYTES_KEPT, _DIGIT_ZEROS).view(np.uint8)
-    other = digits > _NINE
-    kind = other.view(np.uint8) + other
-    kind -= digits == _POINT
-    digits *= ~other
-    classes = kind @ _CLASS_WEIGHTS[-8 * words :]
-    spelled = digits @ _POW10[-8 * words :]
-    mantissa = spelled - spelled // _ABOVE_POINT[classes] * _BELOW_POINT[classes]
-    certified = (classes <= _MAX_CLASS_SUM) & (mantissa >= _MIN_MANTISSA) & (mantissa <= _MAX_MANTISSA)
-    if longest > _NUMBER_BYTES:
-        certified &= clipped <= _NUMBER_BYTES
-    return mantissa, classes, certified
-
-
 def _tick_columns(width: int, keys: dict, run: str, row: int) -> tuple[tuple[np.ndarray, ...], int]:
     """((group code, time, price) of the kept rows, row count) of a run, each
     column read from the run's bytes; keys numbers each new (date,
@@ -1104,10 +1146,10 @@ def _tick_columns(width: int, keys: dict, run: str, row: int) -> tuple[tuple[np.
         kept = keep.nonzero()[0]
         ends, lengths = ends.take(kept, axis=0), lengths.take(kept, axis=0)
     codes = _group_codes(keys, data, padded, ends[:, 0:3:2], lengths[:, 0:3:2])
-    mantissa, classes, certified = _tick_numbers(padded, ends[:, 1::2], lengths[:, 1::2])
-    times = mantissa[:, 0].copy()
-    prices = mantissa[:, 1] / _PRICE_SCALE[classes[:, 1]]
-    if np.count_nonzero(certified) < certified.size:
+    digits, tens = _digit_words(padded, ends[:, 1::2], lengths[:, 1::2])
+    certified = (tens.view(np.uint64) <= _MOST_TENS) & ((digits - _LEAST_DIGITS).view(np.uint64) <= _DIGITS_SPAN)
+    times, prices = digits[:, 0], digits[:, 1] / np.maximum(tens[:, 1], _ONE)
+    if not certified.all():
         other = (~certified[:, 0]).nonzero()[0]
         exact = _fallback(int, data, ends[:, 1], lengths[:, 1], other)
         beyond = next((t for t in exact if not -(2**63) <= t < 2**63), None)

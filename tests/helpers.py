@@ -140,8 +140,9 @@ def _fields_of(record):
     return number, fields
 
 
-def reference_read_columns(text, columns, what):
-    """serialize._read_columns, one record at a time."""
+def reference_read_columns(text, columns, what, first_row=0):
+    """serialize._read_columns, one record at a time; the index column counts
+    from first_row."""
     records = reference_records(text)
     header = ",".join(_fields_of(records[0])[1]) if records else ""
     if header not in columns:
@@ -150,7 +151,7 @@ def reference_read_columns(text, columns, what):
     width = header.count(",") + 1
     index = header.split(",")[0] if header in ("second,price", "t,return,variance") else None
     values = []
-    for row, record in enumerate(records[1:]):
+    for row, record in enumerate(records[1:], first_row):
         number, fields = _fields_of(record)
         if len(fields) != width:
             raise DataFormatError(f"line {number}: expected {width} fields, got {len(fields)}")

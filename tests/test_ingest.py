@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from helpers import CSV_EDITS, perturb, reference_read_ticks, tick_group
@@ -415,6 +417,36 @@ EDGE_FIELDS = {
     "flag-true": (4, "true"),
     "flag-Yes": (4, "Yes"),
     "flag-no": (4, "no"),
+    # At the word boundaries of the word reader: 1 word up to 8 bytes, 2 up
+    # to 16, 3 up to 18 (and 24 seen).
+    "time-8-digits": (1, "12345678"),
+    "time-9-digits": (1, "123456789"),
+    "time-16-digits": (1, "1234567890123456"),
+    "time-17-digits": (1, "12345678901234567"),
+    "time-18-digits-max": (1, "999999999999999999"),
+    "time-9-digits-point-in-first-word": (1, "1.2345678"),
+    # Its 3-word sum wraps below 2**63: only its length refuses it.
+    "time-23-digits": (1, "99999999999999999999999"),
+    "time-non-ascii-byte": (1, "12é3"),
+    "price-8-bytes": (3, "1234.567"),
+    "price-8-bytes-point-first": (3, ".1234567"),
+    "price-9-bytes": (3, "1234567.8"),
+    "price-10-bytes": (3, "12345678.9"),
+    "price-point-last-byte-of-first-word": (3, ".12345678"),
+    "price-point-first-byte-of-last-word": (3, "1.2345678"),
+    "price-point-last-byte-of-last-word": (3, "12345678."),
+    "price-16-bytes": (3, "12345678.1234567"),
+    "price-16-bytes-point-first": (3, ".123456789012345"),
+    "price-17-bytes": (3, "1234567.123456789"),
+    "price-17-bytes-point-first-byte-of-middle-word": (3, "1.234567890123456"),
+    "price-18-bytes-point-last-byte-of-first-word": (3, "0.1234567890123456"),
+    "price-18-bytes-certified": (3, "00001234567.123456"),
+    "price-18-bytes-beyond-2**53": (3, "123456789.12345678"),
+    "price-points-in-two-words": (3, "1.2345678.9"),
+    "price-points-in-one-word": (3, "1.2.3"),
+    "price-non-ascii-byte": (3, "12é.5"),
+    "price-non-ascii-byte-second-word": (3, "123456789é.5"),
+    "price-minus-inside": (3, "12-3.5"),
 }
 
 
@@ -462,6 +494,19 @@ class TestTickBytePass:
         assert [g.instrument for g in groups.values()] == [i for _, i in keys]
         assert [g.times.tolist() for g in groups.values()] == [[0, 4], [1, 5], [2, 6], [3, 7]]
         assert outcome(read_ticks_csv, text) == outcome(reference_read_ticks, text)
+
+    def test_class_words_tell_readable_words(self):
+        """Every word of byte classes (2 a digit, 0 a point, 1 any other
+        byte) mod _MOD_CLASS: -1 unless it has no point or one point."""
+        classes = np.array(list(itertools.product([2, 0, 1], repeat=8)), np.uint8)
+        words = classes.view("<i8").ravel()
+        tens = serialize._TENS_OF[words % serialize._MOD_CLASS]
+        points = (classes == 0).sum(axis=1)
+        readable = (classes != 1).all(axis=1) & (points <= 1)
+        assert readable.sum() == 9
+        assert (tens[~readable] == -1).all()
+        at = (classes[readable] == 0).argmax(axis=1)
+        assert tens[readable].tolist() == np.where(points[readable], 10 ** (7 - at), 0).tolist()
 
     def test_plain_ticks_need_no_fallback(self, monkeypatch):
         """A file shaped like the bench's tick fixture: every field certified."""

@@ -509,6 +509,95 @@ class TestDecimalBytePass:
         assert len(calls) <= 2 * math.log2(lines) + 3
 
 
+def index_counted_from(first):
+    """serialize._read_columns, and the reference reader, with the index
+    column counted from row `first`."""
+
+    def read(text, columns, what):
+        def layout(header):
+            width, index = header.count(",") + 1, header.split(",")[0]
+            return width, lambda run, row: serialize._convert_columns(columns[header], width, index, run, first + row)
+
+        header, arrays = serialize._bulk_split(text, layout)
+        return (header, *arrays)
+
+    return read, lambda text, columns, what: reference_read_columns(text, columns, what, first)
+
+
+# Spellings of the second line's index i; all but the first are refused.
+INDEX_SPELLINGS = {
+    "exact": str,
+    "leading-zero": lambda i: f"0{i}",
+    "plus": lambda i: f"+{i}",
+    "point-zero": lambda i: f"{i}.0",
+    "trailing-point": lambda i: f"{i}.",
+    "inner-point": lambda i: f"{str(i)[:-1]}.{str(i)[-1]}",
+    "zeros": lambda i: "00",
+    "nineteen-digits": lambda i: f"1{'0' * 18}",
+    "non-ascii": lambda i: f"{str(i)[:1]}é{str(i)[1:]}",
+    "empty": lambda i: "",
+}
+
+
+class TestIndexWords:
+    """The index column is read from ceil(longest / 8) words by the word
+    reader: day and simulation runs whose index crosses from 8 to 9 digits
+    (one word to two) or from 16 to 17 (two to three) agree with the
+    reference reader, value for value and error for error."""
+
+    @pytest.mark.parametrize("chunk", [1, 16, serialize._CHUNK_CHARS], ids=["chunk-1", "chunk-16", "chunk-default"])
+    @pytest.mark.parametrize("first", [0, 99_999_998, 10**16 - 2, 10**18 - 5],
+                             ids=["from-0", "8-to-9-digits", "16-to-17-digits", "18-digits"])
+    @pytest.mark.parametrize("kind", ["day", "sim"])
+    @pytest.mark.parametrize("spelling", list(INDEX_SPELLINGS))
+    def test_index_runs_agree(self, monkeypatch, chunk, first, kind, spelling):
+        columns = {"day": DAY_COLUMNS, "sim": SIM_COLUMNS}[kind]
+        values = [50.0 + k / 8 for k in range(4)]
+        rows = [f"{first + k},{v!r}" + (f",{v / 100!r}" if kind == "sim" else "") for k, v in enumerate(values)]
+        rows[1] = INDEX_SPELLINGS[spelling](first + 1) + rows[1][rows[1].index(","):]
+        text = "\n".join([next(iter(columns)), *rows]) + "\n"
+        read, reference = index_counted_from(first)
+        monkeypatch.setattr(serialize, "_CHUNK_CHARS", chunk)
+        outcome = columns_outcome(read, text, columns)
+        assert outcome == columns_outcome(reference, text, columns)
+        if spelling == "exact":
+            assert outcome == (next(iter(columns)), [(np.dtype(float), np.array(values).tobytes())])
+        else:
+            assert outcome.startswith("line 3: ")
+
+
+class TestRunsFormattedOnce:
+    """_table formats a float once per run of equal bits in its column, and
+    every value has fmt()'s bytes."""
+
+    NAN_BITS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF8000000000001, 0xFFF8000000000000,
+                         0x7FF0000000000001], np.uint64).view(float)
+    CASES = {
+        "signed-zeros": [[0.0, -0.0, -0.0, 0.0, 0.0, -0.0]],
+        "nan-bit-patterns": [NAN_BITS],
+        "inf-runs": [[1.5, math.inf, math.inf, math.inf, -math.inf, -math.inf, 1.5]],
+        "alternating": [[0.1, 0.2] * 12],
+        "run-across-blocks": [[0.25] * 3 + [1 / 3] * 40 + [0.25] * 9],
+        "constant-ci-beside-qcf": [[1.0, 0.5, 0.5, -0.25, 0.125] * 5, [0.0123] * 25],
+        "sim-two-floats": [[0.01, -0.02, -0.02, 0.0, -0.0] * 4, [1e-4] * 7 + [2e-4] * 6 + [1e-4] * 7],
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 100, serialize._CHUNK_CHARS], ids=["chunk-1", "chunk-100", "chunk-default"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bytes_and_format_calls(self, monkeypatch, case, chunk):
+        columns = [np.array(c, dtype=float) for c in self.CASES[case]]
+        step = max(1, chunk // ((serialize._WIDTH + 1) * len(columns)))
+        formatted = []
+        format_g17 = serialize._format_g17
+        monkeypatch.setattr(serialize, "_format_g17", lambda v: formatted.append(v.size) or format_g17(v))
+        monkeypatch.setattr(serialize, "_CHUNK_CHARS", chunk)
+        text = serialize._table("h", *columns)
+        assert text == "h\n" + "".join(",".join(map(serialize.fmt, row)) + "\n" for row in zip(*columns))
+        bits = [c.view(np.uint64) for c in columns]
+        runs = sum(i % step == 0 or b[i] != b[i - 1] for b in bits for i in range(b.size))
+        assert sum(formatted) == runs
+
+
 def restyle(rows, newline, padded, quoted, blanks):
     """rows of fields as CSV text with the given line end: the fields at the
     (row, column) positions in padded surrounded by whitespace, those in
