@@ -3,11 +3,10 @@
 Data values are written with 17 significant digits so every IEEE double
 round-trips exactly: the bytes of format(v, ".17g"), laid out for whole
 blocks of rows by one vectorized pass that falls back to format() for each
-value whose rounding it cannot certify, and each run of equal values in a
-column formatted once.  write_files writes every output of a run to a temp
-file, with its blocks reserved first, before it renames any into place.  A
-string cell holding a comma, a quote or a line break is refused, not
-written.  The tick input format is read here too.
+value whose rounding it cannot certify.  write_files writes every output of
+a run to a temp file, with its blocks reserved first, before it renames any
+into place.  A string cell holding a comma, a quote or a line break is
+refused, not written.  The tick input format is read here too.
 
 The index column of a day or simulation CSV must read 0, 1, ..., n - 1; a
 simulation's variance column is never parsed.
@@ -281,10 +280,7 @@ def _table(header: str, *columns) -> str:
     A column is a float array, each value written as format(v, ".17g"), the
     row index range(n), a sequence of str, or one str for every row.  Rows
     are laid out in blocks of about _CHUNK_CHARS bytes, every float of a
-    block in one _format_g17 call.  A float equal in its bits to the one in
-    the row above (a day grid repeats its last price) is not formatted
-    again: its text is gathered from the first of its run.  Bits, not
-    values, as 0.0 and -0.0 print differently.
+    block in one _format_g17 call.
     """
     columns = [c if isinstance(c, (np.ndarray, range, str)) else list(c) for c in columns]
     floats = [j for j, c in enumerate(columns) if isinstance(c, np.ndarray)]
@@ -295,14 +291,9 @@ def _table(header: str, *columns) -> str:
         stop = min(n, start + step)
         cells = {}
         if floats:
-            block = np.stack([np.asarray(columns[j][start:stop], dtype=float) for j in floats])
-            bits = block.view(np.uint64)
-            first = np.ones(block.shape, dtype=bool)  # of a run of equal bits in its column
-            np.not_equal(bits[:, 1:], bits[:, :-1], out=first[:, 1:])
-            text = _format_g17(block[first])
-            if len(text) < first.size:  # some run is longer than one value
-                text = text.take(np.cumsum(first) - _ONE, axis=0)
-            cells = dict(zip(floats, text.reshape(len(floats), stop - start, _WIDTH)))
+            block = np.stack([np.asarray(columns[j][start:stop], dtype=float) for j in floats], axis=1)
+            text = _format_g17(block.ravel()).reshape(stop - start, len(floats), _WIDTH)
+            cells = {j: text[:, i] for i, j in enumerate(floats)}
         for j, column in enumerate(columns):
             if isinstance(column, range):
                 cells[j] = _row_index(len(column))[start:stop]
@@ -483,8 +474,8 @@ def _last_bytes(words: int, least: int) -> np.ndarray:
 
 
 _LAST_BYTES = {w: _last_bytes(w, 0) for w in (1, 2, 3)}
-# A number's mask keeps the last byte of an empty field, which is the
-# separator before it, so that an empty number is never certified.
+# A number's mask keeps the last byte of an empty field, which is the comma
+# before it, so that an empty number is never certified.
 _NUMBER_BYTES_KEPT = {w: _last_bytes(w, 1) for w in (1, 2, 3)}
 # A number's bytes are xored with "0", which leaves a digit its value and
 # makes any other byte more than 9 (a point 30).

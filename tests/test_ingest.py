@@ -471,6 +471,21 @@ class TestTickBytePass:
         monkeypatch.setattr(serialize, "_CHUNK_CHARS", chunk)
         assert outcome(read_ticks_csv, text) == outcome(reference_read_ticks, text)
 
+    def test_long_numbers_agree(self):
+        """Times of 9 to 18 digits and prices of 9 to 18 bytes, the point
+        anywhere, take the word reader's two- and three-word path."""
+        rng = np.random.default_rng(29)
+        rows = []
+        for k in range(6000):
+            width = int(rng.integers(9, 19))
+            time = int(rng.integers(10 ** (width - 1), 10**width))
+            digits = str(int(rng.integers(1, 10))) + "".join(map(str, rng.integers(0, 10, int(rng.integers(7, 17)))))
+            cut = int(rng.integers(0, len(digits) + 1))
+            rows.append(f"{('2007-01-03', '2007-01-04')[k % 2]},{time},{('AAA', 'BBB', 'CCC')[k % 3]},"
+                        f"{digits[:cut]}.{digits[cut:]},1")
+        text = with_rows(*rows)
+        assert outcome(read_ticks_csv, text) == outcome(reference_read_ticks, text)
+
     @CHUNKS
     def test_keys_sharing_their_packed_bytes_stay_apart(self, monkeypatch, chunk):
         # The last 16 bytes of each pair of keys are equal.

@@ -566,9 +566,9 @@ class TestIndexWords:
             assert outcome.startswith("line 3: ")
 
 
-class TestRunsFormattedOnce:
-    """_table formats a float once per run of equal bits in its column, and
-    every value has fmt()'s bytes."""
+class TestTableBytes:
+    """Every float _table writes has fmt()'s bytes, beside its neighbours in
+    the column and across block boundaries."""
 
     NAN_BITS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF8000000000001, 0xFFF8000000000000,
                          0x7FF0000000000001], np.uint64).view(float)
@@ -584,18 +584,11 @@ class TestRunsFormattedOnce:
 
     @pytest.mark.parametrize("chunk", [1, 100, serialize._CHUNK_CHARS], ids=["chunk-1", "chunk-100", "chunk-default"])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_bytes_and_format_calls(self, monkeypatch, case, chunk):
+    def test_bytes_equal_fmt(self, monkeypatch, case, chunk):
         columns = [np.array(c, dtype=float) for c in self.CASES[case]]
-        step = max(1, chunk // ((serialize._WIDTH + 1) * len(columns)))
-        formatted = []
-        format_g17 = serialize._format_g17
-        monkeypatch.setattr(serialize, "_format_g17", lambda v: formatted.append(v.size) or format_g17(v))
         monkeypatch.setattr(serialize, "_CHUNK_CHARS", chunk)
         text = serialize._table("h", *columns)
         assert text == "h\n" + "".join(",".join(map(serialize.fmt, row)) + "\n" for row in zip(*columns))
-        bits = [c.view(np.uint64) for c in columns]
-        runs = sum(i % step == 0 or b[i] != b[i - 1] for b in bits for i in range(b.size))
-        assert sum(formatted) == runs
 
 
 def restyle(rows, newline, padded, quoted, blanks):
