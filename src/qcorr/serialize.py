@@ -267,18 +267,19 @@ def _string_cells(strings: list[str]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2)
-def _row_index(n: int) -> np.ndarray:
-    """The cells of the index column 0, 1, ..., n - 1 of a day or sim CSV.
-    Cached: a run writes table after table of one length.  A million rows
-    hold about 6 MB, so only the last two lengths are kept."""
-    return _string_cells(list(map(str, range(n))))
+def _range_cells(first: int, stop: int) -> np.ndarray:
+    """The cells of the integer column first, first + 1, ..., stop - 1: a day
+    or sim CSV's row index or a curve's lags.  Cached: a run writes table
+    after table of one range.  A million rows hold about 6 MB, so only the
+    last two ranges are kept."""
+    return _string_cells(list(map(str, range(first, stop))))
 
 
 def _table(header: str, *columns) -> str:
     """CSV text: the header, then one row per position of the columns.
 
-    A column is a float array, each value written as format(v, ".17g"), the
-    row index range(n), a sequence of str, or one str for every row.  Rows
+    A column is a float array, each value written as format(v, ".17g"), an
+    integer range(first, stop), a sequence of str, or one str for every row.  Rows
     are laid out in blocks of about _CHUNK_CHARS bytes, every float of a
     block in one _format_g17 call.
     """
@@ -296,7 +297,7 @@ def _table(header: str, *columns) -> str:
             cells = {j: text[:, i] for i, j in enumerate(floats)}
         for j, column in enumerate(columns):
             if isinstance(column, range):
-                cells[j] = _row_index(len(column))[start:stop]
+                cells[j] = _range_cells(column.start, column.stop)[start:stop]
             elif isinstance(column, str):
                 cell = _string_cells([column])
                 cells[j] = np.broadcast_to(cell, (stop - start, cell.shape[1]))
@@ -874,9 +875,7 @@ def values_to_csv(values) -> str:
 
 
 def curve_to_csv(curve: QcfCurve) -> str:
-    # Lags are integers far below 2**53, and the %.17g text of such a float
-    # is the integer's decimal text.
-    columns = [curve.lags.astype(float), curve.values]
+    columns = [range(-curve.max_lag, curve.max_lag + 1), curve.values]
     if curve.ci_half_width is None:
         return _table(CURVE_HEADER, *columns)
     return _table(CURVE_HEADER_CI, *columns, fmt(curve.ci_half_width))

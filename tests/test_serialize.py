@@ -590,6 +590,17 @@ class TestTableBytes:
         text = serialize._table("h", *columns)
         assert text == "h\n" + "".join(",".join(map(serialize.fmt, row)) + "\n" for row in zip(*columns))
 
+    def test_signed_range_beside_floats(self):
+        """A curve's lag column, a range from below 0, over four blocks."""
+        step = serialize._CHUNK_CHARS // ((serialize._WIDTH + 1) * 2)
+        L = 3 * step // 2
+        lags = range(-L, L + 1)
+        rng = np.random.default_rng(30)
+        values = rng.standard_normal(len(lags)) * 10.0 ** rng.integers(-20, 20, len(lags))
+        assert len(lags) > 3 * step
+        text = serialize._table("lag,qcf", lags, values)
+        assert text == "lag,qcf\n" + "".join("%d,%s\n" % (lag, serialize.fmt(v)) for lag, v in zip(lags, values))
+
 
 def restyle(rows, newline, padded, quoted, blanks):
     """rows of fields as CSV text with the given line end: the fields at the
