@@ -215,6 +215,15 @@ class TestQcfFast:
         assert np.array_equal(direct.lags, fast.lags)
         assert np.max(np.abs(direct.values - fast.values)) <= 1e-10
 
+    def test_matches_direct_at_day_length(self):
+        """A 22 140-second day with one-hour lags, the paper's curves;
+        test_matches_direct draws T below 2000."""
+        x = tie_heavy(22140, seed=30)
+        for alpha, beta in DEFAULT_PAIRS:
+            direct = qcf(x, alpha, beta, 3600)
+            fast = qcf_fast(x, alpha, beta, 3600)
+            assert np.max(np.abs(direct.values - fast.values)) <= 1e-10, (alpha, beta)
+
     def test_worked_example(self):
         direct = qcf(list(EXAMPLE_SERIES), 0.5, 0.5, 4)
         fast = qcf_fast(list(EXAMPLE_SERIES), 0.5, 0.5, 4)
@@ -241,7 +250,7 @@ class TestQcfFast:
         import scipy.fft
 
         targets = range(1, 200_001)
-        assert [_next_fast_len(t) for t in targets] == [scipy.fft.next_fast_len(t) for t in targets]
+        assert [_next_fast_len(t) for t in targets] == [scipy.fft.next_fast_len(t, real=True) for t in targets]
 
     @pytest.mark.parametrize("T, max_lag", [(370, 100), (22140, 3600), (50000, 3600)])
     def test_bits_match_scipy_fft(self, T, max_lag):
@@ -256,7 +265,7 @@ class TestQcfFast:
             for row in rows:
                 row -= row.mean()
             sumsq = [c * (1.0 - c / T) for c in (np.count_nonzero(x <= empirical_quantile(x, p)) for p in (alpha, beta))]
-            n = scipy.fft.next_fast_len(T + max_lag)
+            n = scipy.fft.next_fast_len(T + max_lag, real=True)
             fa_hat = scipy.fft.rfft(rows[0], n)
             corr = scipy.fft.irfft(np.conj(fa_hat) * scipy.fft.rfft(rows[-1], n), n)
             if same:

@@ -1010,12 +1010,12 @@ PINNED_WRITERS.update({
                             "sha256:7dcdf12a0bb919fa8214cd91090c85f0d7267d2e8b415967d3c554cc7b0a179e"),
     "ppgrid-cli-cent-days": (lambda tmp: _cli_outputs(tmp, _seeded_cent_day_csvs(), ["ppgrid"]),
                              "sha256:0cdbadd20ce61df471d8f0b55b664849e133b6f65e21a0639770c3624b0e8ccd"),
-    # The FFT path of `qcorr qcf`: T + max-lag is 2200 on the sims, and 25 799,
-    # padded to 25 872, on the days.
+    # The FFT path of `qcorr qcf`: T + max-lag is 2200 on the sims and 25 799
+    # on the days, padded to the 2*3*5-smooth 2250 and 25 920.
     "qcf-cli-gjr-sims": (lambda tmp: _cli_outputs(tmp, _seeded_gjr_sim_csvs(), ["qcf", "--max-lag", "200"]),
-                         "sha256:7102ddbbc4b80fab95934a4209c039d68b05d86d96876c3e807c231d53b7ecd1"),
+                         "sha256:b547f785312ceba936d80c74b3f732bca1ea0cc1e049d779fdef1d231a892fda"),
     "qcf-cli-cent-days": (lambda tmp: _cli_outputs(tmp, _seeded_cent_day_csvs(), ["qcf", "--max-lag", "3600"]),
-                          "sha256:e34b2eb371677bf411c151121568b6578c62b45e4a98bb1db3144dfa688ab273"),
+                          "sha256:2fea61da51466eaf8a3e03486dacbd47f222b7af1cfb56a7849e09929d16e260"),
 })
 
 
