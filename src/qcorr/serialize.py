@@ -279,8 +279,8 @@ def _table(header: str, *columns) -> str:
     """CSV text: the header, then one row per position of the columns.
 
     A column is a float array, each value written as format(v, ".17g"), an
-    integer range(first, stop), a sequence of str, or one str for every row.  Rows
-    are laid out in blocks of about _CHUNK_CHARS bytes, every float of a
+    integer range(first, stop), a sequence of str, or one str for every row.
+    Rows are laid out in blocks of about _CHUNK_CHARS bytes, every float of a
     block in one _format_g17 call.
     """
     columns = [c if isinstance(c, (np.ndarray, range, str)) else list(c) for c in columns]
